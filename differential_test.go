@@ -18,9 +18,9 @@ import (
 // index must agree rank-for-rank with bit-identical distances; the
 // sharded and remote shapes must agree as distance multisets (their
 // border-table sums associate differently). CI runs this storm under
-// -race: the CSR rebuild path (generation check + slab swap inside
-// WarmAfterMutation) and the concurrent fleet transport are exactly
-// where a data race would hide.
+// -race: the CSR patch path (generation check + in-place slab rewrite
+// inside the post-mutation fence) and the concurrent fleet transport are
+// exactly where a data race would hide.
 
 // assertExactResults demands rank-for-rank identity including
 // bit-identical distances — the CSR-vs-reference contract on a shared

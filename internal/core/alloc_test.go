@@ -1,9 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"road/internal/dataset"
 	"road/internal/graph"
+	"road/internal/rnet"
 )
 
 // These tests pin the CSR hot path's allocation behavior: with a warmed
@@ -69,5 +72,119 @@ func TestKNNZeroAllocsWithAttrFilter(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("attribute-filtered kNN allocates %v per query; want 0", avg)
+	}
+}
+
+// The pins below hold the post-mutation fence to O(change): on the CA
+// network (21k nodes, where one whole-index rebuild allocates ≈17 MB) a
+// mutation plus its WarmTrees allocates a small constant that does not
+// grow with the network.
+
+// caFramework builds the CA dataset with the serving configuration and
+// warms it, so the first (full) CSR build is behind us.
+func caFramework(tb testing.TB) *Framework {
+	tb.Helper()
+	g := dataset.MustGenerate(dataset.CA())
+	objects := dataset.PlaceUniform(g, 1000, 1, 0, 1, 2, 3)
+	f, err := Build(g, objects, Config{
+		Rnet:        rnet.Config{Fanout: 4, Levels: 4, KLPasses: -1, PruneMaxBorders: 32, StorePaths: true},
+		BufferPages: -1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f.WarmTrees()
+	return f
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes.
+func bytesPerRun(runs int, fn func()) float64 {
+	var before, after runtime.MemStats
+	fn() // warm-up, as AllocsPerRun does
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// objectChurn is one insert/delete pair, each followed by the fence.
+func objectChurn(tb testing.TB, f *Framework, e graph.EdgeID) {
+	o, err := f.InsertObject(e, f.g.Weight(e)/2, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f.WarmTrees()
+	if err := f.DeleteObject(o.ID); err != nil {
+		tb.Fatal(err)
+	}
+	f.WarmTrees()
+}
+
+// weightChurn raises edge e's weight by a fifth and restores it — the
+// same-shape change: distances move, no slab changes size — with the fence
+// after each step.
+func weightChurn(tb testing.TB, f *Framework, e graph.EdgeID) {
+	w := f.g.Weight(e)
+	for _, next := range [2]float64{w * 1.2, w} {
+		if _, err := f.SetEdgeWeight(e, next); err != nil {
+			tb.Fatal(err)
+		}
+		f.WarmTrees()
+	}
+}
+
+func TestMutationFenceAllocsAreConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the pin only holds on plain builds")
+	}
+	if testing.Short() {
+		t.Skip("builds the CA network")
+	}
+	f := caFramework(t)
+	const e = graph.EdgeID(4242)
+
+	// Object churn leaves the hierarchy alone: the fence is a generation
+	// compare and allocates nothing itself; what remains is the object set
+	// and directory bookkeeping of the pair.
+	if allocs := testing.AllocsPerRun(50, func() { objectChurn(t, f, e) }); allocs > 32 {
+		t.Fatalf("insert+delete object with fences allocates %v per pair; want a handful", allocs)
+	}
+	if b := bytesPerRun(50, func() { objectChurn(t, f, e) }); b > 16<<10 {
+		t.Fatalf("insert+delete object with fences allocates %.0f bytes per pair; want O(1), not O(nodes)", b)
+	}
+
+	// A re-weight pays for the Rnet repair (per-border maps over one
+	// chain of Rnets) but patches the slabs in place.
+	rebuilds := f.CSRStats().Rebuilds
+	allocs := testing.AllocsPerRun(20, func() { weightChurn(t, f, e) })
+	bytes := bytesPerRun(20, func() { weightChurn(t, f, e) })
+	if f.CSRStats().Rebuilds != rebuilds {
+		t.Fatalf("same-shape re-weights rebuilt the index: %+v", f.CSRStats())
+	}
+	t.Logf("re-weight pair: %.0f allocs, %.0f bytes", allocs, bytes)
+	if allocs > 512 || bytes > 512<<10 {
+		t.Fatalf("re-weight pair with fences allocates %.0f objects / %.0f bytes; want the repair's own, not O(nodes)", allocs, bytes)
+	}
+}
+
+// BenchmarkMutateWarm{Object,SetDistance} time a mutation plus its fence
+// at the core seam on CA: the number the serving layers pay per write.
+func BenchmarkMutateWarmObject(b *testing.B) {
+	f := caFramework(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		objectChurn(b, f, graph.EdgeID(i%f.g.NumEdges()))
+	}
+}
+
+func BenchmarkMutateWarmSetDistance(b *testing.B) {
+	f := caFramework(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		weightChurn(b, f, graph.EdgeID(i*7919%f.g.NumEdges()))
 	}
 }

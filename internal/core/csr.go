@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"time"
+	"unsafe"
 
 	"road/internal/apierr"
 	"road/internal/graph"
@@ -21,6 +23,12 @@ import (
 // Association Directory arrays and a typed heap. storage.Store is never
 // consulted here: it remains only for snapshot persistence and the
 // paper-faithful I/O-accounting report mode (Framework-level queries).
+//
+// Queries only read the slabs. Network mutations stale them, and the
+// post-mutation fence (WarmTrees) repairs them at the cost of the change:
+// rnet.Hierarchy logs the nodes a mutation touched — the edge's endpoints
+// and the borders of every Rnet whose shortcuts changed — and the drain
+// re-emits just those nodes' slabs, in place when the shape is unchanged.
 
 // csrEnt flags.
 const (
@@ -44,14 +52,29 @@ type csrEnt struct {
 	flags            uint8
 }
 
+// csrSpan locates one node's entries in ents. Start and end sit in one
+// 8-byte cell so the search loops fetch both with a single load; nodes do
+// not have to be laid out in node order, which is what lets a patch move
+// one node's slab to the tail without touching its neighbours.
+type csrSpan struct {
+	start, end int32
+}
+
+// csrExtent counts one node's cells in — or offsets into — the three slab
+// groups: tree entries, shortcuts and leaf edges.
+type csrExtent struct {
+	ents, sc, le int32
+}
+
 // csrIndex is the flattened Route Overlay: per-node tree slabs plus
-// shortcut and leaf-edge slabs, all indices int32. It is immutable once
-// built; topology or weight mutations are detected by comparing gen to
-// the hierarchy's topology generation, and WarmTrees rebuilds it.
+// shortcut and leaf-edge slabs, all indices int32. buildCSR is the one
+// definition of the layout; between builds the index is kept current by
+// patchNode, which re-emits single nodes (see csrBox.drain). Both run only
+// where readers are excluded; queries never write here.
 type csrIndex struct {
-	gen       uint64  // hierarchy topology generation this index reflects
-	treeStart []int32 // node -> first entry; len NumNodes+1 (suffix = end)
-	ents      []csrEnt
+	gen  uint64    // hierarchy topology generation this index reflects
+	span []csrSpan // node -> its entries; nodes added later have none
+	ents []csrEnt
 
 	scTo   []int32 // shortcut target nodes
 	scDist []float64
@@ -59,26 +82,61 @@ type csrIndex struct {
 	leTo   []int32 // leaf-edge target nodes
 	leEdge []int32 // leaf-edge edge IDs (path reconstruction)
 	leW    []float64
+
+	// dead counts the cells relocating patches left behind; they are
+	// reclaimed by the next full build.
+	dead csrExtent
 }
 
-// buildCSR flattens every node's shortcut tree. The entry order per node
-// is the exact order the reference stack traversal processes entries —
-// top-level entries reversed, children reversed at every level (a stack
-// pops last-first) — so the CSR walk pushes frontier entries in the same
-// sequence and FIFO tie-breaking yields identical answers.
+// Bytes per cell of each slab group, for the dead-cell cap and the
+// road_csr_bytes gauge.
+const (
+	csrSpanBytes = int64(unsafe.Sizeof(csrSpan{}))
+	csrEntBytes  = int64(unsafe.Sizeof(csrEnt{}))
+	csrScBytes   = 4 + 8     // scTo + scDist
+	csrLeBytes   = 4 + 4 + 8 // leTo + leEdge + leW
+)
+
+func (x csrExtent) bytes() int64 {
+	return int64(x.ents)*csrEntBytes + int64(x.sc)*csrScBytes + int64(x.le)*csrLeBytes
+}
+
+// bytes is the index's slab footprint, dead cells included.
+func (c *csrIndex) bytes() int64 {
+	held := csrExtent{int32(len(c.ents)), int32(len(c.scTo)), int32(len(c.leTo))}
+	return int64(len(c.span))*csrSpanBytes + held.bytes()
+}
+
+// deadHeavy reports that dead cells have passed a quarter of the live
+// ones: the next drain compacts by rebuilding instead of patching, which
+// bounds the slack patching can add to the heap.
+func (c *csrIndex) deadHeavy() bool {
+	return c.dead.bytes()*5 > c.bytes()
+}
+
+// buildCSR flattens every node's shortcut tree.
 func buildCSR(g *graph.Graph, h *rnet.Hierarchy) *csrIndex {
 	c := &csrIndex{gen: h.TopoGen()}
 	nn := g.NumNodes()
-	c.treeStart = make([]int32, nn+1)
+	c.span = make([]csrSpan, nn)
 	for n := 0; n < nn; n++ {
-		c.treeStart[n] = int32(len(c.ents))
-		tops := h.Tree(graph.NodeID(n))
-		for i := len(tops) - 1; i >= 0; i-- {
-			c.emit(g, h, graph.NodeID(n), tops[i])
-		}
+		start := int32(len(c.ents))
+		c.emitNode(g, h, graph.NodeID(n))
+		c.span[n] = csrSpan{start, int32(len(c.ents))}
 	}
-	c.treeStart[nn] = int32(len(c.ents))
 	return c
+}
+
+// emitNode appends node n's whole slab. The entry order is the exact
+// order the reference stack traversal processes entries — top-level
+// entries reversed, children reversed at every level (a stack pops
+// last-first) — so the CSR walk pushes frontier entries in the same
+// sequence and FIFO tie-breaking yields identical answers.
+func (c *csrIndex) emitNode(g *graph.Graph, h *rnet.Hierarchy, n graph.NodeID) {
+	tops := h.Tree(n)
+	for i := len(tops) - 1; i >= 0; i-- {
+		c.emit(g, h, n, tops[i])
+	}
 }
 
 // emit appends t's entry followed by its subtree (children reversed) and
@@ -113,26 +171,151 @@ func (c *csrIndex) emit(g *graph.Graph, h *rnet.Hierarchy, n graph.NodeID, t *rn
 	c.ents[idx].skip = int32(len(c.ents))
 }
 
-// csrBox holds the shared CSR index of one overlay. Frameworks produced by
-// Rebind share their network and hierarchy — and therefore the box — so a
-// rebuild through one is seen by all.
-type csrBox struct {
-	idx *csrIndex
+// extentOf returns where node n's cells currently start in each slab
+// group and how many there are. A node's shortcut and leaf-edge cells are
+// contiguous and in entry order (emit appends them that way), so the first
+// non-empty range of each kind is the base.
+func (c *csrIndex) extentOf(n graph.NodeID) (base, size csrExtent) {
+	sp := c.span[n]
+	base.ents, size.ents = sp.start, sp.end-sp.start
+	for i := sp.start; i < sp.end; i++ {
+		e := &c.ents[i]
+		if size.sc == 0 {
+			base.sc = e.scOff
+		}
+		size.sc += e.scEnd - e.scOff
+		if size.le == 0 {
+			base.le = e.edgeOff
+		}
+		size.le += e.edgeEnd - e.edgeOff
+	}
+	return base, size
 }
 
-// ensureCSR returns a CSR index current with the hierarchy's topology,
-// rebuilding if stale. Rebuilds mutate shared state: like lazy shortcut
-// trees, they must not race with concurrent readers, which is why serving
-// layers call WarmTrees (which calls this) after every mutation while
-// excluding readers.
-func (f *Framework) ensureCSR() *csrIndex {
-	c := f.csr.idx
-	if c == nil || c.gen != f.h.TopoGen() {
-		c = buildCSR(f.g, f.h)
-		f.csr.idx = c
+// patchNode brings node n's slab up to date: it re-emits n into the
+// scratch index s (the same emit a full build runs) and installs the result. When the new
+// slab has the old one's extents — a weight or shortcut-distance change —
+// it overwrites the old cells in place and allocates nothing; otherwise it
+// is appended at the slab tails, the node's span repointed, and the old
+// cells counted dead.
+func (c *csrIndex) patchNode(s *csrIndex, g *graph.Graph, h *rnet.Hierarchy, n graph.NodeID) {
+	s.ents, s.scTo, s.scDist = s.ents[:0], s.scTo[:0], s.scDist[:0]
+	s.leTo, s.leEdge, s.leW = s.leTo[:0], s.leEdge[:0], s.leW[:0]
+	s.emitNode(g, h, n)
+
+	if int(n) >= len(c.span) {
+		c.span = append(c.span, make([]csrSpan, int(n)+1-len(c.span))...)
+	}
+	at, old := c.extentOf(n)
+	size := csrExtent{int32(len(s.ents)), int32(len(s.scTo)), int32(len(s.leTo))}
+	inPlace := size == old
+	if !inPlace {
+		at = csrExtent{int32(len(c.ents)), int32(len(c.scTo)), int32(len(c.leTo))}
+		c.dead.ents += old.ents
+		c.dead.sc += old.sc
+		c.dead.le += old.le
+		c.span[n] = csrSpan{at.ents, at.ents + size.ents}
+	}
+	// emit wrote offsets relative to the empty scratch; rebase them to
+	// where the cells land. Ranges an entry does not use stay zero.
+	for i := range s.ents {
+		e := &s.ents[i]
+		e.skip += at.ents
+		if e.flags&csrBorder != 0 {
+			e.scOff += at.sc
+			e.scEnd += at.sc
+		}
+		if e.flags&csrChildren == 0 {
+			e.edgeOff += at.le
+			e.edgeEnd += at.le
+		}
+	}
+	if inPlace {
+		copy(c.ents[at.ents:], s.ents)
+		copy(c.scTo[at.sc:], s.scTo)
+		copy(c.scDist[at.sc:], s.scDist)
+		copy(c.leTo[at.le:], s.leTo)
+		copy(c.leEdge[at.le:], s.leEdge)
+		copy(c.leW[at.le:], s.leW)
+		return
+	}
+	c.ents = append(c.ents, s.ents...)
+	c.scTo = append(c.scTo, s.scTo...)
+	c.scDist = append(c.scDist, s.scDist...)
+	c.leTo = append(c.leTo, s.leTo...)
+	c.leEdge = append(c.leEdge, s.leEdge...)
+	c.leW = append(c.leW, s.leW...)
+}
+
+// CSRStats describes the CSR index's upkeep, for monitoring.
+type CSRStats struct {
+	// Rebuilds counts whole-index builds: the first one, and every drain
+	// that found the dirty log overflowed or too many dead cells.
+	Rebuilds uint64 `json:"rebuilds"`
+	// Patches counts drains answered by re-emitting only the logged nodes.
+	Patches uint64 `json:"patches"`
+	// Bytes is the slab footprint, live and dead cells together.
+	Bytes int64 `json:"bytes"`
+}
+
+// csrBox holds the shared CSR index of one overlay. Frameworks produced by
+// Rebind share their network and hierarchy — and therefore the box — so a
+// drain through one is seen by all.
+type csrBox struct {
+	idx     *csrIndex
+	scratch csrIndex // patchNode's emit target, reused across drains
+	stats   CSRStats
+	onDrain func(time.Duration)
+}
+
+// drain brings the index up to the hierarchy's generation at the cost of
+// what changed: the nodes in the hierarchy's dirty log are re-emitted one
+// by one. It falls back to a full build when there is no index yet, when
+// the log overflowed (bulk replay), when the generation moved but the log
+// is empty (someone else drained it), and when dead cells have piled up.
+func (b *csrBox) drain(g *graph.Graph, h *rnet.Hierarchy) *csrIndex {
+	start := time.Now()
+	nodes, all := h.DrainDirty()
+	c := b.idx
+	if c == nil || all || len(nodes) == 0 || c.deadHeavy() {
+		c = buildCSR(g, h)
+		b.idx = c
+		b.stats.Rebuilds++
+	} else {
+		for _, n := range nodes {
+			c.patchNode(&b.scratch, g, h, n)
+		}
+		c.gen = h.TopoGen()
+		b.stats.Patches++
+	}
+	b.stats.Bytes = c.bytes()
+	if b.onDrain != nil {
+		b.onDrain(time.Since(start))
 	}
 	return c
 }
+
+// ensureCSR returns a CSR index current with the hierarchy. Catching up
+// writes shared state — the slabs, and the shortcut trees of the nodes it
+// re-emits — so it must not race with readers: serving layers call
+// WarmTrees (which is this) after every mutation while readers are still
+// excluded, and the call every query makes here finds nothing to do. A
+// single-threaded library caller that never warms gets the same patch
+// lazily from its next query.
+func (f *Framework) ensureCSR() *csrIndex {
+	if c := f.csr.idx; c != nil && c.gen == f.h.TopoGen() {
+		return c
+	}
+	return f.csr.drain(f.g, f.h)
+}
+
+// CSRStats reports how the CSR index has been kept current so far.
+func (f *Framework) CSRStats() CSRStats { return f.csr.stats }
+
+// OnCSRDrain registers fn to be told how long each index drain — patch or
+// rebuild — took. Set it before serving starts; it runs inside the
+// mutation fence.
+func (f *Framework) OnCSRDrain(fn func(time.Duration)) { f.csr.onDrain = fn }
 
 // csrVerdict memoizes one Rnet's bypass-vs-descend verdict in the dense
 // per-query scratch (a plain method, not a closure, so the hot loop
@@ -217,11 +400,11 @@ func (f *Framework) searchCSR(ad *AssocDir, seeds []Seed, attr int32, k int, rad
 
 		// ChoosePath over the flattened tree slab: bypass = jump to skip,
 		// descend = advance one entry.
-		if int(n)+1 >= len(c.treeStart) {
+		if int(n) >= len(c.span) {
 			continue // node added after the index was built: no live edges
 		}
-		end := c.treeStart[n+1]
-		for i := c.treeStart[n]; i < end; {
+		sp := c.span[n]
+		for i := sp.start; i < sp.end; {
 			e := &c.ents[i]
 			if e.flags&csrBorder != 0 && !f.csrVerdict(ad, ws, e.rnet, attr, watch) {
 				stats.RnetsBypassed++
@@ -337,11 +520,11 @@ func (f *Framework) pathCSR(q Query, target graph.ObjectID, ws *queryWorkspace, 
 			bestEnd = nid
 		}
 
-		if int(n)+1 >= len(c.treeStart) {
+		if int(n) >= len(c.span) {
 			continue
 		}
-		end := c.treeStart[n+1]
-		for i := c.treeStart[n]; i < end; i++ {
+		sp := c.span[n]
+		for i := sp.start; i < sp.end; i++ {
 			ent := &c.ents[i]
 			if ent.flags&csrBorder != 0 && !f.pathVerdict(ws, ent.rnet, q.Attr, o.Edge) {
 				stats.RnetsBypassed++

@@ -140,10 +140,11 @@ func TestCSRMatchesReferenceStorm(t *testing.T) {
 			checkQueries("initial")
 			var closed []graph.EdgeID
 			for round := 0; round < 8; round++ {
-				// A burst of mutations, then WarmTrees (the serving-layer
-				// contract), then differential queries.
+				// A burst of mutations, each followed by WarmTrees (the
+				// serving-layer contract) and the patch referee, then
+				// differential queries.
 				for m := 0; m < 5; m++ {
-					switch rng.Intn(5) {
+					switch rng.Intn(6) {
 					case 0:
 						e := graph.EdgeID(rng.Intn(g.NumEdges()))
 						if !g.Edge(e).Removed {
@@ -173,13 +174,228 @@ func TestCSRMatchesReferenceStorm(t *testing.T) {
 						if len(all) > 0 {
 							_ = f.DeleteObject(all[rng.Intn(len(all))].ID)
 						}
+					case 5:
+						u := graph.NodeID(rng.Intn(g.NumNodes()))
+						v := graph.NodeID(rng.Intn(g.NumNodes()))
+						_, _, _ = f.AddEdge(u, v, 1+120*rng.Float64())
 					}
+					f.WarmTrees()
+					assertCSRMatchesFreshBuild(t, fmt.Sprintf("round%d m%d", round, m), f)
 				}
-				f.WarmTrees()
 				checkQueries(fmt.Sprintf("round%d", round))
+			}
+			// On a network this small a structural change relocates a few
+			// percent of all cells, so compaction fires now and then; the
+			// bulk of the drains must still be patches.
+			if st := f.CSRStats(); st.Patches < 4*st.Rebuilds {
+				t.Fatalf("storm drains should mostly patch, got %+v", st)
 			}
 		})
 	}
+}
+
+// assertCSRMatchesFreshBuild is the referee for incremental patching:
+// node by node, the index the framework holds after its drain must be
+// logically equal to what buildCSR produces from the same hierarchy —
+// the same entries with skips rebased to the node's start, and the same
+// shortcut (to,dist) and leaf (to,edge,w) lists behind their offsets.
+func assertCSRMatchesFreshBuild(t *testing.T, label string, f *Framework) {
+	t.Helper()
+	got := f.ensureCSR()
+	want := buildCSR(f.g, f.h)
+	if got.gen != want.gen {
+		t.Fatalf("%s: index at generation %d, hierarchy at %d", label, got.gen, want.gen)
+	}
+	for n := 0; n < f.g.NumNodes(); n++ {
+		var gs csrSpan // a node the patched index never saw has no entries
+		if n < len(got.span) {
+			gs = got.span[n]
+		}
+		ws := want.span[n]
+		if gs.end-gs.start != ws.end-ws.start {
+			t.Fatalf("%s: node %d has %d entries, fresh build %d", label, n, gs.end-gs.start, ws.end-ws.start)
+		}
+		for i := int32(0); i < ws.end-ws.start; i++ {
+			ge, we := got.ents[gs.start+i], want.ents[ws.start+i]
+			if ge.rnet != we.rnet || ge.flags != we.flags || ge.skip-gs.start != we.skip-ws.start ||
+				ge.scEnd-ge.scOff != we.scEnd-we.scOff || ge.edgeEnd-ge.edgeOff != we.edgeEnd-we.edgeOff {
+				t.Fatalf("%s: node %d entry %d: patched %+v (slab at %d), fresh build %+v (slab at %d)",
+					label, n, i, ge, gs.start, we, ws.start)
+			}
+			for j := int32(0); j < we.scEnd-we.scOff; j++ {
+				if got.scTo[ge.scOff+j] != want.scTo[we.scOff+j] || got.scDist[ge.scOff+j] != want.scDist[we.scOff+j] {
+					t.Fatalf("%s: node %d entry %d shortcut %d: patched (%d,%v), fresh build (%d,%v)", label, n, i, j,
+						got.scTo[ge.scOff+j], got.scDist[ge.scOff+j], want.scTo[we.scOff+j], want.scDist[we.scOff+j])
+				}
+			}
+			for j := int32(0); j < we.edgeEnd-we.edgeOff; j++ {
+				g, w := ge.edgeOff+j, we.edgeOff+j
+				if got.leTo[g] != want.leTo[w] || got.leEdge[g] != want.leEdge[w] || got.leW[g] != want.leW[w] {
+					t.Fatalf("%s: node %d entry %d leaf edge %d: patched (%d,%d,%v), fresh build (%d,%d,%v)", label, n, i, j,
+						got.leTo[g], got.leEdge[g], got.leW[g], want.leTo[w], want.leEdge[w], want.leW[w])
+				}
+			}
+		}
+	}
+}
+
+// TestCSRFencePaths walks the fence's edge cases: the first warm of a
+// fresh framework is a full build whatever was logged before it; an op
+// that touched the hierarchy and then failed higher up is still drained; a
+// rolled-back AddEdge leaves nothing to drain; frameworks sharing an
+// overlay through Rebind share the drain; and a caller that never warms
+// gets the patch lazily from its next query.
+func TestCSRFencePaths(t *testing.T) {
+	cfg := defaultCfg()
+	cfg.Rnet.StorePaths = true
+	cfg.BufferPages = -1
+	f, g, _ := fixture(t, 400, 520, 60, 29, cfg)
+
+	// Mutations before the first warm: logged against no index.
+	if _, err := f.SetEdgeWeight(3, g.Weight(3)*2); err != nil {
+		t.Fatal(err)
+	}
+	f.WarmTrees()
+	if st := f.CSRStats(); st.Rebuilds != 1 || st.Patches != 0 {
+		t.Fatalf("first warm: %+v, want exactly one build", st)
+	}
+	assertCSRMatchesFreshBuild(t, "first warm", f)
+
+	// An op that mutated the hierarchy and was then reported as failed
+	// (as Router.Mutate's and HostApply's error branches see it): no
+	// epoch bump, but the fence they run must still repair the slabs.
+	if _, err := f.Hierarchy().DeleteEdge(5); err != nil {
+		t.Fatal(err)
+	}
+	f.WarmTrees()
+	if st := f.CSRStats(); st.Rebuilds != 1 || st.Patches != 1 {
+		t.Fatalf("failed-op fence: %+v, want one patch", st)
+	}
+	assertCSRMatchesFreshBuild(t, "failed-op fence", f)
+	checkCSRAgainstAdjacency(t, f, g)
+
+	// A rolled-back AddEdge: isolate two nodes, fail to connect them.
+	var u, v graph.NodeID = 0, 1
+	for _, n := range [2]graph.NodeID{u, v} {
+		for len(g.Neighbors(n)) > 0 {
+			if _, err := f.DeleteEdge(g.Neighbors(n)[0].Edge); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	f.WarmTrees()
+	before := f.CSRStats()
+	if _, _, err := f.AddEdge(u, v, 2); err == nil {
+		t.Fatal("AddEdge between isolated nodes succeeded")
+	}
+	f.WarmTrees()
+	if st := f.CSRStats(); st != before {
+		t.Fatalf("rolled-back AddEdge drained something: %+v -> %+v", before, st)
+	}
+	assertCSRMatchesFreshBuild(t, "rolled-back AddEdge", f)
+	checkCSRAgainstAdjacency(t, f, g)
+
+	// Rebind shares the overlay and so the index: a mutation through one
+	// framework, the fence through the other.
+	bound := Rebind(f, dataset.PlaceUniform(g, 20, 77, 0), AbstractBloom)
+	if _, err := f.SetEdgeWeight(9, g.Weight(9)*3); err != nil {
+		t.Fatal(err)
+	}
+	bound.WarmTrees()
+	if f.csr.idx.gen != f.h.TopoGen() || bound.CSRStats() != f.CSRStats() {
+		t.Fatalf("Rebind: drain through the bound framework did not reach the shared index")
+	}
+	assertCSRMatchesFreshBuild(t, "rebind", f)
+
+	// No warm at all: the next query's ensureCSR patches. (The sessions
+	// come first — creating the first one warms.)
+	csr, ref := csrAndRefSessions(f)
+	if _, err := f.RestoreEdge(5); err != nil {
+		t.Fatal(err)
+	}
+	patches := f.CSRStats().Patches
+	for n := 0; n < 40; n++ {
+		q := Query{Node: graph.NodeID(n * 7 % g.NumNodes())}
+		want, _ := ref.KNN(q, 5)
+		got, _ := csr.KNN(q, 5)
+		assertIdenticalResults(t, fmt.Sprintf("lazy patch n%d", q.Node), want, got)
+	}
+	if got := f.CSRStats().Patches; got != patches+1 {
+		t.Fatalf("lazy path patched %d times, want once", got-patches)
+	}
+	assertCSRMatchesFreshBuild(t, "lazy patch", f)
+}
+
+// TestCSRBulkReplayRebuilds applies a journal-replay-sized batch with a
+// single warm at the end: the dirty log must overflow and the drain must
+// take the one full build, not hundreds of patches.
+func TestCSRBulkReplayRebuilds(t *testing.T) {
+	cfg := defaultCfg()
+	cfg.BufferPages = -1
+	f, g, _ := fixture(t, 700, 900, 160, 3, cfg)
+	f.WarmTrees()
+	before := f.CSRStats()
+	rng := rand.New(rand.NewSource(3))
+	var closed []graph.EdgeID
+	for op := 0; op < 300; op++ {
+		e := graph.EdgeID(rng.Intn(g.NumEdges()))
+		switch {
+		case g.Edge(e).Removed:
+		case op%3 == 0:
+			if _, err := f.DeleteEdge(e); err == nil {
+				closed = append(closed, e)
+			}
+		case op%3 == 1 && len(closed) > 0:
+			_, _ = f.RestoreEdge(closed[len(closed)-1])
+			closed = closed[:len(closed)-1]
+		default:
+			_, _ = f.SetEdgeWeight(e, 1+120*rng.Float64())
+		}
+	}
+	f.WarmTrees()
+	after := f.CSRStats()
+	if after.Rebuilds != before.Rebuilds+1 || after.Patches != before.Patches {
+		t.Fatalf("bulk replay should cost one rebuild and no patch: before %+v, after %+v", before, after)
+	}
+	assertCSRMatchesFreshBuild(t, "bulk", f)
+	checkCSRAgainstAdjacency(t, f, g)
+}
+
+// TestCSRCompactionBoundsSlabs runs a long stream of close/reopen pairs —
+// every one relocates its endpoints' slabs and leaves the old cells dead —
+// and checks that compaction kicks in: the entry slab never grows past the
+// dead-cell cap and the index ends equal to a fresh build.
+func TestCSRCompactionBoundsSlabs(t *testing.T) {
+	cfg := defaultCfg()
+	cfg.BufferPages = -1
+	f, g, _ := fixture(t, 700, 900, 160, 9, cfg)
+	f.WarmTrees()
+	live := len(f.ensureCSR().ents)
+	rng := rand.New(rand.NewSource(9))
+	for pair := 0; pair < 600; pair++ {
+		e := graph.EdgeID(rng.Intn(g.NumEdges()))
+		if _, err := f.DeleteEdge(e); err != nil {
+			t.Fatal(err)
+		}
+		f.WarmTrees()
+		if _, err := f.RestoreEdge(e); err != nil {
+			t.Fatal(err)
+		}
+		f.WarmTrees()
+		// A quarter dead plus the one drain that may run past the cap
+		// before the next one compacts.
+		if n := len(f.ensureCSR().ents); n > live+live/2 {
+			t.Fatalf("pair %d: entry slab grew to %d cells over %d live ones", pair, n, live)
+		}
+	}
+	st := f.CSRStats()
+	if st.Rebuilds < 2 {
+		t.Fatalf("600 relocating pairs never compacted: %+v", st)
+	}
+	if st.Patches < 10*st.Rebuilds {
+		t.Fatalf("compaction should be rare next to patching: %+v", st)
+	}
+	assertCSRMatchesFreshBuild(t, "after compaction", f)
 }
 
 // TestCSRTypedErrorsAgree exercises the error edges of the path and limit
@@ -275,11 +491,11 @@ func TestCSRStructure(t *testing.T) {
 func checkCSRAgainstAdjacency(t *testing.T, f *Framework, g *graph.Graph) {
 	t.Helper()
 	c := f.ensureCSR()
-	if len(c.treeStart) != g.NumNodes()+1 {
-		t.Fatalf("treeStart covers %d nodes, graph has %d", len(c.treeStart)-1, g.NumNodes())
+	if len(c.span) != g.NumNodes() {
+		t.Fatalf("spans cover %d nodes, graph has %d", len(c.span), g.NumNodes())
 	}
 	for n := 0; n < g.NumNodes(); n++ {
-		start, end := c.treeStart[n], c.treeStart[n+1]
+		start, end := c.span[n].start, c.span[n].end
 		if start > end || int(end) > len(c.ents) {
 			t.Fatalf("node %d: bad slab [%d,%d)", n, start, end)
 		}
@@ -332,13 +548,20 @@ func checkCSRAgainstAdjacency(t *testing.T, f *Framework, g *graph.Graph) {
 }
 
 // FuzzCSRBuild feeds arbitrary small graphs — including isolated nodes and
-// closed edges — through the CSR builder, asserting the structural
-// adjacency invariant and differential query equality on every input.
+// closed edges — through the CSR builder and then through a mutation
+// sequence, asserting the structural adjacency invariant, patched-equals-
+// fresh-build after every mutation, and differential query equality on
+// every input.
 func FuzzCSRBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 10, 1, 2, 20})
 	f.Add([]byte{8, 0, 1, 5, 1, 2, 5, 2, 3, 5, 3, 0, 5, 4, 5, 9})
 	f.Add([]byte{12, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 0, 5, 0, 2, 9, 1, 3, 9})
+	// Six nodes on a path 0-1-2-3 with 4 and 5 isolated (the two triples
+	// that would attach them are self-loops). Read as ops the first pair
+	// is AddEdge(4, 5) — the both-endpoints-isolated rollback — and the
+	// tail isolates edge 0's endpoint, then reopens the edge.
+	f.Add([]byte{4, 34, 4, 0, 0, 1, 7, 1, 2, 7, 2, 3, 7, 5, 5, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			t.Skip("inputs beyond a small graph add nothing")
@@ -391,6 +614,45 @@ func FuzzCSRBuild(f *testing.F) {
 		}
 		fw.WarmTrees()
 		checkCSRAgainstAdjacency(t, fw, g)
+
+		// Then a mutation sequence read off the same bytes, warmed and
+		// refereed after every op so each drain's patch is compared with
+		// a fresh build: re-weights up and down, close and reopen, the
+		// full isolation of an endpoint, and AddEdge — which fails and
+		// rolls back when both endpoints are isolated.
+		refereed := func(label string) {
+			fw.WarmTrees()
+			assertCSRMatchesFreshBuild(t, label, fw)
+			checkCSRAgainstAdjacency(t, fw, g)
+		}
+		for j := 0; j+1 < len(data) && j < 64; j += 2 {
+			arg := int(data[j+1])
+			e := edges[arg%len(edges)]
+			label := fmt.Sprintf("fuzz op %d", j/2)
+			switch data[j] % 6 {
+			case 0:
+				_, _ = fw.SetEdgeWeight(e, g.Weight(e)*1.5+1)
+			case 1:
+				_, _ = fw.SetEdgeWeight(e, g.Weight(e)/2+0.25)
+			case 2:
+				_, _ = fw.DeleteEdge(e)
+			case 3:
+				_, _ = fw.RestoreEdge(e)
+			case 4:
+				u, v := graph.NodeID(arg%nodes), graph.NodeID((arg/nodes)%nodes)
+				if added, _, err := fw.AddEdge(u, v, 1+float64(arg%20)); err == nil {
+					edges = append(edges, added)
+				}
+			case 5:
+				u := g.Edge(e).U
+				for _, half := range append([]graph.Half(nil), g.Neighbors(u)...) {
+					_, _ = fw.DeleteEdge(half.Edge)
+					refereed(label + " isolating")
+				}
+				_, _ = fw.RestoreEdge(e)
+			}
+			refereed(label)
+		}
 
 		csr, ref := csrAndRefSessions(fw)
 		for n := 0; n < g.NumNodes(); n++ {

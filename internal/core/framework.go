@@ -154,22 +154,24 @@ func (f *Framework) Epoch() uint64 { return f.epoch.Load() }
 // bumpEpoch marks a completed mutation.
 func (f *Framework) bumpEpoch() { f.epoch.Add(1) }
 
-// WarmTrees materializes every node's shortcut tree and refreshes the CSR
-// hot-path index from them. Maintenance operations invalidate the trees of
-// affected nodes (and bump the hierarchy's topology generation, staling
-// the CSR slabs); an invalidated tree is otherwise rebuilt lazily on first
-// access — a hidden write that would race with concurrent session queries.
-// A serving layer that interleaves maintenance with concurrent sessions
-// must call WarmTrees after each mutation, while still excluding readers,
-// so the read path never mutates shared state. Warm trees are skipped with
-// a pointer check and a current CSR index with a generation compare, so
-// the call is cheap when nothing was invalidated.
-func (f *Framework) WarmTrees() {
-	for n := 0; n < f.g.NumNodes(); n++ {
-		f.h.Tree(graph.NodeID(n))
-	}
-	f.ensureCSR()
-}
+// WarmTrees brings the shared read-path state — per-node shortcut trees
+// and the CSR hot-path index flattened from them — up to date with the
+// hierarchy. Network maintenance invalidates the trees of the touched
+// edge's endpoints and stales the slabs of every node whose weights or
+// shortcuts it changed; left alone, the next query would repair both
+// lazily — a hidden write that would race with concurrent session
+// queries. A serving layer that interleaves maintenance with concurrent
+// sessions must therefore call WarmTrees after each mutation, failed ones
+// included, while still excluding readers, so the read path never mutates
+// shared state.
+//
+// The cost follows the change, not the network: the hierarchy logs the
+// nodes a mutation touched and only those are re-materialized (see
+// csrBox.drain); when nothing was logged — after object churn, or a
+// second call — it is one generation compare. The first call on a fresh
+// or restored framework, and the one after a bulk replay that overflowed
+// the log, build everything.
+func (f *Framework) WarmTrees() { f.ensureCSR() }
 
 // --- Object maintenance (§5.1) ---
 

@@ -12,6 +12,12 @@ var (
 		100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3,
 		25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1, 2.5,
 	}
+	// PatchBuckets bins post-mutation index upkeep — a per-node CSR patch
+	// is microseconds, a whole-index rebuild milliseconds — from 1µs to 1s.
+	PatchBuckets = []float64{
+		1e-6, 2.5e-6, 5e-6, 10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
+		1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 100e-3, 1,
+	}
 	// PopsBuckets bins heap pops (settled nodes) per query.
 	PopsBuckets = []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 65536}
 	// ReadsBuckets bins simulated page reads per query.

@@ -116,19 +116,84 @@ type Hierarchy struct {
 	ws      *graph.Search
 	wsNodes int
 
-	// topoGen counts completed topology and weight mutations (edge weight
-	// changes, additions, closures, reopenings). Derived flat indexes —
-	// the core CSR slabs bake shortcut distances and edge weights in —
-	// compare generations to detect staleness without subscribing to
-	// individual invalidations.
-	topoGen uint64
+	// topoGen advances whenever a mutation changes state that derived flat
+	// indexes bake in — the core CSR slabs hold shortcut distances, edge
+	// weights and tree shapes — and dirty names the nodes those changes
+	// touched since the last DrainDirty. The two move together (markDirty
+	// is the only writer of both), so a consumer whose recorded generation
+	// matches has nothing to drain, and one that drains can repair exactly
+	// the logged nodes instead of rebuilding. inDirty dedups the log;
+	// dirtyAll records that it overflowed dirtyCap and every node must be
+	// treated as touched.
+	topoGen  uint64
+	dirty    []graph.NodeID
+	inDirty  []bool
+	dirtyAll bool
 }
 
-// TopoGen returns the hierarchy's topology generation: incremented by
-// every successful SetEdgeWeight (when the weight actually changed),
-// AddEdge, DeleteEdge and RestoreEdge. A derived structure recording the
-// generation it was built at is stale iff the generations differ.
+// TopoGen returns the hierarchy's topology generation: it moves with every
+// entry the dirty-node log takes, i.e. on every SetEdgeWeight that changed
+// a weight and every AddEdge, DeleteEdge and RestoreEdge that touched the
+// hierarchy. A derived structure recording the generation it was brought
+// up to date at is stale iff the generations differ.
 func (h *Hierarchy) TopoGen() uint64 { return h.topoGen }
+
+// dirtyCap bounds the dirty-node log: past an eighth of the network (with
+// a floor that keeps tiny networks patchable) repairing node by node stops
+// being cheaper than one flat rebuild, so bulk journal replay overflows
+// into "everything dirty" instead of growing the log.
+func (h *Hierarchy) dirtyCap() int {
+	if c := h.g.NumNodes() / 8; c > 16 {
+		return c
+	}
+	return 16
+}
+
+// markDirty logs that node n's flattened view — its tree shape, the
+// weights of its incident edges or its shortcuts across some Rnet —
+// changed.
+func (h *Hierarchy) markDirty(n graph.NodeID) {
+	h.topoGen++
+	if h.dirtyAll {
+		return
+	}
+	if len(h.inDirty) < h.g.NumNodes() {
+		h.inDirty = append(h.inDirty, make([]bool, h.g.NumNodes()-len(h.inDirty))...)
+	}
+	if h.inDirty[n] {
+		return
+	}
+	if len(h.dirty) >= h.dirtyCap() {
+		h.DrainDirty()
+		h.dirtyAll = true
+		return
+	}
+	h.inDirty[n] = true
+	h.dirty = append(h.dirty, n)
+}
+
+// markBordersDirty logs every border node of Rnet r: their shortcut lists
+// across r are what a changed shortcut set rewrites.
+func (h *Hierarchy) markBordersDirty(r RnetID) {
+	for _, b := range h.rnets[r].Borders {
+		h.markDirty(b)
+	}
+}
+
+// DrainDirty empties the dirty-node log and returns what it held: the
+// distinct nodes touched since the previous drain, or all=true when the
+// log overflowed and every node must be treated as touched. The slice is
+// reused by later mutations; the log has one consumer (the CSR index of
+// the framework built over this hierarchy).
+func (h *Hierarchy) DrainDirty() (nodes []graph.NodeID, all bool) {
+	nodes, all = h.dirty, h.dirtyAll
+	for _, n := range nodes {
+		h.inDirty[n] = false
+	}
+	h.dirty = h.dirty[:0]
+	h.dirtyAll = false
+	return nodes, all
+}
 
 // Build constructs the Rnet hierarchy for g.
 func Build(g *graph.Graph, cfg Config) (*Hierarchy, error) {

@@ -34,9 +34,11 @@ func (h *Hierarchy) SetEdgeWeight(e graph.EdgeID, w float64) (UpdateResult, erro
 	if old == w {
 		return UpdateResult{Filtered: true}, nil
 	}
-	// The weight is already applied; even a filtered update invalidates
-	// derived indexes that bake edge weights in.
-	h.topoGen++
+	// The weight is already applied; even a filtered update stales the
+	// endpoints' flattened views, which bake edge weights in.
+	ed := h.g.Edge(e)
+	h.markDirty(ed.U)
+	h.markDirty(ed.V)
 	leaf := h.LeafOf(e)
 	if leaf == NoRnet {
 		return UpdateResult{Filtered: true}, nil
@@ -155,6 +157,7 @@ func (h *Hierarchy) refreshChains(dirty []RnetID) UpdateResult {
 			}
 			h.shortcuts[r] = fresh
 			res.ChangedRnets = append(res.ChangedRnets, r)
+			h.markBordersDirty(r)
 			if p := h.rnets[r].Parent; p != NoRnet {
 				pending[p] = true
 			}
@@ -189,9 +192,7 @@ func (h *Hierarchy) AddEdge(u, v graph.NodeID, w float64) (graph.EdgeID, UpdateR
 	h.leafOf[e] = host
 	h.originLeaf[e] = host
 	h.rnets[host].Edges = append(h.rnets[host].Edges, e)
-	res := h.repairAfterIncidenceChange(u, v, host)
-	h.topoGen++
-	return e, res, nil
+	return e, h.repairAfterIncidenceChange(u, v, host), nil
 }
 
 // DeleteEdge removes a road segment (§5.2.2): shortcuts through it are
@@ -207,9 +208,7 @@ func (h *Hierarchy) DeleteEdge(e graph.EdgeID) (UpdateResult, error) {
 		h.removeEdgeFromLeaf(leaf, e)
 		h.leafOf[e] = NoRnet
 	}
-	res := h.repairAfterIncidenceChange(ed.U, ed.V, leaf)
-	h.topoGen++
-	return res, nil
+	return h.repairAfterIncidenceChange(ed.U, ed.V, leaf), nil
 }
 
 // RestoreEdge re-attaches a previously deleted edge with its stored weight
@@ -240,9 +239,7 @@ func (h *Hierarchy) RestoreEdge(e graph.EdgeID) (UpdateResult, error) {
 		h.originLeaf[e] = host
 	}
 	h.rnets[host].Edges = append(h.rnets[host].Edges, e)
-	res := h.repairAfterIncidenceChange(ed.U, ed.V, host)
-	h.topoGen++
-	return res, nil
+	return h.repairAfterIncidenceChange(ed.U, ed.V, host), nil
 }
 
 // chooseHostLeaf picks the leaf Rnet that will own a new edge (u,v):
@@ -315,6 +312,7 @@ func (h *Hierarchy) repairAfterIncidenceChange(u, v graph.NodeID, hostLeaf RnetI
 		after := h.borderMemberships(n)
 		for r := range symmetricDiff(before, after) {
 			h.rebuildBorderList(r)
+			h.markBordersDirty(r)
 			dirty[r] = true
 		}
 		h.InvalidateTree(n)

@@ -33,9 +33,10 @@ func (h *Hierarchy) Tree(n graph.NodeID) []*TreeNode {
 }
 
 // InvalidateTree drops the cached tree of n (after incidence or border
-// changes).
+// changes) and logs n dirty, so whoever drains the log re-materializes it.
 func (h *Hierarchy) InvalidateTree(n graph.NodeID) {
 	h.trees[n] = nil
+	h.markDirty(n)
 }
 
 // buildTree assembles the shortcut tree of n from its incident edges'

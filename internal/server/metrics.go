@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"road"
+	"road/internal/core"
 	"road/internal/obs"
 	"road/internal/shard"
 	"road/internal/version"
@@ -132,6 +133,8 @@ func newMetrics(s *Server) *metrics {
 	r.Gauge("road_journal_bytes", "", "Write-ahead journal size in bytes (summed across shards).",
 		func() float64 { return float64(s.b.JournalSizeBytes()) })
 
+	registerCSR(r, s.b)
+
 	if sp, ok := s.b.(shardInfoProvider); ok {
 		shardVec := func(get func(shard.Info) float64) func() []obs.Sample {
 			return func() []obs.Sample {
@@ -167,6 +170,61 @@ func newMetrics(s *Server) *metrics {
 	}
 
 	return m
+}
+
+// registerCSR exports the upkeep of the CSR search indexes held in this
+// process — whether mutations patched or rebuilt them, how long each
+// post-mutation drain took, and the slab footprint: one unlabelled series
+// for a road.DB, one per in-process shard for a sharded store. Mirror
+// shards have no index here; their host's /metrics carries the same
+// families.
+func registerCSR(r *obs.Registry, store road.Store) {
+	type labelled struct {
+		labels string
+		st     core.CSRStats
+	}
+	var read func() []labelled
+	var onDrain func(func(time.Duration))
+	switch b := store.(type) {
+	case interface{ Framework() *core.Framework }:
+		f := b.Framework()
+		read = func() []labelled { return []labelled{{st: f.CSRStats()}} }
+		onDrain = f.OnCSRDrain
+	case interface {
+		shardInfoProvider
+		Router() *shard.Router
+	}:
+		read = func() []labelled {
+			var out []labelled
+			for _, inf := range b.ShardInfos() {
+				if inf.Host == "" {
+					out = append(out, labelled{`shard="` + strconv.Itoa(int(inf.ID)) + `"`, inf.CSR})
+				}
+			}
+			return out
+		}
+		onDrain = b.Router().OnCSRDrain
+	}
+	if read == nil || len(read()) == 0 {
+		return // a pure coordinator: every index lives on a shard host
+	}
+	vec := func(get func(core.CSRStats) float64) func() []obs.Sample {
+		return func() []obs.Sample {
+			var out []obs.Sample
+			for _, l := range read() {
+				out = append(out, obs.Sample{Labels: l.labels, Value: get(l.st)})
+			}
+			return out
+		}
+	}
+	r.CollectorVec("road_csr_rebuilds_total", "counter",
+		"Whole-index CSR builds: the first one, dirty-log overflows and dead-cell compactions.",
+		vec(func(st core.CSRStats) float64 { return float64(st.Rebuilds) }))
+	r.CollectorVec("road_csr_bytes", "gauge", "CSR slab bytes held, live and dead cells together.",
+		vec(func(st core.CSRStats) float64 { return float64(st.Bytes) }))
+	patch := r.Histogram("road_csr_patch_seconds", "",
+		"Time one post-mutation CSR drain took, in seconds: a per-node patch unless road_csr_rebuilds_total moved.", obs.PatchBuckets)
+	onDrain(func(d time.Duration) { patch.Observe(d.Seconds()) })
 }
 
 // record folds one query's road.Stats into the traversal totals and the

@@ -110,6 +110,12 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s = %g, want %g", series, got, v)
 		}
 	}
+	// The set-distance was drained by a patch: still the one build, a
+	// timed drain on record, slabs with a size.
+	if m[`road_csr_rebuilds_total`] != 1 || m[`road_csr_patch_seconds_count`] < 1 || m[`road_csr_bytes`] <= 0 {
+		t.Errorf("CSR upkeep series: rebuilds %g, drains %g, bytes %g",
+			m[`road_csr_rebuilds_total`], m[`road_csr_patch_seconds_count`], m[`road_csr_bytes`])
+	}
 	if m[`road_traversal_nodes_popped_total`] <= 0 {
 		t.Errorf("road_traversal_nodes_popped_total = %g, want > 0",
 			m[`road_traversal_nodes_popped_total`])
@@ -144,10 +150,22 @@ func TestMetricsShardSeries(t *testing.T) {
 	for n := 0; n < 16; n++ {
 		getJSON[QueryResponse](t, ts, fmt.Sprintf("/knn?node=%d&k=%d", n*3, len(objs)), http.StatusOK)
 	}
+	postJSON[MaintenanceResponse](t, ts, "/maintenance/set-distance",
+		MaintenanceRequest{Edge: 3, Dist: 2.5}, http.StatusOK)
 	m := parseExposition(t, scrapeText(t, ts))
 
+	// The re-weight patched its shard's index; nobody rebuilt.
+	if m[`road_csr_patch_seconds_count`] < 1 {
+		t.Errorf("road_csr_patch_seconds_count = %g after a mutation", m[`road_csr_patch_seconds_count`])
+	}
 	var homeTotal float64
 	for shard := 0; shard < 4; shard++ {
+		if got := m[fmt.Sprintf(`road_csr_rebuilds_total{shard="%d"}`, shard)]; got != 1 {
+			t.Errorf("road_csr_rebuilds_total{shard=\"%d\"} = %g, want the one initial build", shard, got)
+		}
+		if m[fmt.Sprintf(`road_csr_bytes{shard="%d"}`, shard)] <= 0 {
+			t.Errorf("road_csr_bytes{shard=\"%d\"} missing or zero", shard)
+		}
 		key := fmt.Sprintf(`road_shard_home_queries_total{shard="%d"}`, shard)
 		v, ok := m[key]
 		if !ok {

@@ -160,6 +160,8 @@ func OpenHost(ids []int, cfg HostConfig) (*Host, error) {
 	version.Register(reg)
 	reg.Gauge("road_host_uptime_seconds", "", "Seconds since the shard host started.",
 		func() float64 { return time.Since(h.start).Seconds() })
+	csrPatch := reg.Histogram("road_csr_patch_seconds", "",
+		"Time one post-mutation CSR drain took, in seconds: a per-node patch unless road_csr_rebuilds_total moved.", obs.PatchBuckets)
 
 	for _, id := range h.ids {
 		s := assembled[id]
@@ -200,6 +202,7 @@ func OpenHost(ids []int, cfg HostConfig) (*Host, error) {
 			h.closeJournals()
 			return nil, fmt.Errorf("remote: shard %d: %w", id, err)
 		}
+		s.F.OnCSRDrain(func(d time.Duration) { csrPatch.Observe(d.Seconds()) })
 		s.RefreshDerived()
 		h.shards[id] = &hostShard{
 			s:           s,
@@ -212,8 +215,34 @@ func OpenHost(ids []int, cfg HostConfig) (*Host, error) {
 		hs.searchers.New = func() any { return hs.s.NewLocalSearcher() }
 	}
 	h.registerJournalGauges()
+	h.registerCSRGauges()
 	h.buildMux()
 	return h, nil
+}
+
+// registerCSRGauges exposes each served shard's CSR index upkeep under
+// the names the router uses for its in-process shards.
+func (h *Host) registerCSRGauges() {
+	csrVec := func(get func(core.CSRStats) float64) func() []obs.Sample {
+		return func() []obs.Sample {
+			out := make([]obs.Sample, 0, len(h.ids))
+			for _, id := range h.ids {
+				hs := h.shards[id]
+				hs.mu.RLock()
+				out = append(out, obs.Sample{
+					Labels: `shard="` + strconv.Itoa(id) + `"`,
+					Value:  get(hs.s.F.CSRStats()),
+				})
+				hs.mu.RUnlock()
+			}
+			return out
+		}
+	}
+	h.reg.CollectorVec("road_csr_rebuilds_total", "counter",
+		"Whole-index CSR builds: the first one, dirty-log overflows and dead-cell compactions.",
+		csrVec(func(st core.CSRStats) float64 { return float64(st.Rebuilds) }))
+	h.reg.CollectorVec("road_csr_bytes", "gauge", "CSR slab bytes held, live and dead cells together.",
+		csrVec(func(st core.CSRStats) float64 { return float64(st.Bytes) }))
 }
 
 // registerJournalGauges exposes per-shard journal and snapshot-base

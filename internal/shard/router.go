@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"road/internal/apierr"
 	"road/internal/core"
@@ -329,14 +330,24 @@ func (r *Router) IndexSizeBytes() int64 {
 	return sum
 }
 
-// WarmTrees re-materializes invalidated shortcut trees in every shard
-// and rebuilds any CSR search slabs whose topology generation went
-// stale. Single-threaded bulk use only (after build or journal replay,
-// before serving): the live mutation path re-warms the mutated shard
-// itself, under its write lock.
+// WarmTrees brings every shard's shortcut trees and CSR search slabs up
+// to date with its hierarchy (core.Framework.WarmTrees). Single-threaded
+// bulk use only (after build or journal replay, before serving): the live
+// mutation path re-warms the mutated shard itself, under its write lock.
 func (r *Router) WarmTrees() {
 	for _, s := range r.shards {
 		s.warmTrees()
+	}
+}
+
+// OnCSRDrain registers fn with every in-process shard's framework
+// (core.Framework.OnCSRDrain). Call before serving; fn runs under the
+// drained shard's write lock and may run for several shards at once.
+func (r *Router) OnCSRDrain(fn func(time.Duration)) {
+	for _, s := range r.shards {
+		if s.F != nil {
+			s.F.OnCSRDrain(fn)
+		}
 	}
 }
 
@@ -573,6 +584,10 @@ type Info struct {
 	RemoteEntries uint64 `json:"remote_entries"`
 	Escalations   uint64 `json:"escalations"`
 	Mutations     uint64 `json:"mutations"`
+	// CSR is the upkeep of the shard's CSR search index: whether mutations
+	// patched or rebuilt it, and its size. Zero for mirror shards, whose
+	// index lives on their host (see the host's own /metrics).
+	CSR core.CSRStats `json:"csr"`
 }
 
 // Infos snapshots per-shard state and load counters. Safe to call
@@ -596,6 +611,8 @@ func (r *Router) Infos() []Info {
 		}
 		if s.F == nil {
 			out[i].Host = s.remote.Host()
+		} else {
+			out[i].CSR = s.F.CSRStats()
 		}
 		r.shardMu[i].RUnlock()
 	}

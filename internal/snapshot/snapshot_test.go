@@ -231,6 +231,36 @@ func TestRoundTripSecondGeneration(t *testing.T) {
 	assertSameAnswers(t, f, g2, 300)
 }
 
+// TestRestoredFrameworkFirstWarmBuilds: a restored framework carries no
+// CSR index, so its first warm — even after journal-style replay logged
+// dirty nodes against the restored hierarchy — is the one full build, and
+// only mutations after it are patched.
+func TestRestoredFrameworkFirstWarmBuilds(t *testing.T) {
+	f := buildFixture(t, 51)
+	f.WarmTrees()
+	loaded, _ := loadFromBytes(t, saveToBytes(t, f, 0))
+	reweigh := func(fr *core.Framework, e graph.EdgeID, factor float64) {
+		if _, err := fr.SetEdgeWeight(e, fr.Graph().Weight(e)*factor); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e := graph.EdgeID(0); e < 4; e++ {
+		reweigh(f, e, 2)
+		reweigh(loaded, e, 2)
+	}
+	loaded.WarmTrees()
+	if st := loaded.CSRStats(); st.Rebuilds != 1 || st.Patches != 0 {
+		t.Fatalf("first warm after restore: %+v, want exactly one build", st)
+	}
+	reweigh(f, 0, 0.25)
+	reweigh(loaded, 0, 0.25)
+	loaded.WarmTrees()
+	if st := loaded.CSRStats(); st.Rebuilds != 1 || st.Patches != 1 {
+		t.Fatalf("warm after a post-restore mutation: %+v, want one patch", st)
+	}
+	assertSameAnswers(t, f, loaded, 700)
+}
+
 // TestRoundTripAfterFailedAddEdge: a rolled-back AddEdge still consumes
 // an edge ID (the removed stub); a snapshot taken afterwards — and one
 // taken after the stub is later reopened — must still round-trip.

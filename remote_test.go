@@ -1,6 +1,7 @@
 package road
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"math"
@@ -8,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -104,6 +107,47 @@ func remoteTriple(t *testing.T, seed int64, nodes, objects, shards int) (*DB, *R
 		}
 	})
 	return db, rdb, hosts
+}
+
+// TestRemoteHostCSRMetrics: a shard host's /metrics says what a mutation
+// cost its CSR index — each served shard built once at boot, the road
+// re-weight drained by a patch, the slabs have a size.
+func TestRemoteHostCSRMetrics(t *testing.T) {
+	_, rdb, hosts := remoteTriple(t, 9, 300, 40, 4)
+	if err := rdb.SetRoadDistance(7, 3.5); err != nil {
+		t.Fatal(err)
+	}
+	var drains, shardsSeen float64
+	for _, h := range hosts {
+		resp, err := http.Get("http://" + h.addr + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			series, value, _ := strings.Cut(sc.Text(), " ")
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				continue // comment line
+			}
+			switch {
+			case series == "road_csr_patch_seconds_count":
+				drains += v
+			case strings.HasPrefix(series, "road_csr_rebuilds_total{shard="):
+				shardsSeen++
+				if v != 1 {
+					t.Errorf("%s = %g, want the one boot-time build", series, v)
+				}
+			case strings.HasPrefix(series, "road_csr_bytes{shard=") && v <= 0:
+				t.Errorf("%s = %g, want a positive slab size", series, v)
+			}
+		}
+		resp.Body.Close()
+	}
+	// One drain per shard at boot plus the re-weight's patch.
+	if shardsSeen != 4 || drains != 5 {
+		t.Fatalf("hosts report %g shards and %g drains, want 4 and 5", shardsSeen, drains)
+	}
 }
 
 // TestRemoteFleetEquivalence is the randomized acceptance storm for the
