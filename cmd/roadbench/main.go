@@ -1,8 +1,8 @@
 // Command roadbench regenerates the paper's evaluation (§6): every table
-// and figure, or a selected subset, printed as aligned text tables. With
-// -serve it instead benchmarks the roadd serving subsystem in-process
-// (load generator against an ephemeral HTTP server) and writes a
-// machine-readable BENCH_serve.json for the perf trajectory.
+// and figure, or a selected subset, printed as aligned text tables. It
+// measures the paper's quantities (page reads, index size, update cost)
+// over internal/bench; how fast the serving stack is belongs to the
+// referee in benchmark/ (see BENCHMARK.json).
 //
 // Usage:
 //
@@ -11,65 +11,26 @@
 //	roadbench -list            # list experiment IDs
 //	roadbench -full            # paper-scale NA/SF (slower)
 //	roadbench -queries 100 -trials 100   # the paper's workload sizes
-//	roadbench -serve           # serving benchmark -> BENCH_serve.json
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
-	"net"
-	"net/http"
 	"os"
-	"path/filepath"
-	"runtime"
 	"time"
 
-	"road"
 	"road/internal/bench"
-	"road/internal/dataset"
-	"road/internal/server"
 	"road/internal/version"
 )
 
 func main() {
-	// Re-exec'd as a shard-host child of the -remote scenario?
-	if os.Getenv(hostEnvAddr) != "" {
-		if err := shardHostMain(); err != nil {
-			fmt.Fprintln(os.Stderr, "roadbench(host):", err)
-			os.Exit(1)
-		}
-		return
-	}
 	var (
 		fig     = flag.String("fig", "", "experiment ID to run (default: all)")
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 		full    = flag.Bool("full", false, "run NA/SF at full paper scale")
-		queries = flag.Int("queries", 50, "queries per data point")
-		trials  = flag.Int("trials", 20, "trials per update experiment")
+		queries = flag.Int("queries", 50, "queries per data point (≥ 1)")
+		trials  = flag.Int("trials", 20, "trials per update experiment (≥ 1)")
 		budget  = flag.Float64("budget", 30, "soft per-approach seconds budget for update trials")
-
-		serve       = flag.Bool("serve", false, "benchmark the roadd serving subsystem instead of the paper experiments")
-		out         = flag.String("out", "", "serve/snapshot mode: output file (default BENCH_serve.json / BENCH_snapshot.json)")
-		scale       = flag.Float64("scale", 0.25, "serve mode: CA network scale factor (0,1]")
-		objects     = flag.Int("objects", 2000, "serve/snapshot mode: objects placed uniformly")
-		concurrency = flag.Int("concurrency", 8, "serve mode: load-generator workers")
-		duration    = flag.Duration("duration", 5*time.Second, "serve mode: load length per mix")
-		cacheSize   = flag.Int("cache", 0, "serve mode: result cache entries (negative disables)")
-
-		snapshotM = flag.Bool("snapshot", false, "benchmark snapshot save/load against a cold index build on the default CA network")
-
-		shardsM = flag.Int("shards", 0, "benchmark sharded serving (this many region shards) against single-index serving on the CA network -> BENCH_shard.json")
-
-		maintainM = flag.Bool("maintain", false, "benchmark incremental border-table maintenance (filter-and-refresh) against whole-shard rebuild under a mixed read/write load on the CA network -> BENCH_maintain.json")
-		mutations = flag.Int("mutations", 120, "maintain mode: network mutations per side")
-
-		remoteM = flag.Bool("remote", false, "benchmark an out-of-process fleet (2 spawned shard-host processes behind a router) against single-process serving, including a kill-one-host recovery experiment -> BENCH_remote.json")
-
-		hotpathM   = flag.Bool("hotpath", false, "benchmark the CSR session hot path against the retained page-store reference implementation (kNN/range/path percentiles incl. p999) on CA full + NA half scale -> BENCH_hotpath.json")
-		minSpeedup = flag.Float64("min-speedup", 0, "hotpath mode: fail unless every kNN and range p50 speedup reaches this factor (CI regression gate; 0 disables)")
 
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
@@ -78,118 +39,10 @@ func main() {
 		fmt.Println(version.String("roadbench"))
 		return
 	}
-
-	if *hotpathM {
-		outPath := *out
-		if outPath == "" {
-			outPath = "BENCH_hotpath.json"
-		}
-		// The hot path is a scaling story: default to the paper's CA
-		// network at full scale plus a half-scale NA. An explicit -scale
-		// narrows the run to CA at that scale (the CI smoke uses this).
-		specs := []dataset.Spec{dataset.CA(), dataset.Scaled(dataset.NA(), 0.5)}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				specs = []dataset.Spec{dataset.Scaled(dataset.CA(), *scale)}
-			}
-		})
-		// 50 queries (the paper-experiment default) is too thin for p999;
-		// sample 3000 per leg unless -queries is set explicitly.
-		hotQueries := 3000
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "queries" {
-				hotQueries = *queries
-			}
-		})
-		if err := runHotpathBench(specs, *objects, hotQueries, 10, *minSpeedup, outPath); err != nil {
-			fmt.Fprintln(os.Stderr, "roadbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *remoteM {
-		outPath := *out
-		if outPath == "" {
-			outPath = "BENCH_remote.json"
-		}
-		fleetShards := *shardsM
-		if fleetShards < 2 {
-			fleetShards = 2
-		}
-		if err := runRemoteBench(*scale, *objects, *concurrency, *duration, *cacheSize, fleetShards, outPath); err != nil {
-			fmt.Fprintln(os.Stderr, "roadbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *maintainM {
-		outPath := *out
-		if outPath == "" {
-			outPath = "BENCH_maintain.json"
-		}
-		// Like -shards, maintenance cost is a scaling story: default to
-		// the full CA network unless -scale is given explicitly.
-		maintainScale := 1.0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				maintainScale = *scale
-			}
-		})
-		maintainShards := 4
-		if *shardsM > 1 {
-			maintainShards = *shardsM
-		}
-		if err := runMaintainBench(maintainScale, *objects, *concurrency, *mutations, maintainShards, outPath); err != nil {
-			fmt.Fprintln(os.Stderr, "roadbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *shardsM > 1 {
-		outPath := *out
-		if outPath == "" {
-			outPath = "BENCH_shard.json"
-		}
-		// Sharding is a scaling mechanism: its benchmark defaults to the
-		// full CA network (the -serve default of 0.25 exists to keep that
-		// quick mode snappy). An explicit -scale still wins.
-		shardScale := 1.0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				shardScale = *scale
-			}
-		})
-		if err := runShardBench(shardScale, *objects, *concurrency, *duration, *cacheSize, *shardsM, outPath); err != nil {
-			fmt.Fprintln(os.Stderr, "roadbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serve {
-		outPath := *out
-		if outPath == "" {
-			outPath = "BENCH_serve.json"
-		}
-		if err := runServeBench(*scale, *objects, *concurrency, *duration, *cacheSize, outPath); err != nil {
-			fmt.Fprintln(os.Stderr, "roadbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *snapshotM {
-		outPath := *out
-		if outPath == "" {
-			outPath = "BENCH_snapshot.json"
-		}
-		if err := runSnapshotBench(*objects, outPath); err != nil {
-			fmt.Fprintln(os.Stderr, "roadbench:", err)
-			os.Exit(1)
-		}
-		return
+	if *queries < 1 || *trials < 1 {
+		fmt.Fprintf(os.Stderr, "roadbench: -queries and -trials must be at least 1 (got %d, %d)\n", *queries, *trials)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	if *list {
@@ -224,434 +77,4 @@ func main() {
 		tbl.Fprint(os.Stdout)
 		fmt.Printf("[%s completed in %v]\n", id, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// writeJSONFile writes v to path as indented JSON.
-func writeJSONFile(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// snapshotBenchResult is the schema of BENCH_snapshot.json: cold index
-// construction versus snapshot save/load on the default CA network — the
-// restart-cost trade the persistence subsystem exists for.
-type snapshotBenchResult struct {
-	GeneratedUnix int64   `json:"generated_unix"`
-	Network       string  `json:"network"`
-	Nodes         int     `json:"nodes"`
-	Edges         int     `json:"edges"`
-	Objects       int     `json:"objects"`
-	IndexKB       int64   `json:"index_kb"`
-	SnapshotKB    int64   `json:"snapshot_kb"`
-	BuildMS       float64 `json:"build_ms"`
-	SaveMS        float64 `json:"save_ms"`
-	LoadMS        float64 `json:"load_ms"`
-	// WarmMS is the post-load WarmTrees cost: shortcut-tree caches are
-	// restored lazily, so the first queries (or an explicit warm) pay
-	// this — reported separately so the load number is honest about what
-	// it defers versus what it avoids.
-	WarmMS float64 `json:"warm_ms"`
-	// SpeedupLoadVsBuild is BuildMS / LoadMS: how many times faster a
-	// snapshot restart is than a cold rebuild.
-	SpeedupLoadVsBuild float64 `json:"speedup_load_vs_build"`
-	// SpeedupWarmVsBuild is BuildMS / (LoadMS + WarmMS): restart-to-warm
-	// versus cold rebuild (the cold build materializes trees during
-	// construction).
-	SpeedupWarmVsBuild float64 `json:"speedup_warm_vs_build"`
-	// Verified confirms the loaded index answered a query sample
-	// identically to the built one.
-	Verified bool `json:"verified"`
-}
-
-// runSnapshotBench builds the default CA index cold, saves and reloads a
-// snapshot of it, verifies the reloaded index answers like the original,
-// and writes the timing comparison to outPath.
-func runSnapshotBench(objects int, outPath string) error {
-	spec := dataset.CA()
-	fmt.Printf("snapshot bench: generating %s (%d nodes)...\n", spec.Name, spec.Nodes)
-	g := dataset.MustGenerate(spec)
-	set := dataset.PlaceUniform(g, objects, 1, 0, 1, 2, 3)
-
-	// Quiesce the collector before each timed phase so generation garbage
-	// is not billed to the phase that happens to trigger its collection.
-	runtime.GC()
-	buildStart := time.Now()
-	db, err := road.OpenWithObjects(road.FromGraph(g), set, road.Options{Seed: 1})
-	if err != nil {
-		return err
-	}
-	buildMS := float64(time.Since(buildStart).Microseconds()) / 1000
-	fmt.Printf("snapshot bench: cold build %.1fms, index ≈ %d KB\n", buildMS, db.IndexSizeBytes()/1024)
-
-	dir, err := os.MkdirTemp("", "roadbench-snapshot-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	snapPath := filepath.Join(dir, "ca.snap")
-
-	saveStart := time.Now()
-	if err := db.SaveSnapshotFile(snapPath); err != nil {
-		return err
-	}
-	saveMS := float64(time.Since(saveStart).Microseconds()) / 1000
-	info, err := os.Stat(snapPath)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("snapshot bench: save %.1fms, snapshot %d KB\n", saveMS, info.Size()/1024)
-
-	runtime.GC()
-	loadStart := time.Now()
-	db2, err := road.OpenSnapshotFile(snapPath)
-	if err != nil {
-		return err
-	}
-	loadMS := float64(time.Since(loadStart).Microseconds()) / 1000
-	speedup := buildMS / loadMS
-	fmt.Printf("snapshot bench: load %.1fms — %.1f× faster than cold build\n", loadMS, speedup)
-
-	warmStart := time.Now()
-	db2.Framework().WarmTrees()
-	warmMS := float64(time.Since(warmStart).Microseconds()) / 1000
-	speedupWarm := buildMS / (loadMS + warmMS)
-	fmt.Printf("snapshot bench: tree warm %.1fms — load+warm %.1f× faster than cold build\n", warmMS, speedupWarm)
-
-	verified := true
-	for _, n := range dataset.RandomNodes(g, 50, 7) {
-		want, _, _ := db.KNNContext(context.Background(), road.NewKNN(n, 5))
-		got, _, _ := db2.KNNContext(context.Background(), road.NewKNN(n, 5))
-		if len(want) != len(got) {
-			verified = false
-			break
-		}
-		for i := range want {
-			if want[i].Object != got[i].Object || want[i].Dist != got[i].Dist {
-				verified = false
-			}
-		}
-	}
-	if !verified {
-		return fmt.Errorf("loaded snapshot diverged from built index")
-	}
-	fmt.Println("snapshot bench: verified loaded index answers identically")
-
-	result := snapshotBenchResult{
-		GeneratedUnix:      time.Now().Unix(),
-		Network:            spec.Name,
-		Nodes:              g.NumNodes(),
-		Edges:              g.NumEdges(),
-		Objects:            set.Len(),
-		IndexKB:            db.IndexSizeBytes() / 1024,
-		SnapshotKB:         info.Size() / 1024,
-		BuildMS:            buildMS,
-		SaveMS:             saveMS,
-		LoadMS:             loadMS,
-		WarmMS:             warmMS,
-		SpeedupLoadVsBuild: speedup,
-		SpeedupWarmVsBuild: speedupWarm,
-		Verified:           verified,
-	}
-	if err := writeJSONFile(outPath, result); err != nil {
-		return err
-	}
-	fmt.Printf("snapshot bench: wrote %s\n", outPath)
-	return nil
-}
-
-// shardBenchRun pairs one workload mix's load reports against the two
-// deployments.
-type shardBenchRun struct {
-	Mix     string            `json:"mix"`
-	Single  server.LoadReport `json:"single"`
-	Sharded server.LoadReport `json:"sharded"`
-	// Speedup is sharded QPS / single QPS (≥ 1 means sharding wins).
-	Speedup float64 `json:"speedup"`
-}
-
-// shardBenchResult is the schema of BENCH_shard.json: the same mixed load
-// driven at a single-index roadd and at a sharded one over the identical
-// network and object set.
-type shardBenchResult struct {
-	GeneratedUnix  int64   `json:"generated_unix"`
-	Network        string  `json:"network"`
-	Scale          float64 `json:"scale"`
-	Nodes          int     `json:"nodes"`
-	Edges          int     `json:"edges"`
-	Objects        int     `json:"objects"`
-	Shards         int     `json:"shards"`
-	Borders        int     `json:"borders"`
-	SingleBuildMS  int64   `json:"single_build_ms"`
-	ShardedBuildMS int64   `json:"sharded_build_ms"`
-	SingleIndexKB  int64   `json:"single_index_kb"`
-	ShardedIndexKB int64   `json:"sharded_index_kb"`
-	CacheEntries   int     `json:"cache_entries"`
-	Concurrency    int     `json:"concurrency"`
-	// Verified confirms the sharded deployment answered a query sample
-	// identically to the single index before load was applied.
-	Verified bool            `json:"verified"`
-	Runs     []shardBenchRun `json:"runs"`
-	// SingleMetrics / ShardedMetrics are each deployment's /metrics
-	// series (buckets elided) scraped after all mixes ran: server-side
-	// counters — node pops, cache traffic, per-shard load — to read the
-	// client-side latency numbers against.
-	SingleMetrics  map[string]float64 `json:"single_metrics,omitempty"`
-	ShardedMetrics map[string]float64 `json:"sharded_metrics,omitempty"`
-}
-
-// runShardBench builds the scaled CA network once, indexes it both as a
-// single framework and as K region shards, verifies the two agree on a
-// query sample, then drives the identical load mixes at each and writes
-// the comparison to outPath.
-func runShardBench(scale float64, objects, concurrency int, duration time.Duration, cacheSize, shards int, outPath string) error {
-	spec := dataset.Scaled(dataset.CA(), scale)
-	fmt.Printf("shard bench: generating %s ×%.2f (%d nodes)...\n", spec.Name, scale, spec.Nodes)
-	g := dataset.MustGenerate(spec)
-	set := dataset.PlaceUniform(g, objects, 1, 0, 1, 2, 3)
-	radius := g.EstimateDiameter() * 0.02
-
-	gSharded := g.Clone()
-	setSharded := set.Clone(gSharded)
-
-	buildStart := time.Now()
-	single, err := road.OpenWithObjects(road.FromGraph(g), set, road.Options{Seed: 1})
-	if err != nil {
-		return err
-	}
-	singleBuildMS := time.Since(buildStart).Milliseconds()
-	fmt.Printf("shard bench: single index built in %dms, ≈ %d KB\n", singleBuildMS, single.IndexSizeBytes()/1024)
-
-	buildStart = time.Now()
-	sharded, err := road.OpenShardedWithObjects(road.FromGraph(gSharded), setSharded, road.Options{Seed: 1}, shards)
-	if err != nil {
-		return err
-	}
-	shardedBuildMS := time.Since(buildStart).Milliseconds()
-	borders := 0
-	for _, info := range sharded.ShardInfos() {
-		borders += info.Borders
-	}
-	fmt.Printf("shard bench: %d shards built in %dms, ≈ %d KB, %d border incidences\n",
-		shards, shardedBuildMS, sharded.IndexSizeBytes()/1024, borders)
-
-	// Equivalence spot check before applying load — run through the
-	// road.Store interface, which both deployment shapes satisfy.
-	verified := true
-	var monoStore, shardStore road.Store = single, sharded
-	for _, n := range dataset.RandomNodes(g, 50, 7) {
-		want, _, _ := monoStore.KNNContext(context.Background(), road.NewKNN(n, 5))
-		got, _, _ := shardStore.KNNContext(context.Background(), road.NewKNN(n, 5))
-		if len(want) != len(got) {
-			verified = false
-			break
-		}
-		for i := range want {
-			if want[i].Object.ID != got[i].Object.ID || math.Abs(want[i].Dist-got[i].Dist) > 1e-9*math.Max(1, want[i].Dist) {
-				verified = false
-			}
-		}
-	}
-	if !verified {
-		return fmt.Errorf("sharded deployment diverged from the single index on the verification sample")
-	}
-	fmt.Println("shard bench: verified sharded answers match the single index")
-
-	effCache := cacheSize
-	switch {
-	case effCache < 0:
-		effCache = 0
-	case effCache == 0:
-		effCache = server.DefaultCacheSize
-	}
-	result := shardBenchResult{
-		GeneratedUnix:  time.Now().Unix(),
-		Network:        spec.Name,
-		Scale:          scale,
-		Nodes:          g.NumNodes(),
-		Edges:          g.NumEdges(),
-		Objects:        objects,
-		Shards:         shards,
-		Borders:        borders,
-		SingleBuildMS:  singleBuildMS,
-		ShardedBuildMS: shardedBuildMS,
-		SingleIndexKB:  single.IndexSizeBytes() / 1024,
-		ShardedIndexKB: sharded.IndexSizeBytes() / 1024,
-		CacheEntries:   effCache,
-		Concurrency:    concurrency,
-		Verified:       verified,
-	}
-
-	// Both deployments serve for the whole benchmark; each mix is driven
-	// at them back-to-back so environmental drift (this is often a small,
-	// shared box) lands on both sides of every comparison equally.
-	startServer := func(srv *server.Server) (string, func(), error) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", nil, err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go httpSrv.Serve(ln)
-		return "http://" + ln.Addr().String(), func() { httpSrv.Close() }, nil
-	}
-	singleTarget, stopSingle, err := startServer(server.New(single, server.Options{CacheSize: cacheSize}))
-	if err != nil {
-		return err
-	}
-	defer stopSingle()
-	shardedTarget, stopSharded, err := startServer(server.New(sharded, server.Options{CacheSize: cacheSize}))
-	if err != nil {
-		return err
-	}
-	defer stopSharded()
-
-	drive := func(label, target, mix string) (server.LoadReport, error) {
-		report, err := server.RunLoad(server.LoadOptions{
-			Target:      target,
-			Concurrency: concurrency,
-			Duration:    duration,
-			Mix:         mix,
-			K:           5,
-			Radius:      radius,
-			Seed:        1,
-		})
-		if err != nil {
-			return report, fmt.Errorf("%s load run %q: %w", label, mix, err)
-		}
-		fmt.Printf("shard bench: %-7s %-6s %8.0f qps  p50 %6dµs  p95 %6dµs  p99 %6dµs  hit rate %4.1f%%\n",
-			label, mix, report.QPS, report.P50US, report.P95US, report.P99US, 100*report.CacheHitRate)
-		return report, nil
-	}
-	for _, mix := range []string{"knn", "within", "mixed"} {
-		run := shardBenchRun{Mix: mix}
-		if run.Single, err = drive("single", singleTarget, mix); err != nil {
-			return err
-		}
-		if run.Sharded, err = drive("sharded", shardedTarget, mix); err != nil {
-			return err
-		}
-		if run.Single.QPS > 0 {
-			run.Speedup = run.Sharded.QPS / run.Single.QPS
-		}
-		result.Runs = append(result.Runs, run)
-		fmt.Printf("shard bench: %-6s sharded/single throughput ×%.2f\n", mix, run.Speedup)
-	}
-	if m, err := server.ScrapeMetrics(singleTarget); err == nil {
-		result.SingleMetrics = m
-	}
-	if m, err := server.ScrapeMetrics(shardedTarget); err == nil {
-		result.ShardedMetrics = m
-	}
-
-	if err := writeJSONFile(outPath, result); err != nil {
-		return err
-	}
-	fmt.Printf("shard bench: wrote %s\n", outPath)
-	return nil
-}
-
-// serveBenchResult is the schema of BENCH_serve.json: one serving
-// benchmark run per workload mix against a single in-process roadd.
-type serveBenchResult struct {
-	GeneratedUnix int64               `json:"generated_unix"`
-	Network       string              `json:"network"`
-	Scale         float64             `json:"scale"`
-	Nodes         int                 `json:"nodes"`
-	Edges         int                 `json:"edges"`
-	Objects       int                 `json:"objects"`
-	BuildMS       int64               `json:"build_ms"`
-	IndexKB       int64               `json:"index_kb"`
-	CacheEntries  int                 `json:"cache_entries"`
-	Runs          []server.LoadReport `json:"runs"`
-	// Metrics is the server's /metrics series (buckets elided) scraped
-	// after all mixes ran — the server-side counter view of the load the
-	// runs applied: total pops, cache traffic, error counts.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// runServeBench builds a scaled CA index, serves it on an ephemeral
-// localhost port, drives the load generator through each workload mix,
-// and writes the aggregate report to outPath.
-func runServeBench(scale float64, objects, concurrency int, duration time.Duration, cacheSize int, outPath string) error {
-	spec := dataset.Scaled(dataset.CA(), scale)
-	fmt.Printf("serve bench: generating %s ×%.2f (%d nodes)...\n", spec.Name, scale, spec.Nodes)
-	g := dataset.MustGenerate(spec)
-	set := dataset.PlaceUniform(g, objects, 1, 0, 1, 2, 3)
-
-	buildStart := time.Now()
-	db, err := road.OpenWithObjects(road.FromGraph(g), set, road.Options{Seed: 1})
-	if err != nil {
-		return err
-	}
-	buildMS := time.Since(buildStart).Milliseconds()
-	fmt.Printf("serve bench: built in %dms, index ≈ %d KB\n", buildMS, db.IndexSizeBytes()/1024)
-
-	// Record the capacity the server actually resolves, not the raw flag.
-	effCache := cacheSize
-	switch {
-	case effCache < 0:
-		effCache = 0
-	case effCache == 0:
-		effCache = server.DefaultCacheSize
-	}
-
-	srv := server.New(db, server.Options{CacheSize: cacheSize})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	target := "http://" + ln.Addr().String()
-
-	// A radius that keeps range queries selective at any scale: ~2% of
-	// the network diameter.
-	radius := g.EstimateDiameter() * 0.02
-
-	result := serveBenchResult{
-		GeneratedUnix: time.Now().Unix(),
-		Network:       spec.Name,
-		Scale:         scale,
-		Nodes:         g.NumNodes(),
-		Edges:         g.NumEdges(),
-		Objects:       set.Len(),
-		BuildMS:       buildMS,
-		IndexKB:       db.IndexSizeBytes() / 1024,
-		CacheEntries:  effCache,
-	}
-	for _, mix := range []string{"knn", "within", "mixed"} {
-		report, err := server.RunLoad(server.LoadOptions{
-			Target:      target,
-			Concurrency: concurrency,
-			Duration:    duration,
-			Mix:         mix,
-			K:           5,
-			Radius:      radius,
-			Seed:        1,
-		})
-		if err != nil {
-			return fmt.Errorf("load run %q: %w", mix, err)
-		}
-		fmt.Printf("serve bench: %-6s %8.0f qps  p50 %6dµs  p95 %6dµs  p99 %6dµs  hit rate %4.1f%%\n",
-			mix, report.QPS, report.P50US, report.P95US, report.P99US, 100*report.CacheHitRate)
-		result.Runs = append(result.Runs, report)
-	}
-	if m, err := server.ScrapeMetrics(target); err == nil {
-		result.Metrics = m
-	}
-
-	if err := writeJSONFile(outPath, result); err != nil {
-		return err
-	}
-	fmt.Printf("serve bench: wrote %s\n", outPath)
-	return nil
 }

@@ -1,18 +1,15 @@
 // Command roadquery builds a ROAD index over a synthetic network and
 // answers ad-hoc queries from the command line — a minimal interactive
-// demonstration of the framework — or, with -target, generates query
-// load against a running roadd server and reports throughput/latency.
+// demonstration of the framework.
 //
 // Usage:
 //
 //	roadquery -net CA -objects 100 -knn 5 -from 1234
 //	roadquery -net CA -objects 100 -range 0.1 -from 1234
 //	roadquery -net CA -objects 100 -knn 5 -json      # machine-readable
-//	roadquery -target http://localhost:7070 -concurrency 16 -duration 10s
 //
 // -from defaults to a random node; -range is a fraction of the network
-// diameter. -json switches both query answers and load reports to the
-// same JSON encoding roadd serves.
+// diameter. -json switches the answer to the JSON encoding roadd serves.
 package main
 
 import (
@@ -49,45 +46,11 @@ func main() {
 		seed    = flag.Int64("seed", 1, "placement/query seed")
 		jsonOut = flag.Bool("json", false, "emit machine-readable JSON (roadd's wire encoding)")
 
-		target      = flag.String("target", "", "load-generator mode: base URL of a roadd server")
-		concurrency = flag.Int("concurrency", 8, "load generator: parallel workers")
-		duration    = flag.Duration("duration", 5*time.Second, "load generator: run length")
-		requests    = flag.Int("requests", 0, "load generator: total request cap (overrides -duration)")
-		mix         = flag.String("mix", "mixed", "load generator: knn, within or mixed")
-		radius      = flag.Float64("radius", 0.05, "load generator: within-query radius (network units)")
-
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
 	if *showVersion {
 		fmt.Println(version.String("roadquery"))
-		return
-	}
-
-	if *target != "" {
-		report, err := server.RunLoad(server.LoadOptions{
-			Target:      *target,
-			Concurrency: *concurrency,
-			Duration:    *duration,
-			Requests:    *requests,
-			Mix:         *mix,
-			K:           max(*knn, 0),
-			Radius:      *radius,
-			Attr:        int32(*attr),
-			Seed:        *seed,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "roadquery:", err)
-			os.Exit(1)
-		}
-		if *jsonOut {
-			json.NewEncoder(os.Stdout).Encode(report)
-			return
-		}
-		fmt.Printf("%s against %s: %d requests (%d errors) in %.2fs = %.0f qps\n",
-			report.Mix, report.Target, report.Requests, report.Errors, report.Seconds, report.QPS)
-		fmt.Printf("latency: mean %.0fµs  p50 %dµs  p90 %dµs  p99 %dµs  max %dµs  cache hit rate %.1f%%\n",
-			report.MeanUS, report.P50US, report.P90US, report.P99US, report.MaxUS, 100*report.CacheHitRate)
 		return
 	}
 
@@ -202,7 +165,7 @@ func main() {
 		}
 		report(res, st, time.Since(start), qnode, *jsonOut)
 	default:
-		fmt.Fprintln(os.Stderr, "roadquery: pass -knn K or -range FRACTION, or -target URL")
+		fmt.Fprintln(os.Stderr, "roadquery: pass -knn K or -range FRACTION")
 		os.Exit(2)
 	}
 }

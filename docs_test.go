@@ -6,6 +6,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -89,4 +92,89 @@ func declDoc(decl *ast.GenDecl, name string) string {
 		}
 	}
 	return ""
+}
+
+var (
+	fencedBlock  = regexp.MustCompile("(?s)```.*?```")
+	inlineCode   = regexp.MustCompile("`([^`]+)`")
+	cmdDirRef    = regexp.MustCompile(`\bcmd/([a-z]+)`)
+	rootArtefact = regexp.MustCompile(`^[A-Z][^/\s]*\.json$`)
+	flagToken    = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
+	flagDecl     = regexp.MustCompile(`flag\.\w+\(\s*(?:&[\w.]+,\s*)?"([^"]+)"`)
+)
+
+// TestDocsReferToWhatExists is the referential-integrity guard of the
+// prose docs: every `cmd/<name>` they put in backticks is a directory,
+// every upper-case `NAME.json` (the repository's root artefacts; `*`
+// globs) is a file at the root, and every flag they attach to a command
+// (`roadd -shards 4`) — or name on its own (`-shards K`) — is registered
+// by that command's (some command's, or the benchmark harness's) flag
+// set. A deletion that leaves a stale sentence behind, or a doc that
+// resurrects a removed mode, fails here. MIGRATION.md is exempt: naming
+// removed things is its job.
+func TestDocsReferToWhatExists(t *testing.T) {
+	// Flags the docs may name that belong to the go tool, not to cmd/.
+	toolFlags := map[string]bool{"race": true}
+
+	flags := map[string]map[string]bool{} // command -> registered flag names
+	anyFlag := map[string]bool{}          // union over every command and the harness
+	register := func(name, dir string) {
+		srcs, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		flags[name] = map[string]bool{}
+		for _, src := range srcs {
+			body, err := os.ReadFile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range flagDecl.FindAllStringSubmatch(string(body), -1) {
+				flags[name][m[1]] = true
+				anyFlag[m[1]] = true
+			}
+		}
+	}
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		register(d.Name(), filepath.Join("cmd", d.Name()))
+	}
+	// The referee's harness, as benchmark/run.sh builds it.
+	register("roadbenchmark", "benchmark")
+
+	for _, path := range []string{"README.md", "ARCHITECTURE.md", "internal/shard/DESIGN.md"} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prose := fencedBlock.ReplaceAllString(string(raw), "")
+		for _, m := range inlineCode.FindAllStringSubmatch(prose, -1) {
+			span := m[1]
+			for _, ref := range cmdDirRef.FindAllStringSubmatch(span, -1) {
+				if fi, err := os.Stat(filepath.Join("cmd", ref[1])); err != nil || !fi.IsDir() {
+					t.Errorf("%s: `%s` names cmd/%s, which does not exist", path, span, ref[1])
+				}
+			}
+			cmd := "" // the command the flags seen so far belong to
+			for i, tok := range strings.Fields(span) {
+				if rootArtefact.MatchString(tok) {
+					if hits, _ := filepath.Glob(tok); len(hits) == 0 {
+						t.Errorf("%s: `%s` names %s, which is not at the repository root", path, span, tok)
+					}
+				}
+				if base := tok[strings.LastIndex(tok, "/")+1:]; flags[base] != nil {
+					cmd = base
+					continue
+				}
+				f := flagToken.FindStringSubmatch(tok)
+				switch {
+				case f == nil:
+				case cmd != "" && !flags[cmd][f[1]]:
+					t.Errorf("%s: `%s` names %s -%s, which cmd/%s does not register", path, span, cmd, f[1], cmd)
+				case cmd == "" && i == 0 && !anyFlag[f[1]] && !toolFlags[f[1]]:
+					t.Errorf("%s: `%s` names flag -%s, which no command registers", path, span, f[1])
+				}
+			}
+		}
+	}
 }

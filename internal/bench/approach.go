@@ -77,7 +77,8 @@ func BuildApproach(name string, g *graph.Graph, objects *graph.ObjectSet, levels
 // a session: framework queries run the page-charging reference
 // implementation in report mode, so the Stats.IO the paper's figures
 // compare stays faithful to the 2009 evaluation. Serving latency of the
-// CSR session hot path is measured separately by roadbench -hotpath.
+// CSR session hot path is the benchmark/ referee's business (core.* on
+// na_kernel) and BenchmarkSessionKNN{CSR,Reference} in internal/core.
 type roadApproach struct {
 	f *core.Framework
 }

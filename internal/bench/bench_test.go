@@ -165,3 +165,26 @@ func TestOrderCoversRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryRejectsEmptyWorkload: per-query and per-trial averages
+// divide by these counts, so a registry runner must refuse them with an
+// error (roadbench -queries 0 / -trials 0 used to panic).
+func TestRegistryRejectsEmptyWorkload(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		queries, trials int
+	}{
+		{"zero queries", 0, 1},
+		{"zero trials", 1, 0},
+		{"negative queries", -3, 1},
+		{"negative trials", 1, -3},
+	} {
+		opt := tinyOptions()
+		opt.Queries, opt.Trials = tc.queries, tc.trials
+		for _, id := range Order {
+			if tbl, err := Registry[id](opt); err == nil {
+				t.Errorf("%s: %s returned a table (%d rows) instead of an error", tc.name, id, len(tbl.Rows))
+			}
+		}
+	}
+}

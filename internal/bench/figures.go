@@ -537,23 +537,36 @@ func AblationObjectSkew(opt Options) (*Table, error) {
 }
 
 // Registry maps experiment IDs to runners for the CLI and bench tests.
+// Every runner rejects Options it would divide by (see validated) before
+// building anything.
 var Registry = map[string]func(Options) (*Table, error){
-	"fig11":              Fig11,
-	"fig13":              Fig13,
-	"fig14":              Fig14,
-	"fig15":              Fig15,
-	"fig16":              Fig16,
-	"fig17a":             Fig17a,
-	"fig17b":             Fig17b,
-	"fig17c":             Fig17c,
-	"fig18a":             Fig18a,
-	"fig18b":             Fig18b,
-	"fig18c":             Fig18c,
-	"fig19":              Fig19,
-	"ablation-pruning":   AblationPruning,
-	"ablation-abstract":  AblationAbstract,
-	"ablation-partition": AblationPartitioner,
-	"ablation-skew":      AblationObjectSkew,
+	"fig11":              validated(Fig11),
+	"fig13":              validated(Fig13),
+	"fig14":              validated(Fig14),
+	"fig15":              validated(Fig15),
+	"fig16":              validated(Fig16),
+	"fig17a":             validated(Fig17a),
+	"fig17b":             validated(Fig17b),
+	"fig17c":             validated(Fig17c),
+	"fig18a":             validated(Fig18a),
+	"fig18b":             validated(Fig18b),
+	"fig18c":             validated(Fig18c),
+	"fig19":              validated(Fig19),
+	"ablation-pruning":   validated(AblationPruning),
+	"ablation-abstract":  validated(AblationAbstract),
+	"ablation-partition": validated(AblationPartitioner),
+	"ablation-skew":      validated(AblationObjectSkew),
+}
+
+// validated makes run reject the workload sizes it averages over:
+// per-query and per-trial means divide by them.
+func validated(run func(Options) (*Table, error)) func(Options) (*Table, error) {
+	return func(opt Options) (*Table, error) {
+		if opt.Queries < 1 || opt.Trials < 1 {
+			return nil, fmt.Errorf("bench: Queries and Trials must be at least 1 (got %d, %d)", opt.Queries, opt.Trials)
+		}
+		return run(opt)
+	}
 }
 
 // Order lists experiment IDs in presentation order.

@@ -684,8 +684,7 @@ func FuzzCSRBuild(f *testing.F) {
 }
 
 // BenchmarkSessionKNNCSR / BenchmarkSessionKNNReference measure the two
-// query paths side by side (the roadbench -hotpath mode reports the same
-// comparison on full datasets).
+// query paths side by side.
 func benchmarkSessionKNN(b *testing.B, ref bool) {
 	cfg := defaultCfg()
 	cfg.BufferPages = -1

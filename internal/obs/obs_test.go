@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestRegistryExposition(t *testing.T) {
@@ -127,14 +126,14 @@ func TestPercentileNearestRank(t *testing.T) {
 	// The small-sample case the floored index understated: with 10
 	// samples, the old int(p*(n-1)) gave index 8 for p99 (the 9th
 	// value); nearest-rank requires the 10th.
-	small := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := PercentileDuration(small, 0.99); got != 10 {
+	small := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	if got := Percentile(small, 0.99); got != 10 {
 		t.Errorf("p99 of 10 samples: got %v, want 10", got)
 	}
-	if got := PercentileDuration(small, 0.95); got != 10 {
+	if got := Percentile(small, 0.95); got != 10 {
 		t.Errorf("p95 of 10 samples: got %v, want 10", got)
 	}
-	if got := PercentileDuration(nil, 0.99); got != 0 {
+	if got := Percentile(nil, 0.99); got != 0 {
 		t.Errorf("p99 of empty: got %v, want 0", got)
 	}
 }

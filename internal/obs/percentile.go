@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"math"
-	"sort"
-	"time"
-)
+import "math"
 
 // Percentile returns the p-quantile (0 < p <= 1) of sorted ascending
 // values by the nearest-rank definition: the ceil(p*n)-th smallest
@@ -12,26 +8,9 @@ import (
 // value at least as large as 99% of observations. Returns 0 for an
 // empty slice.
 func Percentile(sorted []float64, p float64) float64 {
-	i := rank(len(sorted), p)
-	if i < 0 {
-		return 0
-	}
-	return sorted[i]
-}
-
-// PercentileDuration is Percentile over sorted durations.
-func PercentileDuration(sorted []time.Duration, p float64) time.Duration {
-	i := rank(len(sorted), p)
-	if i < 0 {
-		return 0
-	}
-	return sorted[i]
-}
-
-// rank maps (n, p) to the nearest-rank index, or -1 when n == 0.
-func rank(n int, p float64) int {
+	n := len(sorted)
 	if n == 0 {
-		return -1
+		return 0
 	}
 	i := int(math.Ceil(p*float64(n))) - 1
 	if i < 0 {
@@ -40,11 +19,5 @@ func rank(n int, p float64) int {
 	if i >= n {
 		i = n - 1
 	}
-	return i
-}
-
-// SortDurations sorts latencies ascending in place, as Percentile
-// requires.
-func SortDurations(d []time.Duration) {
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+	return sorted[i]
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // Wire types shared by the roadd handlers, the roadquery -json output and
-// the load generator, so every tool in the repo speaks one encoding.
+// the benchmark's clients, so every tool in the repo speaks one encoding.
 
 // ResultJSON is one query answer on the wire.
 type ResultJSON struct {

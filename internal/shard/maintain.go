@@ -88,16 +88,6 @@ func (s *Shard) maintainDerivedEmit(chg netChange, emit bool) *DerivedUpdate {
 		}
 		s.watch = s.F.NewWatchSet(local)
 	}
-	if s.fullRefresh {
-		// Benchmark baseline: whole-shard rebuild on every mutation (the
-		// pre-filter behaviour roadbench -maintain compares against).
-		s.rebuildBTable()
-		s.rebuildBorderDist()
-		if emit {
-			return s.emitAllRows()
-		}
-		return nil
-	}
 	if len(s.borders) == 0 {
 		return nil // no borders: btable empty, borderDist all +Inf, nothing derived from the network
 	}
@@ -128,16 +118,6 @@ func (s *Shard) maintainDerivedEmit(chg netChange, emit bool) *DerivedUpdate {
 		return u
 	}
 	return nil
-}
-
-// emitAllRows snapshots the whole derived state as a DerivedRows update
-// (the fullRefresh baseline's wire form).
-func (s *Shard) emitAllRows() *DerivedUpdate {
-	u := &DerivedUpdate{Kind: DerivedRows, BorderDist: append([]float64(nil), s.borderDist...)}
-	for _, b := range s.borders {
-		u.Rows = append(u.Rows, BorderRow{Border: b, Arcs: append([]BorderArc(nil), s.btable[b]...)})
-	}
-	return u
 }
 
 // endpointDists runs one Dijkstra from src over the live local graph

@@ -143,6 +143,48 @@ func TestFilterRefreshExact(t *testing.T) {
 	}
 }
 
+// TestMirrorDerivedUpdateExact is TestFilterRefreshExact for the other
+// consumer of the repair: a router-side mirror that applies the
+// DerivedUpdate recipes a shard host emits — the decrease arithmetic and
+// the increase case's recomputed rows — must hold, after every mutation,
+// the btable and borderDist a from-scratch rebuild of the host shard
+// produces.
+func TestMirrorDerivedUpdateExact(t *testing.T) {
+	_, r, _ := buildPair(t, 8, 260, 40, 4)
+	rng := rand.New(rand.NewSource(56))
+	kinds := map[string]int{}
+	for _, s := range r.shards {
+		bt, bd := snapshotDerived(s)
+		mirror := &Shard{ID: s.ID, borders: s.borders, localNode: s.localNode, btable: bt, borderDist: bd}
+		for i := 0; i < 40; i++ {
+			le := graph.EdgeID(rng.Intn(s.F.Graph().NumEdges()))
+			op := snapshot.Op{Kind: snapshot.OpSetDistance, Edge: le, Value: 0.05 + rng.Float64()*4}
+			switch {
+			case s.F.Graph().Edge(le).Removed:
+				op = snapshot.Op{Kind: snapshot.OpReopen, Edge: le}
+			case rng.Intn(4) == 0:
+				op = snapshot.Op{Kind: snapshot.OpClose, Edge: le}
+			}
+			rep, err := s.HostApply(op)
+			if err != nil {
+				continue // a rejected op changes nothing on either side
+			}
+			if rep.Derived != nil {
+				kinds[rep.Derived.Kind]++
+			}
+			mirror.applyDerivedUpdate(rep.Derived)
+			hbt, hbd := snapshotDerived(s)
+			s.refreshDerived(true)
+			assertDerivedEqual(t, "mirror", s, mirror.btable, mirror.borderDist)
+			// The host keeps building on its own maintained state.
+			s.btable, s.borderDist = hbt, hbd
+		}
+	}
+	if kinds[DerivedDecrease] == 0 || kinds[DerivedRows] == 0 {
+		t.Fatalf("mutation stream did not exercise both recipes: %v", kinds)
+	}
+}
+
 // TestPerShardLockConcurrency hammers the router with concurrent
 // cross-shard queries WHILE mutations stream through Router.Mutate — the
 // -race acceptance target for per-shard write locking. Results are

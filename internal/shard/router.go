@@ -34,11 +34,6 @@ type Options struct {
 	// Core configures each shard's framework. A zero Rnet config resolves
 	// per-shard defaults sized to that shard's node count.
 	Core core.Config
-	// FullRefresh disables incremental border-table maintenance: every
-	// network mutation rebuilds the owning shard's whole border table
-	// and nearest-border array, the pre-§5.2 behaviour. Kept only as the
-	// baseline roadbench -maintain measures the incremental path against.
-	FullRefresh bool
 }
 
 // Router owns K region shards over one road network and dispatches
@@ -155,7 +150,6 @@ func Build(g *graph.Graph, objects *graph.ObjectSet, opt Options) (*Router, erro
 		if err != nil {
 			return nil, err
 		}
-		s.fullRefresh = opt.FullRefresh
 		r.shards = append(r.shards, s)
 		for _, ge := range part {
 			r.edgeShard[ge] = id

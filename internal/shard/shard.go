@@ -110,11 +110,6 @@ type Shard struct {
 	du, dv     []float64
 	rowScratch []BorderArc
 
-	// fullRefresh disables filter-and-refresh: every network mutation
-	// rebuilds the whole border table, as before the incremental path
-	// existed. Kept as the roadbench -maintain baseline.
-	fullRefresh bool
-
 	// Load counters (read path, hence atomic): queries whose query node
 	// lives in this shard, cross-shard expansions entering it, home
 	// queries that escalated past the nearest-border fast path, and

@@ -57,8 +57,8 @@ const (
 	// no recomputation, and the host computed the arrays anyway.
 	DerivedDecrease = "decrease"
 	// DerivedRows ships recomputed border-table rows (weight increase:
-	// only the filtered-stale rows; full refresh: all of them), plus the
-	// whole nearest-border array when it was rebuilt.
+	// only the filtered-stale rows), plus the whole nearest-border array
+	// when it was rebuilt.
 	DerivedRows = "rows"
 )
 

@@ -22,8 +22,8 @@ import (
 // testHost runs a roadshard-equivalent host in-process: a remote.Host
 // behind a real TCP listener, so the fleet client exercises the same
 // HTTP transport, pooling and retry paths a multi-process deployment
-// does — just without fork/exec (that angle is covered by
-// roadbench -remote and the CI smoke).
+// does — just without fork/exec (that angle is covered by the CI
+// "Out-of-process fleet smoke" and the benchmark's ca_fleet workload).
 type testHost struct {
 	t         *testing.T
 	ids       []int

@@ -10,10 +10,11 @@ import (
 
 // Store is the v1 contract of one logical ROAD search service: queries,
 // concurrent sessions, maintenance and persistence behind a single,
-// transport-ready interface. Both implementations in this package satisfy
-// it — *DB (one index) and *ShardedDB (K region shards behind a query
-// router) — so serving layers, load generators and tests are written once
-// against the interface and run unchanged over either deployment shape.
+// transport-ready interface. All three implementations in this package
+// satisfy it — *DB (one index), *ShardedDB (K region shards behind a
+// query router) and *RemoteDB (the same router over out-of-process shard
+// hosts) — so serving layers, benchmarks and tests are written once
+// against the interface and run unchanged over any deployment shape.
 //
 // Query entry points take a context and a typed request struct (built
 // literally, with NewKNN/NewWithin/NewPath, or decoded from JSON) and
@@ -27,8 +28,8 @@ import (
 // per goroutine from OpenSession. Unless the Store also satisfies
 // Synchronized, mutations must not overlap queries — the internal/server
 // coordinator enforces exactly that when serving. A Synchronized store
-// (ShardedDB) synchronizes internally instead, with per-shard write
-// locks, so serving layers let queries and mutations overlap freely.
+// (ShardedDB, RemoteDB) synchronizes internally instead, with per-shard
+// write locks, so serving layers let queries and mutations overlap freely.
 type Store interface {
 	Querier
 
@@ -82,11 +83,11 @@ type Store interface {
 
 // Synchronized marks a Store whose queries and mutations synchronize
 // internally, so a serving layer needs no global reader/writer exclusion
-// around them. ShardedDB is the package's Synchronized implementation:
-// each mutation takes only its owning shard's write lock, stalling that
-// shard's readers instead of the whole store. The one operation that
-// still needs total exclusion — a consistent whole-store snapshot — runs
-// through Exclusive.
+// around them. ShardedDB and RemoteDB are the package's Synchronized
+// implementations (both sit on one shard.Router): each mutation takes
+// only its owning shard's write lock, stalling that shard's readers
+// instead of the whole store. The one operation that still needs total
+// exclusion — a consistent whole-store snapshot — runs through Exclusive.
 type Synchronized interface {
 	Store
 
