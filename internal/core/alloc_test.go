@@ -75,6 +75,42 @@ func TestKNNZeroAllocsWithAttrFilter(t *testing.T) {
 	}
 }
 
+// TestPathToAllocs pins the route query: the search runs in the session's
+// workspace and shortcut hops are expanded into its hop buffer, so the one
+// allocation left is the node slice handed to the caller.
+func TestPathToAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the pin only holds on plain builds")
+	}
+	cfg := defaultCfg()
+	cfg.Rnet.StorePaths = true
+	cfg.BufferPages = -1
+	f, g, objects := fixture(t, 2000, 2600, 300, 23, cfg)
+	s := f.NewSession()
+	starts := dataset.RandomNodes(g, 16, 24)
+	targets := objects.All()[:len(starts)]
+	// One pass over the pairs warms the workspace: link arrays, heap and
+	// hop buffer; the measured runs repeat the same pairs.
+	hops, i := 0, 0
+	route := func() {
+		path, _, _, err := s.PathToLimited(Query{Node: starts[i%len(starts)]}, targets[i%len(starts)].ID, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hops += len(path)
+		i++
+	}
+	for range starts {
+		route()
+	}
+	if hops < 10*len(starts) {
+		t.Fatalf("warm-up routes average under 10 nodes (%d over %d); fixture is broken", hops, len(starts))
+	}
+	if avg := testing.AllocsPerRun(len(starts), route); avg > 1 {
+		t.Fatalf("route query allocates %v per call; want 1, the returned slice", avg)
+	}
+}
+
 // The pins below hold the post-mutation fence to O(change): on the CA
 // network (21k nodes, where one whole-index rebuild allocates ≈17 MB) a
 // mutation plus its WarmTrees allocates a small constant that does not

@@ -432,19 +432,6 @@ func (f *Framework) searchCSR(ad *AssocDir, seeds []Seed, attr int32, k int, rad
 	return res, stats, stopErr
 }
 
-// pathVerdict memoizes pathCSR's bypass decision: an Rnet is explorable
-// when its abstract may hold a matching object or it contains the target's
-// edge.
-func (f *Framework) pathVerdict(ws *queryWorkspace, r rnet.RnetID, attr int32, target graph.EdgeID) bool {
-	if ws.verdictEpoch[r] == ws.epoch {
-		return ws.verdictVal[r]
-	}
-	v := f.ad.rnetMayContain(r, attr, false) || f.rnetContainsEdge(r, target)
-	ws.verdictEpoch[r] = ws.epoch
-	ws.verdictVal[r] = v
-	return v
-}
-
 // pathRelax mirrors pathTo's relax: record the parent link unless the node
 // already has a strictly better (or equal — keep-first-on-tie) one, then
 // push. src never has its link overwritten.
@@ -462,11 +449,15 @@ func (f *Framework) pathRelax(ws *queryWorkspace, src, n graph.NodeID, nd float6
 	ws.spq.Push(int32(n), -1, nd)
 }
 
-// pathCSR is pathTo's hot-path twin: the same directed search with parent
-// tracking, run over the CSR slabs with dense epoch-stamped link arrays
-// instead of per-call maps. Entries are scanned linearly (the reference
-// pre-flattens the whole tree and filters per entry, so bypassed subtrees
-// are still processed), which a linear slab walk reproduces exactly.
+// pathCSR is pathTo's hot-path twin: the same target-directed ChoosePath
+// with parent tracking, walked over the CSR slabs like searchCSR (bypass =
+// jump to skip, descend = advance one entry) with dense epoch-stamped link
+// arrays instead of per-call maps. The only explorable Rnets are the
+// target's ancestor chain — at most Levels of them — so the chain is
+// stamped into the verdict scratch up front and the per-entry test is one
+// compare; see pathTo for why the rule is exact. The route is rebuilt in
+// the workspace's hop buffer, so the one allocation of a query is the
+// slice it returns.
 func (f *Framework) pathCSR(q Query, target graph.ObjectID, ws *queryWorkspace, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
 	stats := QueryStats{ShardsSearched: 1}
 	if !f.h.Config().StorePaths {
@@ -483,6 +474,9 @@ func (f *Framework) pathCSR(q Query, target graph.ObjectID, ws *queryWorkspace, 
 	c := f.ensureCSR()
 	f.prepare(ws)
 	ws.growLinks(f.g.NumNodes())
+	for r := f.h.LeafOf(o.Edge); r != rnet.NoRnet; r = f.h.Rnet(r).Parent {
+		ws.verdictEpoch[r] = ws.epoch // explorable: holds the target's edge
+	}
 
 	ws.linkEpoch[q.Node] = ws.epoch
 	ws.linkPrev[q.Node] = int32(graph.NoNode)
@@ -524,18 +518,25 @@ func (f *Framework) pathCSR(q Query, target graph.ObjectID, ws *queryWorkspace, 
 			continue
 		}
 		sp := c.span[n]
-		for i := sp.start; i < sp.end; i++ {
+		for i := sp.start; i < sp.end; {
 			ent := &c.ents[i]
-			if ent.flags&csrBorder != 0 && !f.pathVerdict(ws, ent.rnet, q.Attr, o.Edge) {
+			if ent.flags&csrBorder != 0 && ws.verdictEpoch[ent.rnet] != ws.epoch {
 				stats.RnetsBypassed++
 				for j := ent.scOff; j < ent.scEnd; j++ {
 					f.pathRelax(ws, q.Node, graph.NodeID(c.scTo[j]), d+c.scDist[j], nid, graph.NoEdge, ent.rnet)
 				}
+				i = ent.skip
+				continue
+			}
+			if ent.flags&csrChildren != 0 {
+				stats.RnetsDescended++
+				i++
 				continue
 			}
 			for j := ent.edgeOff; j < ent.edgeEnd; j++ {
 				f.pathRelax(ws, q.Node, graph.NodeID(c.leTo[j]), d+c.leW[j], nid, graph.EdgeID(c.leEdge[j]), rnet.NoRnet)
 			}
+			i++
 		}
 	}
 	if bestEnd == graph.NoNode {
@@ -543,7 +544,7 @@ func (f *Framework) pathCSR(q Query, target graph.ObjectID, ws *queryWorkspace, 
 	}
 
 	// Walk the links back to the source, expanding shortcut hops.
-	var rev []graph.NodeID
+	rev := ws.hops[:0]
 	cur := bestEnd
 	for cur != q.Node {
 		if ws.linkEpoch[cur] != ws.epoch || graph.NodeID(ws.linkPrev[cur]) == graph.NoNode {
@@ -553,20 +554,18 @@ func (f *Framework) pathCSR(q Query, target graph.ObjectID, ws *queryWorkspace, 
 		if eid := graph.EdgeID(ws.linkEdge[cur]); eid != graph.NoEdge {
 			rev = append(rev, cur)
 		} else {
-			leg, err := f.expandHop(rnet.RnetID(ws.linkRnet[cur]), prev, cur)
-			if err != nil {
+			var err error
+			if rev, err = f.appendHopReversed(rev, rnet.RnetID(ws.linkRnet[cur]), prev, cur); err != nil {
 				return nil, 0, stats, err
-			}
-			// leg runs prev..cur; append in reverse, excluding prev.
-			for i := len(leg) - 1; i >= 1; i-- {
-				rev = append(rev, leg[i])
 			}
 		}
 		cur = prev
 	}
 	rev = append(rev, q.Node)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	ws.hops = rev // keep what the walk grew
+	path := make([]graph.NodeID, len(rev))
+	for i, v := range rev {
+		path[len(rev)-1-i] = v
 	}
-	return rev, bestDist, stats, nil
+	return path, bestDist, stats, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"road/internal/apierr"
@@ -137,7 +138,21 @@ func TestCSRMatchesReferenceStorm(t *testing.T) {
 				}
 			}
 
+			// Ground truth for routes, so both twins cannot be wrong
+			// together; its picks come from their own generator so the
+			// storm's sequence is not disturbed.
+			truthRng := rand.New(rand.NewSource(seed + 1000))
+			checkRoutes := func(phase string) {
+				all := objects.All()
+				for i := 0; i < 8 && len(all) > 0; i++ {
+					from := graph.NodeID(truthRng.Intn(g.NumNodes()))
+					target := all[truthRng.Intn(len(all))]
+					assertRouteIsShortest(t, fmt.Sprintf("%s truth%d", phase, i), g, csr, ref, from, target, false)
+				}
+			}
+
 			checkQueries("initial")
+			checkRoutes("initial")
 			var closed []graph.EdgeID
 			for round := 0; round < 8; round++ {
 				// A burst of mutations, each followed by WarmTrees (the
@@ -183,6 +198,7 @@ func TestCSRMatchesReferenceStorm(t *testing.T) {
 					assertCSRMatchesFreshBuild(t, fmt.Sprintf("round%d m%d", round, m), f)
 				}
 				checkQueries(fmt.Sprintf("round%d", round))
+				checkRoutes(fmt.Sprintf("round%d", round))
 			}
 			// On a network this small a structural change relocates a few
 			// percent of all cells, so compaction fires now and then; the
@@ -191,6 +207,179 @@ func TestCSRMatchesReferenceStorm(t *testing.T) {
 				t.Fatalf("storm drains should mostly patch, got %+v", st)
 			}
 		})
+	}
+}
+
+// assertRouteIsShortest checks a route against ground truth, on both
+// twins: the distance equals a plain Dijkstra's to the nearer-by-offset
+// endpoint of the target's edge, the path starts at from, every hop is a
+// live road and the walk adds up (verifyPath). A target no road reaches
+// must be ErrUnreachable from both; mustReach rules that outcome out.
+func assertRouteIsShortest(t *testing.T, label string, g *graph.Graph, csr, ref *Session, from graph.NodeID, target graph.Object, mustReach bool) {
+	t.Helper()
+	ed := g.Edge(target.Edge)
+	truth := graph.NewSearch(g)
+	truth.Run(from, graph.Options{Targets: []graph.NodeID{ed.U, ed.V}})
+	want := math.Min(truth.Dist(ed.U)+target.DU, truth.Dist(ed.V)+target.DV)
+	for _, s := range []*Session{csr, ref} {
+		path, dist, _, err := s.PathToLimited(Query{Node: from}, target.ID, Limits{})
+		if math.IsInf(want, 1) {
+			if mustReach {
+				t.Fatalf("%s: node %d cannot reach object %d at all; the case is vacuous", label, from, target.ID)
+			}
+			if !errors.Is(err, apierr.ErrUnreachable) {
+				t.Fatalf("%s: object %d is cut off from node %d, got path %v, err %v", label, target.ID, from, path, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: node %d -> object %d: %v", label, from, target.ID, err)
+		}
+		if math.Abs(dist-want) > 1e-9*math.Max(1, want) {
+			t.Fatalf("%s: node %d -> object %d: route distance %v, Dijkstra %v", label, from, target.ID, dist, want)
+		}
+		verifyPath(t, g, target, from, path, dist)
+	}
+}
+
+// TestPathGroundTruthEdgeCases names the route cases a target-directed
+// search can get wrong and checks each against plain Dijkstra, on both
+// twins.
+func TestPathGroundTruthEdgeCases(t *testing.T) {
+	cfg := defaultCfg()
+	cfg.Rnet.StorePaths = true
+	cfg.BufferPages = -1
+	f, g, objects := fixture(t, 700, 900, 40, 31, cfg)
+	csr, ref := csrAndRefSessions(f)
+	far := dataset.RandomNodes(g, 6, 32)
+
+	t.Run("target on an AddRoad edge", func(t *testing.T) {
+		// A chord between two nodes of different top-level Rnets.
+		u := far[0]
+		v := graph.NoNode
+		for _, n := range far[1:] {
+			if g.EdgeBetween(u, n) == graph.NoEdge && topRnetOf(f, n) != topRnetOf(f, u) {
+				v = n
+				break
+			}
+		}
+		if v == graph.NoNode {
+			t.Fatal("no node pair to join; fixture is broken")
+		}
+		e, _, err := f.AddEdge(u, v, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := f.InsertObject(e, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WarmTrees()
+		for _, from := range far {
+			assertRouteIsShortest(t, "added road", g, csr, ref, from, o, true)
+		}
+	})
+
+	target := objects.All()[0]
+	ed := g.Edge(target.Edge)
+
+	t.Run("query node is an endpoint of the target edge", func(t *testing.T) {
+		assertRouteIsShortest(t, "endpoint U", g, csr, ref, ed.U, target, true)
+		assertRouteIsShortest(t, "endpoint V", g, csr, ref, ed.V, target, true)
+	})
+
+	t.Run("query node interior to the target's leaf Rnet", func(t *testing.T) {
+		// An object whose leaf Rnet holds a node that is none of its
+		// borders and neither endpoint of the object's edge.
+		for _, o := range objects.All() {
+			oe := g.Edge(o.Edge)
+			leaf := f.h.Rnet(f.h.LeafOf(o.Edge))
+			for _, e := range leaf.Edges {
+				for _, n := range [2]graph.NodeID{g.Edge(e).U, g.Edge(e).V} {
+					if n != oe.U && n != oe.V && !slices.Contains(leaf.Borders, n) {
+						assertRouteIsShortest(t, "leaf interior", g, csr, ref, n, o, true)
+						return
+					}
+				}
+			}
+		}
+		t.Fatal("no leaf Rnet with an interior node; fixture is broken")
+	})
+
+	t.Run("budget stop", func(t *testing.T) {
+		lim := Limits{Budget: 3}
+		for _, s := range []*Session{csr, ref} {
+			path, _, stats, err := s.PathToLimited(Query{Node: far[1]}, target.ID, lim)
+			if !errors.Is(err, apierr.ErrBudgetExhausted) || !stats.Truncated || stats.NodesPopped != lim.Budget || path != nil {
+				t.Fatalf("budget %d: path %v, stats %+v, err %v", lim.Budget, path, stats, err)
+			}
+		}
+	})
+
+	// Last, because it takes the fixture apart.
+	t.Run("target cut off by closures", func(t *testing.T) {
+		for _, n := range [2]graph.NodeID{ed.U, ed.V} {
+			for _, half := range append([]graph.Half(nil), g.Neighbors(n)...) {
+				if half.Edge == target.Edge {
+					continue
+				}
+				if _, err := f.DeleteEdge(half.Edge); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		f.WarmTrees()
+		from := far[2]
+		if from == ed.U || from == ed.V {
+			from = far[3]
+		}
+		assertRouteIsShortest(t, "cut off", g, csr, ref, from, target, false)
+		_, _, wantStats, wantErr := ref.PathToLimited(Query{Node: from}, target.ID, Limits{})
+		_, _, gotStats, gotErr := csr.PathToLimited(Query{Node: from}, target.ID, Limits{})
+		assertSameError(t, "cut off", wantErr, gotErr)
+		assertIdenticalStats(t, "cut off", wantStats, gotStats)
+		if !errors.Is(gotErr, apierr.ErrUnreachable) {
+			t.Fatalf("closures left object %d reachable from node %d (err %v); the case is vacuous", target.ID, from, gotErr)
+		}
+		// From inside the island the target is still one hop away.
+		assertRouteIsShortest(t, "inside the island", g, csr, ref, ed.U, target, true)
+	})
+}
+
+// topRnetOf returns the level-1 Rnet of n's first live edge.
+func topRnetOf(f *Framework, n graph.NodeID) rnet.RnetID {
+	return f.h.AncestorAt(f.h.LeafOf(f.g.Neighbors(n)[0].Edge), 1)
+}
+
+// TestPathPopsFarBelowDijkstra is the coarse pin on what the index buys a
+// route: on the CA network, with 1000 objects spread over it, the mean
+// nodes a route settles stay under a fifth of what a plain Dijkstra to the
+// same target's endpoints settles.
+func TestPathPopsFarBelowDijkstra(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CA network")
+	}
+	f := caFramework(t)
+	s := f.NewSession()
+	truth := graph.NewSearch(f.g)
+	rng := rand.New(rand.NewSource(41))
+	all := f.objects.All()
+	var routePops, plainPops int
+	for i := 0; i < 100; i++ {
+		from := graph.NodeID(rng.Intn(f.g.NumNodes()))
+		target := all[rng.Intn(len(all))]
+		_, _, stats, err := s.PathToLimited(Query{Node: from}, target.ID, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		routePops += stats.NodesPopped
+		ed := f.g.Edge(target.Edge)
+		truth.Run(from, graph.Options{Targets: []graph.NodeID{ed.U, ed.V}})
+		plainPops += truth.Visited
+	}
+	t.Logf("100 CA routes: %d pops through the index, %d by plain Dijkstra", routePops, plainPops)
+	if routePops*5 > plainPops {
+		t.Fatalf("routes settle %d nodes, plain Dijkstra %d: the index should save at least 5x", routePops, plainPops)
 	}
 }
 
@@ -683,10 +872,11 @@ func FuzzCSRBuild(f *testing.F) {
 	})
 }
 
-// BenchmarkSessionKNNCSR / BenchmarkSessionKNNReference measure the two
-// query paths side by side.
-func benchmarkSessionKNN(b *testing.B, ref bool) {
+// benchSession builds the benchmarks' network — 8000 nodes, 1200 objects —
+// and a session on the chosen query path.
+func benchSession(b *testing.B, ref bool) (*Session, *graph.Graph, *graph.ObjectSet) {
 	cfg := defaultCfg()
+	cfg.Rnet.StorePaths = true
 	cfg.BufferPages = -1
 	g := dataset.MustGenerate(dataset.Spec{Name: "b", Nodes: 8000, Edges: 10400, Seed: 99})
 	objects := dataset.PlaceUniform(g, 1200, 100, 0, 7, 9)
@@ -696,6 +886,13 @@ func benchmarkSessionKNN(b *testing.B, ref bool) {
 	}
 	s := fw.NewSession()
 	s.UseReferencePath(ref)
+	return s, g, objects
+}
+
+// BenchmarkSessionKNNCSR / BenchmarkSessionKNNReference measure the two
+// query paths side by side.
+func benchmarkSessionKNN(b *testing.B, ref bool) {
+	s, g, _ := benchSession(b, ref)
 	starts := dataset.RandomNodes(g, 256, 5)
 	buf := make([]Result, 0, 16)
 	b.ReportAllocs()
@@ -708,3 +905,28 @@ func benchmarkSessionKNN(b *testing.B, ref bool) {
 
 func BenchmarkSessionKNNCSR(b *testing.B)       { benchmarkSessionKNN(b, false) }
 func BenchmarkSessionKNNReference(b *testing.B) { benchmarkSessionKNN(b, true) }
+
+// BenchmarkSessionPathToCSR / BenchmarkSessionPathToReference do the same
+// for route queries, and report what a route costs in settled nodes and
+// how long it is.
+func benchmarkSessionPathTo(b *testing.B, ref bool) {
+	s, g, objects := benchSession(b, ref)
+	starts := dataset.RandomNodes(g, 256, 5)
+	all := objects.All()
+	var pops, nodes int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		path, _, stats, err := s.PathToLimited(Query{Node: starts[i%len(starts)]}, all[i*7%len(all)].ID, Limits{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pops += stats.NodesPopped
+		nodes += len(path)
+	}
+	b.ReportMetric(float64(pops)/float64(b.N), "pops/op")
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+}
+
+func BenchmarkSessionPathToCSR(b *testing.B)       { benchmarkSessionPathTo(b, false) }
+func BenchmarkSessionPathToReference(b *testing.B) { benchmarkSessionPathTo(b, true) }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"road/internal/apierr"
 	"road/internal/graph"
@@ -36,9 +37,19 @@ func (f *Framework) PathToLimited(q Query, target graph.ObjectID, lim Limits) ([
 	return f.pathTo(q, target, true, lim)
 }
 
-// pathTo is the shared path computation. chargeIO routes shortcut-tree
-// visits and abstract probes through the simulated page store; Sessions
-// pass false so concurrent path queries never touch shared buffer state.
+// pathTo is the reference path computation: Algorithm ChoosePath with the
+// target as the only object of interest. An Rnet is explorable iff it
+// contains the target's edge — it lies on the ancestor chain of that edge's
+// leaf — and every other Rnet is bypassed through the settled node's
+// shortcuts whenever the node is one of its borders; q.Attr validates the
+// target and plays no part in the search. The rule is exact: shortcuts
+// preserve border-to-border distances, and an entry whose node is not a
+// border is always descended, so physical edges are relaxed in just two
+// places — the source's own region, until the search reaches its borders,
+// and the target's chain — which are the only places a shortest route
+// leaves the shortcut overlay. chargeIO routes shortcut-tree visits through
+// the simulated page store; Sessions pass false so concurrent path queries
+// never touch shared buffer state.
 func (f *Framework) pathTo(q Query, target graph.ObjectID, chargeIO bool, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
 	stats := QueryStats{ShardsSearched: 1}
 	if !f.h.Config().StorePaths {
@@ -58,13 +69,10 @@ func (f *Framework) pathTo(q Query, target graph.ObjectID, chargeIO bool, lim Li
 	pq.Push(q.Node, 0.0)
 	links[q.Node] = parentLink{prev: graph.NoNode, edge: graph.NoEdge}
 
+	// The search runs directed at the object's two endpoint nodes.
 	e := f.g.Edge(o.Edge)
-	// The search runs directed at the object's two endpoint nodes; the
-	// Rnet bypass decisions use the object's own attribute so regions
-	// containing only the target stay explorable.
 	bestEnd := graph.NoNode
 	bestDist := math.Inf(1)
-	verdicts := make(map[rnet.RnetID]bool)
 
 	relax := func(n graph.NodeID, nd float64, link parentLink) {
 		if cur, ok := links[n]; ok && cur.prev != graph.NoNode && cur.dist <= nd {
@@ -76,6 +84,7 @@ func (f *Framework) pathTo(q Query, target graph.ObjectID, chargeIO bool, lim Li
 		pq.Push(n, nd)
 	}
 
+	var stack []*rnet.TreeNode
 	for pq.Len() > 0 {
 		item, _ := pq.Pop()
 		n := item.Value.(graph.NodeID)
@@ -102,26 +111,25 @@ func (f *Framework) pathTo(q Query, target graph.ObjectID, chargeIO bool, lim Li
 			bestEnd = n
 		}
 
-		mayContain := func(r rnet.RnetID) bool {
-			v, ok := verdicts[r]
-			if !ok {
-				// A bypass is only safe if neither the target's region nor
-				// a matching object lies inside.
-				v = f.ad.rnetMayContain(r, q.Attr, chargeIO) || f.rnetContainsEdge(r, o.Edge)
-				verdicts[r] = v
-			}
-			return v
-		}
 		tree := f.h.Tree(n)
 		if chargeIO {
 			tree = f.ro.Visit(n)
 		}
-		for _, s := range treeStack(tree) {
-			if s.IsBorder && !mayContain(s.Rnet) {
+		// The stack-order descent of choosePath.
+		stack = append(stack[:0], tree...)
+		for len(stack) > 0 {
+			s := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if s.IsBorder && !f.rnetContainsEdge(s.Rnet, o.Edge) {
 				stats.RnetsBypassed++
 				for _, sc := range f.h.ShortcutsFrom(s.Rnet, n) {
 					relax(sc.To, d+sc.Dist, parentLink{prev: n, edge: graph.NoEdge, rnet: s.Rnet, dist: d + sc.Dist})
 				}
+				continue
+			}
+			if len(s.Children) > 0 {
+				stats.RnetsDescended++
+				stack = append(stack, s.Children...)
 				continue
 			}
 			for _, half := range s.Edges {
@@ -144,33 +152,36 @@ func (f *Framework) pathTo(q Query, target graph.ObjectID, chargeIO bool, lim Li
 		if link.edge != graph.NoEdge {
 			rev = append(rev, cur)
 		} else {
-			leg, err := f.expandHop(link.rnet, link.prev, cur)
-			if err != nil {
+			var err error
+			if rev, err = f.appendHopReversed(rev, link.rnet, link.prev, cur); err != nil {
 				return nil, 0, stats, err
-			}
-			// leg runs prev..cur; append in reverse, excluding prev.
-			for i := len(leg) - 1; i >= 1; i-- {
-				rev = append(rev, leg[i])
 			}
 		}
 		cur = link.prev
 	}
 	rev = append(rev, q.Node)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
+	slices.Reverse(rev)
 	return rev, bestDist, stats, nil
 }
 
-// expandHop expands the shortcut from a to b across Rnet r into its full
-// node sequence.
-func (f *Framework) expandHop(r rnet.RnetID, a, b graph.NodeID) ([]graph.NodeID, error) {
+// appendHopReversed expands the shortcut from a to b across Rnet r into
+// its full node sequence and appends it to rev backwards — b first, a
+// left out — which is the order the walk back from the target collects a
+// route in. The expansion is written into rev itself, so a caller that
+// reuses rev expands without allocating.
+func (f *Framework) appendHopReversed(rev []graph.NodeID, r rnet.RnetID, a, b graph.NodeID) ([]graph.NodeID, error) {
 	for _, sc := range f.h.ShortcutsFrom(r, a) {
-		if sc.To == b {
-			return f.h.ExpandShortcut(r, sc)
+		if sc.To != b {
+			continue
 		}
+		out, err := f.h.AppendShortcutPath(rev, r, sc)
+		if err != nil {
+			return rev, err
+		}
+		slices.Reverse(out[len(rev):])
+		return out[:len(out)-1], nil
 	}
-	return nil, fmt.Errorf("core: no shortcut %d->%d in Rnet %d", a, b, r)
+	return rev, fmt.Errorf("core: no shortcut %d->%d in Rnet %d", a, b, r)
 }
 
 // rnetContainsEdge reports whether edge e lies inside Rnet r.
@@ -180,22 +191,4 @@ func (f *Framework) rnetContainsEdge(r rnet.RnetID, e graph.EdgeID) bool {
 		return false
 	}
 	return f.h.AncestorAt(leaf, f.h.Rnet(r).Level) == r
-}
-
-// treeStack flattens the shortcut-tree entries of one node into the
-// processing order choosePath uses, resolving descent decisions lazily is
-// unnecessary here because the caller filters per entry.
-func treeStack(tops []*rnet.TreeNode) []*rnet.TreeNode {
-	var out []*rnet.TreeNode
-	var stack []*rnet.TreeNode
-	stack = append(stack, tops...)
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, s)
-		if len(s.Children) > 0 {
-			stack = append(stack, s.Children...)
-		}
-	}
-	return out
 }

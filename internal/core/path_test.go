@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"road/internal/dataset"
@@ -176,5 +178,72 @@ func TestExpandShortcutAllLevels(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no shortcuts expanded; test vacuous")
+	}
+}
+
+// TestPathToObjectDensityInvariance pins the route search's rule: the only
+// object of interest is the target, so what else is on the map must not
+// change a route query. The same (query node, target edge) pairs run over
+// one network against an object set holding nothing but the target and
+// against a dense one (an object on every third edge); path, distance and
+// traversal statistics must be identical, on both twins. A verdict that
+// consults the object abstracts fails this: the dense set multiplies the
+// pops.
+func TestPathToObjectDensityInvariance(t *testing.T) {
+	g := dataset.MustGenerate(dataset.Spec{Name: "p", Nodes: 2000, Edges: 2300, Seed: 13})
+	dense := graph.NewObjectSet(g)
+	denseOn := map[graph.EdgeID]graph.ObjectID{}
+	for e := 0; e < g.NumEdges(); e += 3 {
+		o := dense.MustAdd(graph.EdgeID(e), g.Weight(graph.EdgeID(e))/2, int32(e%4))
+		denseOn[o.Edge] = o.ID
+	}
+	fDense, err := Build(g, dense, Config{
+		Rnet:        rnet.Config{Fanout: 4, Levels: 4, KLPasses: -1, PruneMaxBorders: 32, StorePaths: true},
+		BufferPages: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	denseCSR, denseRef := csrAndRefSessions(fDense)
+
+	rng := rand.New(rand.NewSource(14))
+	var bypassed, popped int
+	for i := 0; i < 40; i++ {
+		q := Query{Node: graph.NodeID(rng.Intn(g.NumNodes()))}
+		target := graph.EdgeID(3 * rng.Intn(g.NumEdges()/3))
+		solo := graph.NewObjectSet(g)
+		only := solo.MustAdd(target, g.Weight(target)/2, 0)
+		soloCSR, soloRef := csrAndRefSessions(Rebind(fDense, solo, AbstractBloom))
+
+		for _, twin := range []struct {
+			name          string
+			sSolo, sDense *Session
+		}{{"csr", soloCSR, denseCSR}, {"reference", soloRef, denseRef}} {
+			sSolo, sDense := twin.sSolo, twin.sDense
+			label := fmt.Sprintf("pair %d node=%d edge=%d %s", i, q.Node, target, twin.name)
+
+			wantPath, wantDist, wantStats, err := sSolo.PathToLimited(q, only.ID, Limits{})
+			if err != nil {
+				t.Fatalf("%s: target-only set: %v", label, err)
+			}
+			gotPath, gotDist, gotStats, err := sDense.PathToLimited(q, denseOn[target], Limits{})
+			if err != nil {
+				t.Fatalf("%s: dense set: %v", label, err)
+			}
+			if gotDist != wantDist || !slices.Equal(gotPath, wantPath) {
+				t.Fatalf("%s: dense set routed %v (%v), target-only set %v (%v)", label, gotPath, gotDist, wantPath, wantDist)
+			}
+			if gotStats.NodesPopped != wantStats.NodesPopped || gotStats.RnetsBypassed != wantStats.RnetsBypassed ||
+				gotStats.RnetsDescended != wantStats.RnetsDescended {
+				t.Fatalf("%s: dense set cost %+v, target-only set %+v", label, gotStats, wantStats)
+			}
+			verifyPath(t, g, only, q.Node, gotPath, gotDist)
+			bypassed += gotStats.RnetsBypassed
+			popped += gotStats.NodesPopped
+		}
+	}
+	if bypassed == 0 || popped == 0 {
+		t.Fatalf("no Rnet bypassed (%d) or node settled (%d); test vacuous", bypassed, popped)
 	}
 }

@@ -164,8 +164,9 @@ type queryWorkspace struct {
 	// benchmark flip it to compare the two paths in one process.
 	useRef bool
 
-	// Dense CSR-path scratch: Rnet verdict memo, visited objects, and the
-	// path search's parent links, all valid only where the stamp matches
+	// Dense CSR-path scratch: Rnet verdict memo (for a path search, the
+	// stamp alone marks the target's ancestor chain), visited objects, and
+	// the path search's parent links, all valid only where the stamp matches
 	// epoch.
 	verdictEpoch []uint32
 	verdictVal   []bool
@@ -175,6 +176,9 @@ type queryWorkspace struct {
 	linkEdge     []int32
 	linkRnet     []int32
 	linkDist     []float64
+	// hops is where the path search rebuilds its route, target first, before
+	// copying it out reversed.
+	hops []graph.NodeID
 }
 
 func (f *Framework) workspace() *queryWorkspace {

@@ -163,7 +163,8 @@ func (s *Server) Coordinator() *Coordinator { return s.coord }
 //	GET  /knn?node=N&k=K[&attr=A][&budget=B]     k nearest objects
 //	GET  /within?node=N&radius=R[&attr=A][&budget=B]
 //	                                             objects within distance R
-//	GET  /path?node=N&object=O                   detailed route
+//	GET  /path?node=N&object=O[&attr=A][&budget=B]
+//	                                             detailed route
 //	POST /batch                                  [{"knn":{...}},...] on one session
 //	POST /maintenance/set-distance               {"edge":E,"dist":D}
 //	POST /maintenance/close                      {"edge":E}
@@ -586,7 +587,18 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	attr, err := queryAttr(r)
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	budget, err := queryBudget(r)
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	s.met.requests[epPath].Inc()
+	req := road.PathRequest{From: road.NodeID(node), Object: road.ObjectID(obj), Attr: attr, Budget: budget}
 	start := time.Now()
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
@@ -599,7 +611,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	var st road.Stats
 	s.coord.Read(func(epoch uint64) {
 		sess := s.pool.Get()
-		p, qst, err := sess.PathToContext(ctx, road.PathRequest{From: road.NodeID(node), Object: road.ObjectID(obj)})
+		p, qst, err := sess.PathToContext(ctx, req)
 		s.pool.Put(sess)
 		st = qst
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"road"
@@ -230,6 +231,32 @@ func TestPathWithoutStorePaths(t *testing.T) {
 	ts := httptest.NewServer(New(db, Options{}).Handler())
 	defer ts.Close()
 	getJSON[ErrorResponse](t, ts, fmt.Sprintf("/path?node=0&object=%d", bID), http.StatusUnprocessableEntity)
+}
+
+// TestPathHonoursAttrAndBudget: /path takes the same optional attr and
+// budget parameters as /knn and /within, with the same outcomes.
+func TestPathHonoursAttrAndBudget(t *testing.T) {
+	db, _, bID, _ := buildSquare(t, road.Options{StorePaths: true})
+	ts := httptest.NewServer(New(db, Options{}).Handler())
+	defer ts.Close()
+	base := fmt.Sprintf("/path?node=0&object=%d", bID)
+
+	// The object's own category and a budget the route fits in change nothing.
+	plain := getJSON[PathResponse](t, ts, base, http.StatusOK)
+	got := getJSON[PathResponse](t, ts, base+"&attr=1&budget=100", http.StatusOK)
+	if got.Dist != plain.Dist || !slices.Equal(got.Path, plain.Path) {
+		t.Fatalf("attr=1&budget=100 answered %v/%v, plain request %v/%v", got.Dist, got.Path, plain.Dist, plain.Path)
+	}
+
+	if e := getJSON[ErrorResponse](t, ts, base+"&budget=1", http.StatusServiceUnavailable); e.Code != "budget_exhausted" {
+		t.Fatalf("budget=1: code %q, want budget_exhausted", e.Code)
+	}
+	if e := getJSON[ErrorResponse](t, ts, base+"&attr=2", http.StatusUnprocessableEntity); e.Code != "query_failed" {
+		t.Fatalf("attr=2 on a category-1 object: code %q, want query_failed", e.Code)
+	}
+	for _, bad := range []string{"&budget=-1", "&budget=x", "&attr=x", "&attr=99999999999"} {
+		getJSON[ErrorResponse](t, ts, base+bad, http.StatusBadRequest)
+	}
 }
 
 func TestBadRequests(t *testing.T) {

@@ -46,7 +46,9 @@ type PathRequest struct {
 	From   NodeID   `json:"from"`
 	Object ObjectID `json:"object"`
 	// Attr, when non-zero, requires the target object to match the
-	// attribute category (ErrAttrMismatch otherwise).
+	// attribute category (ErrAttrMismatch otherwise). It validates the
+	// target and does not steer the search: the route, its cost and its
+	// Stats are the same with and without it.
 	Attr   int32 `json:"attr,omitempty"`
 	Budget int   `json:"budget,omitempty"`
 }

@@ -107,7 +107,9 @@ type Querier interface {
 	KNNContext(ctx context.Context, req KNNRequest) ([]Result, Stats, error)
 	// WithinContext answers a range request, closest first.
 	WithinContext(ctx context.Context, req WithinRequest) ([]Result, Stats, error)
-	// PathToContext answers a detailed-route request.
+	// PathToContext answers a detailed-route request. req.Attr validates
+	// the target (ErrAttrMismatch) and does not steer the search: the route
+	// and its cost depend on From and the target alone.
 	PathToContext(ctx context.Context, req PathRequest) (Path, Stats, error)
 	// Epoch returns the store's maintenance epoch as seen by this read
 	// context — the cache-invalidation fence.
