@@ -196,28 +196,26 @@ func run(cfg config) error {
 		defer qlog.Close()
 		cfg.qlog = qlog
 	}
-	var srv *server.Server
-	var journalSize func() int64
-	var closeJournals func() error
+	var store road.Store
+	var opts server.Options
+	var closeStore func() error
 	var err error
 	switch {
 	case cfg.shardHosts != "":
-		srv, journalSize, closeJournals, err = setupRemote(cfg)
+		store, opts, closeStore, err = setupRemote(cfg)
 	case cfg.shards > 1:
-		srv, journalSize, closeJournals, err = setupSharded(cfg)
+		store, opts, closeStore, err = setupSharded(cfg)
 	default:
-		srv, journalSize, closeJournals, err = setupSingle(cfg)
+		store, opts, closeStore, err = setupSingle(cfg)
 	}
 	if err != nil {
 		return err
 	}
-	if closeJournals != nil {
-		// Close (and thereby fsync) the journals on the way out, so a
-		// clean shutdown leaves every acknowledged op on stable storage
-		// even without -journal-sync.
-		defer closeJournals()
-	}
-	return serve(cfg, srv, journalSize)
+	// Close (and thereby fsync) the journals — or stop the fleet's health
+	// loops — on the way out, so a clean shutdown leaves every acknowledged
+	// op on stable storage even without -journal-sync.
+	defer closeStore()
+	return serve(cfg, server.New(store, opts), store.JournalSizeBytes)
 }
 
 // serve runs the HTTP front end, the optional journal-size watcher, and
@@ -301,19 +299,26 @@ func watchJournal(srv *server.Server, size func() int64, maxBytes int64, stop <-
 
 // --- Single-index deployment ---
 
-func setupSingle(cfg config) (*server.Server, func() int64, func() error, error) {
+// Each set-up returns the opened (and journal-replayed) store, the serving
+// options it needs, and what to close on the way out; fail is their error
+// return.
+func fail(err error) (road.Store, server.Options, func() error, error) {
+	return nil, server.Options{}, nil, err
+}
+
+func setupSingle(cfg config) (road.Store, server.Options, func() error, error) {
 	// Stat the snapshot exactly once: "absent" means build-and-create, but
 	// any other stat failure (unreadable parent, permission) must surface —
 	// silently running unpersisted would only be discovered at the next
 	// restart.
 	snapExists, err := usableFile(cfg.snapPath)
 	if err != nil {
-		return nil, nil, nil, err
+		return fail(err)
 	}
 
 	db, err := openDB(cfg, snapExists)
 	if err != nil {
-		return nil, nil, nil, err
+		return fail(err)
 	}
 
 	// Journal: replay whatever the base state (snapshot or fresh build)
@@ -322,7 +327,7 @@ func setupSingle(cfg config) (*server.Server, func() int64, func() error, error)
 	if cfg.journalPath != "" {
 		journal, err := road.OpenJournal(cfg.journalPath)
 		if err != nil {
-			return nil, nil, nil, err
+			return fail(err)
 		}
 		closeJournal = journal.Close
 		journal.SyncEachAppend = cfg.journalSync
@@ -332,7 +337,7 @@ func setupSingle(cfg config) (*server.Server, func() int64, func() error, error)
 			if !road.IsReplayOpError(rerr) {
 				// Fatal: the journal could not be fully read; serving now
 				// would silently drop the unapplied tail.
-				return nil, nil, nil, fmt.Errorf("journal replay: %w", rerr)
+				return fail(fmt.Errorf("journal replay: %w", rerr))
 			}
 			// Expected: an op that failed live fails identically on replay.
 			fmt.Printf("roadd: journal replay note: %v\n", rerr)
@@ -342,7 +347,7 @@ func setupSingle(cfg config) (*server.Server, func() int64, func() error, error)
 				applied, time.Since(start).Round(time.Millisecond), db.Epoch())
 		}
 		if err := db.AttachJournal(journal); err != nil {
-			return nil, nil, nil, err
+			return fail(err)
 		}
 	}
 
@@ -350,7 +355,7 @@ func setupSingle(cfg config) (*server.Server, func() int64, func() error, error)
 	// the next start is O(load).
 	if cfg.snapPath != "" && !snapExists {
 		if err := db.SaveSnapshotFile(cfg.snapPath); err != nil {
-			return nil, nil, nil, err
+			return fail(err)
 		}
 		fmt.Printf("roadd: wrote initial snapshot %s\n", cfg.snapPath)
 	}
@@ -369,15 +374,15 @@ func setupSingle(cfg config) (*server.Server, func() int64, func() error, error)
 			return fileSize(cfg.snapPath), nil
 		}
 	}
-	return server.New(db, opts), db.JournalSizeBytes, closeJournal, nil
+	return db, opts, closeJournal, nil
 }
 
 // --- Sharded deployment ---
 
-func setupSharded(cfg config) (*server.Server, func() int64, func() error, error) {
+func setupSharded(cfg config) (road.Store, server.Options, func() error, error) {
 	snapExists, err := usableFile(manifestPathOrEmpty(cfg.snapPath))
 	if err != nil {
-		return nil, nil, nil, err
+		return fail(err)
 	}
 
 	var db *road.ShardedDB
@@ -385,7 +390,7 @@ func setupSharded(cfg config) (*server.Server, func() int64, func() error, error
 		start := time.Now()
 		db, err = road.OpenShardedSnapshotFiles(cfg.snapPath)
 		if err != nil {
-			return nil, nil, nil, err
+			return fail(err)
 		}
 		fmt.Printf("roadd: loaded %d shard snapshots under %s in %v (%d nodes, %d edges, %d objects)\n",
 			db.NumShards(), cfg.snapPath, time.Since(start).Round(time.Millisecond),
@@ -393,7 +398,7 @@ func setupSharded(cfg config) (*server.Server, func() int64, func() error, error
 	} else {
 		g, set, err := loadOrGenerate(cfg.load, cfg.net, cfg.scale, cfg.objects, cfg.seed)
 		if err != nil {
-			return nil, nil, nil, err
+			return fail(err)
 		}
 		fmt.Printf("roadd: building %d shards over %d nodes, %d edges, %d objects...\n",
 			cfg.shards, g.NumNodes(), g.NumEdges(), set.Len())
@@ -403,7 +408,7 @@ func setupSharded(cfg config) (*server.Server, func() int64, func() error, error
 			Seed:   cfg.seed,
 		}, cfg.shards)
 		if err != nil {
-			return nil, nil, nil, err
+			return fail(err)
 		}
 		fmt.Printf("roadd: built in %v, index ≈ %d KB across %d shards\n",
 			time.Since(start).Round(time.Millisecond), db.IndexSizeBytes()/1024, db.NumShards())
@@ -412,13 +417,13 @@ func setupSharded(cfg config) (*server.Server, func() int64, func() error, error
 	if cfg.journalPath != "" {
 		journals, err := db.OpenShardJournals(cfg.journalPath, cfg.journalSync)
 		if err != nil {
-			return nil, nil, nil, err
+			return fail(err)
 		}
 		start := time.Now()
 		applied, rerr := db.ReplayJournals(journals)
 		if rerr != nil {
 			if !road.IsReplayOpError(rerr) {
-				return nil, nil, nil, fmt.Errorf("shard journal replay: %w", rerr)
+				return fail(fmt.Errorf("shard journal replay: %w", rerr))
 			}
 			fmt.Printf("roadd: journal replay note: %v\n", rerr)
 		}
@@ -427,13 +432,13 @@ func setupSharded(cfg config) (*server.Server, func() int64, func() error, error
 				applied, db.NumShards(), time.Since(start).Round(time.Millisecond), db.Epoch())
 		}
 		if err := db.AttachJournals(journals); err != nil {
-			return nil, nil, nil, err
+			return fail(err)
 		}
 	}
 
 	if cfg.snapPath != "" && !snapExists {
 		if err := db.SaveSnapshotFiles(cfg.snapPath); err != nil {
-			return nil, nil, nil, err
+			return fail(err)
 		}
 		fmt.Printf("roadd: wrote initial shard snapshots under %s\n", cfg.snapPath)
 	}
@@ -454,7 +459,7 @@ func setupSharded(cfg config) (*server.Server, func() int64, func() error, error
 			return total, nil
 		}
 	}
-	return server.New(db, opts), db.JournalSizeBytes, db.CloseJournals, nil
+	return db, opts, db.CloseJournals, nil
 }
 
 // --- Remote deployment (router over roadshard hosts) ---
@@ -463,7 +468,7 @@ func setupSharded(cfg config) (*server.Server, func() int64, func() error, error
 // hosts. Persistence is host-owned: /admin/snapshot fans out to every
 // host (each snapshots its shards and rotates its journals), and
 // snapshot-on-shutdown is skipped — hosts persist on their own SIGTERM.
-func setupRemote(cfg config) (*server.Server, func() int64, func() error, error) {
+func setupRemote(cfg config) (road.Store, server.Options, func() error, error) {
 	reg := obs.NewRegistry()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -474,7 +479,7 @@ func setupRemote(cfg config) (*server.Server, func() int64, func() error, error)
 	start := time.Now()
 	db, err := road.OpenRemote(ctx, hosts, road.RemoteOptions{Registry: reg})
 	if err != nil {
-		return nil, nil, nil, err
+		return fail(err)
 	}
 	fmt.Printf("roadd: assembled router over %d hosts serving %d shards in %v (%d nodes, %d edges, %d objects)\n",
 		len(hosts), db.NumShards(), time.Since(start).Round(time.Millisecond),
@@ -487,7 +492,7 @@ func setupRemote(cfg config) (*server.Server, func() int64, func() error, error)
 		return 0, db.Save("")
 	}
 	closeFleet := func() error { db.Close(); return nil }
-	return server.New(db, opts), db.JournalSizeBytes, closeFleet, nil
+	return db, opts, closeFleet, nil
 }
 
 // --- Shared helpers ---

@@ -13,10 +13,14 @@
 //
 // # The Store v1 API
 //
-// One logical search service hides behind the Store interface, with two
-// implementations: DB (a single index) and ShardedDB (K region shards
-// behind a query router, the deployment shape for big networks). Code
-// written against Store runs unchanged over either.
+// One logical search service hides behind the Store interface, with three
+// implementations: DB (a single index), ShardedDB (K region shards behind
+// a query router, the deployment shape for big networks) and RemoteDB
+// (the same router over shards served by out-of-process roadshard hosts).
+// The last two are one implementation over the router — they embed the
+// same base and differ only in where persistence lives: per-shard files
+// and journals for a ShardedDB, the hosts for a RemoteDB. Code written
+// against Store runs unchanged over any of them.
 //
 // Queries take a context and a typed request built with functional
 // options:
@@ -45,12 +49,13 @@
 //	w := road.NewWithin(c, 1.0)
 //	answers := db.Query(ctx, []road.Request{{KNN: &k}, {Within: &w}})
 //
-// Concurrent readers take one Querier each from Store.OpenSession. A DB
+// Concurrent readers take one Querier each from Store.OpenSession: a
+// Session on a DB, a RouterSession on a ShardedDB or a RemoteDB. A DB
 // does no locking between queries and maintenance (the internal/server
 // subsystem, command roadd, layers an epoch-guarded coordinator on top
-// when serving traffic); a ShardedDB synchronizes internally — it
-// satisfies Synchronized — with per-shard write locks, so queries and
-// mutations may overlap and a mutation stalls only readers of the one
+// when serving traffic); the router-backed stores synchronize internally
+// — they satisfy Synchronized — with per-shard write locks, so queries
+// and mutations may overlap and a mutation stalls only readers of the one
 // shard it touches.
 //
 // The store separates the network from the objects: road closures,
@@ -61,7 +66,6 @@
 // OpenSnapshotFile, ReplayJournal) make restarts O(load) instead of
 // O(build).
 //
-// The ctx-less methods (KNN, Within, PathTo) are the deprecated v0
-// surface, kept as thin wrappers until the removal PR; MIGRATION.md maps
-// old signatures to new.
+// The ctx-less v0 methods (KNN, Within, PathTo) are gone; MIGRATION.md
+// maps old signatures and type names to new.
 package road

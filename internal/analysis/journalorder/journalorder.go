@@ -8,8 +8,10 @@
 //
 // Journal appends are calls to Append on a *Journal (or to a same-
 // package helper that transitively appends, like DB.logOp or
-// ShardedDB.journalAndApply). State applies are the framework and
-// router mutators (InsertObject, SetEdgeWeight, ApplyOp, HostApply, …)
+// routerStore.journalAndApply — the one write-ahead helper ShardedDB and
+// RemoteDB reach as a promoted method of their embedded base, which the
+// analyzer follows like any other call). State applies are the framework
+// and router mutators (InsertObject, SetEdgeWeight, ApplyOp, HostApply, …)
 // or helpers that transitively apply. Functions that apply WITHOUT any
 // append — journal replay, snapshot load — are exempt by construction:
 // the check only fires where both kinds of call are present.

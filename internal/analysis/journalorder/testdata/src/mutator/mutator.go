@@ -86,3 +86,37 @@ func replay(st *State, ops []Op) error {
 	}
 	return nil
 }
+
+// embedded holds the write-ahead helper the way road's router-backed
+// base does under ShardedDB and RemoteDB: callers reach it through the
+// outer type, as a promoted method.
+type embedded struct {
+	j  *Journal
+	st *State
+}
+
+// logOp appends to the embedded journal.
+func (b *embedded) logOp(op Op) error {
+	_, err := b.j.Append(op)
+	return err
+}
+
+// Outer embeds the helper holder.
+type Outer struct{ embedded }
+
+// goodPromoted appends through the promoted helper, then applies.
+func (o *Outer) goodPromoted(op Op) error {
+	if err := o.logOp(op); err != nil {
+		return err
+	}
+	return o.st.ApplyOp(op)
+}
+
+// badPromoted applies first: the promoted helper still counts as the
+// append, so this is a journaled mutator in the wrong order.
+func (o *Outer) badPromoted(op Op) error {
+	if err := o.st.ApplyOp(op); err != nil { // want `state apply before journal append`
+		return err
+	}
+	return o.logOp(op)
+}

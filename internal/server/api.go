@@ -1,11 +1,14 @@
 // Package server is roadd's serving subsystem: an HTTP/JSON API over any
-// road.Store — a single-index road.DB or a sharded road.ShardedDB. Read
-// queries (kNN, range, path, batch) run concurrently with each other on
-// pooled sessions; how maintenance operations (edge weight updates, road
+// road.Store — a single-index road.DB, a sharded road.ShardedDB or a
+// road.RemoteDB over out-of-process shard hosts. Read queries (kNN,
+// range, path, batch) run concurrently with each other on pooled
+// sessions (road.Session, or road.RouterSession on the two router-backed
+// stores); how maintenance operations (edge weight updates, road
 // closures, object churn) exclude them depends on the store. A road.DB
 // is guarded by the Coordinator's epoch-guarded store-wide reader/writer
-// lock; a road.Synchronized store (road.ShardedDB) locks internally per
-// shard, so a mutation stalls only readers of the shard it touches.
+// lock; a road.Synchronized store (road.ShardedDB, road.RemoteDB) locks
+// internally per shard, so a mutation stalls only readers of the shard it
+// touches.
 // Query answers are memoized in an LRU cache that the maintenance epoch
 // invalidates wholesale, and /stats surfaces aggregate traversal
 // statistics, cache and session-pool behaviour.

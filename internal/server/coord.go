@@ -13,12 +13,12 @@ import "sync"
 //     concurrently under the read lock; a writer waits out in-flight
 //     readers and runs exclusively.
 //
-//   - Self-coordinated (NewSelfCoordinated; road.ShardedDB and any other
-//     road.Synchronized store): queries and mutations synchronize
-//     internally with per-shard write locks, so the Coordinator imposes
-//     no locking at all — a mutation stalls only readers of its own
-//     shard, not the whole server. Whole-store exclusion (snapshot
-//     saves) delegates to the store's Exclusive.
+//   - Self-coordinated (NewSelfCoordinated; road.ShardedDB, road.RemoteDB
+//     and any other road.Synchronized store): queries and mutations
+//     synchronize internally with per-shard write locks, so the
+//     Coordinator imposes no locking at all — a mutation stalls only
+//     readers of its own shard, not the whole server. Whole-store
+//     exclusion (snapshot saves) delegates to the store's Exclusive.
 //
 // The epoch itself is owned by the underlying store — every successful
 // mutation bumps it — so the Coordinator only observes it. In the locked

@@ -72,14 +72,15 @@ type Options struct {
 // when Options.WorkloadWindow is 0.
 const DefaultWorkloadWindow = 4096
 
-// Server serves one road.Store — a single-index road.DB or a sharded
-// road.ShardedDB, the two deployment shapes behind the same interface —
-// over HTTP/JSON. Reads (kNN, within, path, batch) run concurrently on
-// pooled sessions; maintenance implicitly invalidates the result cache
-// by advancing the store epoch. How reads and maintenance exclude each
-// other depends on the store: a road.DB is guarded by the Coordinator's
-// store-wide reader/writer lock, while a road.Synchronized store
-// (road.ShardedDB) locks internally per shard, so a mutation stalls only
+// Server serves one road.Store — a single-index road.DB, a sharded
+// road.ShardedDB or a road.RemoteDB over shard hosts, the three
+// deployment shapes behind the same interface — over HTTP/JSON. Reads
+// (kNN, within, path, batch) run concurrently on pooled sessions;
+// maintenance implicitly invalidates the result cache by advancing the
+// store epoch. How reads and maintenance exclude each other depends on
+// the store: a road.DB is guarded by the Coordinator's store-wide
+// reader/writer lock, while a road.Synchronized store (road.ShardedDB,
+// road.RemoteDB) locks internally per shard, so a mutation stalls only
 // the readers of the shard it touches.
 type Server struct {
 	b        road.Store
@@ -116,9 +117,9 @@ type fleetStatusProvider interface {
 }
 
 // New wires a serving subsystem around any road.Store: an opened
-// single-index road.DB, a road.ShardedDB, or any other implementation.
-// Stores that synchronize internally (road.Synchronized) are served
-// without the store-wide reader/writer lock.
+// single-index road.DB, a road.ShardedDB, a road.RemoteDB, or any other
+// implementation. Stores that synchronize internally (road.Synchronized)
+// are served without the store-wide reader/writer lock.
 func New(store road.Store, opts Options) *Server {
 	coord := NewCoordinator(store.Epoch)
 	if synced, ok := store.(road.Synchronized); ok {

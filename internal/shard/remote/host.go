@@ -79,10 +79,6 @@ type Host struct {
 	snapshots     *obs.Counter
 }
 
-func sidecarPath(prefix string, i int) string { return fmt.Sprintf("%s.%d.ids", prefix, i) }
-func snapPath(prefix string, i int) string    { return fmt.Sprintf("%s.%d", prefix, i) }
-func journalPath(prefix string, i int) string { return fmt.Sprintf("%s.%d", prefix, i) }
-func manifestPath(prefix string) string       { return prefix + ".manifest" }
 func readJSONFile(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -100,7 +96,7 @@ func OpenHost(ids []int, cfg HostConfig) (*Host, error) {
 		return nil, fmt.Errorf("remote: host must own at least one shard")
 	}
 	m := &shard.Manifest{}
-	if err := readJSONFile(manifestPath(cfg.SnapshotPrefix), m); err != nil {
+	if err := readJSONFile(shard.ManifestPath(cfg.SnapshotPrefix), m); err != nil {
 		return nil, fmt.Errorf("remote: reading manifest: %w", err)
 	}
 
@@ -108,14 +104,14 @@ func OpenHost(ids []int, cfg HostConfig) (*Host, error) {
 	idents := make(map[int]*shard.ShardManifest, len(ids))
 	baseSeqs := make(map[int]uint64, len(ids))
 	for _, id := range ids {
-		f, baseSeq, err := snapshot.LoadFile(snapPath(cfg.SnapshotPrefix, id))
+		f, baseSeq, err := snapshot.LoadFile(shard.SnapshotPath(cfg.SnapshotPrefix, id))
 		if err != nil {
 			return nil, fmt.Errorf("remote: shard %d snapshot: %w", id, err)
 		}
 		frameworks[id] = f
 		baseSeqs[id] = baseSeq
 		sm := &shard.ShardManifest{}
-		switch err := readJSONFile(sidecarPath(cfg.SnapshotPrefix, id), sm); {
+		switch err := readJSONFile(shard.SidecarPath(cfg.SnapshotPrefix, id), sm); {
 		case err == nil:
 			idents[id] = sm
 		case os.IsNotExist(err):
@@ -165,7 +161,7 @@ func OpenHost(ids []int, cfg HostConfig) (*Host, error) {
 
 	for _, id := range h.ids {
 		s := assembled[id]
-		j, err := snapshot.OpenJournal(journalPath(cfg.JournalPrefix, id))
+		j, err := snapshot.OpenJournal(shard.JournalPath(cfg.JournalPrefix, id))
 		if err != nil {
 			h.closeJournals()
 			return nil, fmt.Errorf("remote: shard %d journal: %w", id, err)
@@ -208,8 +204,8 @@ func OpenHost(ids []int, cfg HostConfig) (*Host, error) {
 			s:           s,
 			j:           j,
 			baseSeq:     baseSeqs[id],
-			snapPath:    snapPath(cfg.SnapshotPrefix, id),
-			sidecarPath: sidecarPath(cfg.SnapshotPrefix, id),
+			snapPath:    shard.SnapshotPath(cfg.SnapshotPrefix, id),
+			sidecarPath: shard.SidecarPath(cfg.SnapshotPrefix, id),
 		}
 		hs := h.shards[id]
 		hs.searchers.New = func() any { return hs.s.NewLocalSearcher() }

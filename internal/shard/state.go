@@ -13,6 +13,23 @@ import (
 // ManifestVersion is the current sharded-deployment manifest format.
 const ManifestVersion = 1
 
+// The on-disk layout of a sharded deployment, shared by the router-side
+// store that saves it and the shard hosts that boot off it: under a
+// snapshot prefix the manifest and, per shard, a snapshot and (hosts
+// only) an identity sidecar; under a journal prefix one journal per shard.
+
+// ManifestPath names the deployment manifest under a snapshot prefix.
+func ManifestPath(prefix string) string { return prefix + ".manifest" }
+
+// SnapshotPath names shard i's snapshot under a snapshot prefix.
+func SnapshotPath(prefix string, i ID) string { return fmt.Sprintf("%s.%d", prefix, i) }
+
+// SidecarPath names shard i's identity sidecar under a snapshot prefix.
+func SidecarPath(prefix string, i ID) string { return SnapshotPath(prefix, i) + ".ids" }
+
+// JournalPath names shard i's write-ahead journal under a journal prefix.
+func JournalPath(prefix string, i ID) string { return fmt.Sprintf("%s.%d", prefix, i) }
+
 // Manifest is the global-identity side of a sharded deployment's
 // persistent state. Each shard's framework is persisted as an ordinary
 // snapshot in shard-LOCAL coordinates; the manifest records how local
@@ -73,15 +90,7 @@ func (r *Router) Manifest() *Manifest {
 		}
 	}
 	for _, s := range r.shards {
-		sm := ShardManifest{
-			GlobalNode: append([]graph.NodeID(nil), s.globalNode...),
-			GlobalEdge: append([]graph.EdgeID(nil), s.globalEdge...),
-		}
-		for gid, lo := range s.localObj {
-			sm.Objects = append(sm.Objects, [2]graph.ObjectID{lo, gid})
-		}
-		sort.Slice(sm.Objects, func(i, j int) bool { return sm.Objects[i][0] < sm.Objects[j][0] })
-		m.PerShard = append(m.PerShard, sm)
+		m.PerShard = append(m.PerShard, *s.IdentityManifest())
 	}
 	return m
 }

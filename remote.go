@@ -2,13 +2,10 @@ package road
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"road/internal/obs"
-	"road/internal/shard"
 	"road/internal/shard/remote"
-	"road/internal/snapshot"
 )
 
 // RemoteDB is a ROAD database whose K region shards live in other
@@ -36,12 +33,8 @@ import (
 //     their exported state, which reflects the replayed journal — without
 //     a router restart.
 type RemoteDB struct {
-	fleet *remote.Fleet
-	r     *shard.Router
-
-	// sess serves the DB-level convenience queries (single-threaded,
-	// like DB's own methods); concurrent callers use NewSession.
-	sess *shard.Session
+	routerStore // every journal slot stays empty: the hosts journal
+	fleet       *remote.Fleet
 }
 
 // RemoteOptions configures OpenRemote. The zero value is usable.
@@ -76,266 +69,21 @@ func OpenRemote(ctx context.Context, hosts []string, o RemoteOptions) (*RemoteDB
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteDB{fleet: f, r: f.Router()}, nil
+	return &RemoteDB{routerStore: newRouterStore(f.Router()), fleet: f}, nil
 }
 
 // Fleet exposes the underlying host fleet (serving layers, benchmark
 // harnesses, tests).
 func (db *RemoteDB) Fleet() *remote.Fleet { return db.fleet }
 
-// Router exposes the underlying mirror router for advanced use.
-func (db *RemoteDB) Router() *shard.Router { return db.r }
-
 // Close stops the health loops. In-flight RPCs finish on their own
 // timeouts.
 func (db *RemoteDB) Close() { db.fleet.Close() }
-
-// NumShards returns the number of region shards across the fleet.
-func (db *RemoteDB) NumShards() int { return db.r.NumShards() }
-
-// Epoch returns the maintenance epoch: the sum of the host-reported
-// shard epochs. See ShardedDB.Epoch.
-func (db *RemoteDB) Epoch() uint64 { return db.r.Epoch() }
-
-// IndexSizeBytes estimates total index storage across the fleet
-// (host-reported per shard).
-func (db *RemoteDB) IndexSizeBytes() int64 { return db.r.IndexSizeBytes() }
-
-// ShardInfos reports per-shard size, epoch and load counters; the
-// serving layer's /stats and per-shard metrics read these.
-func (db *RemoteDB) ShardInfos() []shard.Info { return db.r.Infos() }
-
-// HomeShardOf returns the shard holding node n, or -1 for an unknown
-// node. Safe on the query hot path (the topology is fixed after build).
-func (db *RemoteDB) HomeShardOf(n NodeID) int { return int(db.r.HomeOf(n)) }
 
 // FleetStatus reports per-host health, RPC latency percentiles and
 // hedge/re-adoption counters; the serving layer's /fleet endpoint
 // surfaces it.
 func (db *RemoteDB) FleetStatus() remote.FleetStatus { return db.fleet.Status() }
-
-// NumNodes returns the global intersection count (fixed at build time).
-func (db *RemoteDB) NumNodes() int { return db.r.Graph().NumNodes() }
-
-// NumRoads returns the global road-segment count (including closed
-// ones).
-func (db *RemoteDB) NumRoads() int { return db.r.NumEdges() }
-
-// NumObjects returns the number of live objects across all shards,
-// tracked router-side. Safe to call concurrently.
-func (db *RemoteDB) NumObjects() int { return db.r.NumObjects() }
-
-// --- Queries (single-threaded convenience, mirroring ShardedDB) ---
-
-func (db *RemoteDB) session() *shard.Session {
-	if db.sess == nil {
-		db.sess = db.r.NewSession()
-	}
-	return db.sess
-}
-
-// RemoteSession is an independent cross-shard read-only query context
-// over the fleet; any number may query concurrently.
-type RemoteSession struct {
-	s  *shard.Session
-	db *RemoteDB
-}
-
-// NewSession returns a concurrent cross-shard query context.
-func (db *RemoteDB) NewSession() *RemoteSession {
-	return &RemoteSession{s: db.r.NewSession(), db: db}
-}
-
-// Epoch returns the maintenance epoch as seen by this session.
-func (s *RemoteSession) Epoch() uint64 { return s.s.Epoch() }
-
-// KNNContext answers a kNN request across the fleet; see
-// ShardedDB.KNNContext. A query that needs a down host fails with
-// ErrShardUnavailable.
-func (db *RemoteDB) KNNContext(ctx context.Context, req KNNRequest) ([]Result, Stats, error) {
-	if err := validateKNN(req, db.NumNodes()); err != nil {
-		return nil, Stats{}, err
-	}
-	res, stats, err := db.session().KNNLimited(req.From, req.K, req.Attr, searchLimits(ctx, req.Budget))
-	return clampByRadius(res, req.MaxRadius), stats, err
-}
-
-// WithinContext answers a range request across the fleet.
-func (db *RemoteDB) WithinContext(ctx context.Context, req WithinRequest) ([]Result, Stats, error) {
-	if err := validateWithin(req, db.NumNodes()); err != nil {
-		return nil, Stats{}, err
-	}
-	return db.session().WithinLimited(req.From, req.Radius, req.Attr, searchLimits(ctx, req.Budget))
-}
-
-// PathToContext answers a detailed-route request across the fleet.
-func (db *RemoteDB) PathToContext(ctx context.Context, req PathRequest) (Path, Stats, error) {
-	if err := validatePath(req, db.NumNodes()); err != nil {
-		return Path{}, Stats{}, err
-	}
-	if err := db.checkPathAttr(req); err != nil {
-		return Path{}, Stats{}, err
-	}
-	nodes, dist, stats, err := db.session().PathToLimited(req.From, req.Object, searchLimits(ctx, req.Budget))
-	return Path{Nodes: nodes, Dist: dist}, stats, err
-}
-
-// checkPathAttr enforces PathRequest.Attr like ShardedDB.checkPathAttr,
-// but through ObjectErr: the object payload lives on a host, and "host
-// unreachable" must surface as ErrShardUnavailable, not ErrNoSuchObject.
-func (db *RemoteDB) checkPathAttr(req PathRequest) error {
-	if req.Attr == 0 {
-		return nil
-	}
-	o, ok, err := db.r.ObjectErr(req.Object)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("road: object %d: %w", req.Object, ErrNoSuchObject)
-	}
-	if o.Attr != req.Attr {
-		return fmt.Errorf("road: object %d does not match attribute %d: %w", req.Object, req.Attr, ErrAttrMismatch)
-	}
-	return nil
-}
-
-// Query answers a batch on the RemoteDB's cached session; see DB.Query.
-func (db *RemoteDB) Query(ctx context.Context, reqs []Request) []Response {
-	return RunBatch(ctx, &RemoteSession{s: db.session(), db: db}, reqs)
-}
-
-// OpenSession returns a concurrent cross-fleet read context as a Querier.
-func (db *RemoteDB) OpenSession() Querier { return db.NewSession() }
-
-// --- RemoteSession: Querier implementation ---
-
-// KNNContext is the session variant of RemoteDB.KNNContext.
-func (s *RemoteSession) KNNContext(ctx context.Context, req KNNRequest) ([]Result, Stats, error) {
-	if err := validateKNN(req, s.db.NumNodes()); err != nil {
-		return nil, Stats{}, err
-	}
-	res, stats, err := s.s.KNNLimited(req.From, req.K, req.Attr, searchLimits(ctx, req.Budget))
-	return clampByRadius(res, req.MaxRadius), stats, err
-}
-
-// WithinContext is the session variant of RemoteDB.WithinContext.
-func (s *RemoteSession) WithinContext(ctx context.Context, req WithinRequest) ([]Result, Stats, error) {
-	if err := validateWithin(req, s.db.NumNodes()); err != nil {
-		return nil, Stats{}, err
-	}
-	return s.s.WithinLimited(req.From, req.Radius, req.Attr, searchLimits(ctx, req.Budget))
-}
-
-// PathToContext is the session variant of RemoteDB.PathToContext.
-func (s *RemoteSession) PathToContext(ctx context.Context, req PathRequest) (Path, Stats, error) {
-	if err := validatePath(req, s.db.NumNodes()); err != nil {
-		return Path{}, Stats{}, err
-	}
-	if err := s.db.checkPathAttr(req); err != nil {
-		return Path{}, Stats{}, err
-	}
-	nodes, dist, stats, err := s.s.PathToLimited(req.From, req.Object, searchLimits(ctx, req.Budget))
-	return Path{Nodes: nodes, Dist: dist}, stats, err
-}
-
-// --- Maintenance (write-ahead journaled on the hosts) ---
-
-// applyOp encodes one mutation under the router's per-shard locking and
-// ships it to the owning shard's host, which write-ahead logs it before
-// applying. No router-side journal exists; recovery is per-host.
-func (db *RemoteDB) applyOp(encode func() (shard.ID, snapshot.Op, error)) (snapshot.Op, error) {
-	return db.r.Mutate(encode, func(sid shard.ID, op snapshot.Op) error {
-		return db.r.ApplyOp(sid, op, true)
-	})
-}
-
-// AddObject places an object on road e at distance offset from the
-// road's U endpoint. See DB.AddObject.
-func (db *RemoteDB) AddObject(e EdgeID, offset float64, attr int32) (Object, error) {
-	var obj Object
-	_, err := db.r.Mutate(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeInsertObject(e, offset, attr)
-	}, func(sid shard.ID, op snapshot.Op) error {
-		if err := db.r.ApplyOp(sid, op, true); err != nil {
-			return err
-		}
-		// Resolve the inserted object's global form while the shard
-		// write lock still excludes a concurrent deletion of it.
-		o, ok := db.r.ObjectInShard(sid, op.Object)
-		if !ok {
-			return fmt.Errorf("road: object %d missing after insert: %w", op.Object, ErrNoSuchObject)
-		}
-		obj = o
-		return nil
-	})
-	if err != nil {
-		return Object{}, err
-	}
-	return obj, nil
-}
-
-// RemoveObject deletes an object.
-func (db *RemoteDB) RemoveObject(id ObjectID) error {
-	_, err := db.applyOp(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeDeleteObject(id)
-	})
-	return err
-}
-
-// SetObjectAttr changes an object's attribute category.
-func (db *RemoteDB) SetObjectAttr(id ObjectID, attr int32) error {
-	_, err := db.applyOp(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeSetObjectAttr(id, attr)
-	})
-	return err
-}
-
-// SetRoadDistance changes a road's distance metric; the owning host
-// repairs its index incrementally and ships the border-table repair
-// back for the router's mirror.
-func (db *RemoteDB) SetRoadDistance(e EdgeID, dist float64) error {
-	_, err := db.applyOp(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeSetDistance(e, dist)
-	})
-	return err
-}
-
-// AddRoad inserts a new road segment between existing intersections;
-// both endpoints must share a shard (see ShardedDB.AddRoad).
-func (db *RemoteDB) AddRoad(u, v NodeID, dist float64) (EdgeID, error) {
-	op, err := db.applyOp(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeAddRoad(u, v, dist)
-	})
-	if err != nil {
-		return NoEdge, err
-	}
-	return op.Edge, nil
-}
-
-// CloseRoad removes a road segment (objects on it are dropped).
-func (db *RemoteDB) CloseRoad(e EdgeID) error {
-	_, err := db.applyOp(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeClose(e)
-	})
-	return err
-}
-
-// ReopenRoad restores a previously closed road segment.
-func (db *RemoteDB) ReopenRoad(e EdgeID) error {
-	_, err := db.applyOp(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeReopen(e)
-	})
-	return err
-}
-
-// WarmAfterMutation is a no-op like ShardedDB's: host-side trees re-warm
-// under the host's write lock before the apply RPC returns.
-func (db *RemoteDB) WarmAfterMutation() {}
-
-// Exclusive runs fn with every router lock held: no query or mutation
-// overlaps it. Satisfies Synchronized.
-func (db *RemoteDB) Exclusive(fn func() error) error { return db.r.Exclusive(fn) }
 
 // --- Persistence (host-owned) ---
 
@@ -370,11 +118,3 @@ func (db *RemoteDB) JournalSizeBytes() int64 {
 	}
 	return sum
 }
-
-// Compile-time interface assertions: RemoteDB serves through the same
-// contract as DB and ShardedDB.
-var (
-	_ Store        = (*RemoteDB)(nil)
-	_ Synchronized = (*RemoteDB)(nil)
-	_ Querier      = (*RemoteSession)(nil)
-)

@@ -20,8 +20,10 @@ import (
 // the same global node, edge and object IDs, the same query and
 // maintenance surface, the same persistence model — but with per-shard
 // epochs, snapshots and write-ahead journals, the deployment seam that
-// lets large networks serve heavy traffic (and, later, lets shards move
-// out-of-process).
+// lets large networks serve heavy traffic (and lets shards move
+// out-of-process: see RemoteDB). The query and maintenance surface is the
+// embedded router-backed base RemoteDB shares; what is ShardedDB's own is
+// file persistence and the per-shard journals.
 //
 // Differences from DB worth knowing: PathTo works without
 // Options.StorePaths (cross-shard routes are assembled from per-shard
@@ -29,16 +31,12 @@ import (
 // shard boundaries are fixed at build time, so a road bridging two shards
 // that share neither endpoint is rejected.
 type ShardedDB struct {
-	r *shard.Router
+	routerStore
 
-	// Per-shard persistence state, indexed by shard ID.
-	journals     []*snapshot.Journal
+	// Per-shard persistence watermarks, indexed by shard ID (the journal
+	// slots themselves sit on the embedded base, which appends to them).
 	baseSeqs     []uint64
 	lastSnapSeqs []uint64
-
-	// sess serves the DB-level convenience queries (single-threaded,
-	// like DB's own methods); concurrent callers use NewSession.
-	sess *shard.Session
 }
 
 // OpenSharded builds a ShardedDB over the builder's network, split into
@@ -95,197 +93,22 @@ func openSharded(g *graph.Graph, objects *graph.ObjectSet, opts Options, shards 
 func newShardedDB(r *shard.Router) *ShardedDB {
 	k := r.NumShards()
 	return &ShardedDB{
-		r:            r,
-		journals:     make([]*snapshot.Journal, k),
+		routerStore:  newRouterStore(r),
 		baseSeqs:     make([]uint64, k),
 		lastSnapSeqs: make([]uint64, k),
 	}
 }
 
-// Router exposes the underlying shard router for advanced use (serving
-// layers, benchmark harnesses).
-func (db *ShardedDB) Router() *shard.Router { return db.r }
-
-// NumShards returns the number of region shards.
-func (db *ShardedDB) NumShards() int { return db.r.NumShards() }
-
-// Epoch returns the database's maintenance epoch: the sum of the shard
-// epochs, bumped by every successful mutating call. See DB.Epoch.
-func (db *ShardedDB) Epoch() uint64 { return db.r.Epoch() }
-
-// IndexSizeBytes estimates total index storage across all shards.
-func (db *ShardedDB) IndexSizeBytes() int64 { return db.r.IndexSizeBytes() }
-
-// ShardInfos reports per-shard size, epoch and load counters.
-func (db *ShardedDB) ShardInfos() []shard.Info { return db.r.Infos() }
-
-// HomeShardOf returns the shard holding node n, or -1 for an unknown
-// node. Safe on the query hot path (the topology is fixed after build).
-func (db *ShardedDB) HomeShardOf(n NodeID) int { return int(db.r.HomeOf(n)) }
-
-// NumNodes returns the global intersection count (fixed at build time).
-func (db *ShardedDB) NumNodes() int { return db.r.Graph().NumNodes() }
-
-// NumRoads returns the global road-segment count (including closed
-// ones). Safe to call concurrently with queries and mutations.
-func (db *ShardedDB) NumRoads() int { return db.r.NumEdges() }
-
-// NumObjects returns the number of live objects across all shards. Safe
-// to call concurrently with queries and mutations.
-func (db *ShardedDB) NumObjects() int { return db.r.NumObjects() }
-
-// --- Queries (single-threaded convenience, mirroring DB) ---
-
-func (db *ShardedDB) session() *shard.Session {
-	if db.sess == nil {
-		db.sess = db.r.NewSession()
-	}
-	return db.sess
-}
-
-// ShardedSession is an independent cross-shard read-only query context;
-// any number may query concurrently. The same discipline as Session
-// applies: sessions must not overlap with maintenance calls, and the
-// internal/server subsystem enforces exactly that when serving traffic.
-type ShardedSession struct {
-	s  *shard.Session
-	db *ShardedDB
-}
-
-// NewSession returns a concurrent cross-shard query context.
-func (db *ShardedDB) NewSession() *ShardedSession {
-	return &ShardedSession{s: db.r.NewSession(), db: db}
-}
-
-// Epoch returns the ShardedDB's maintenance epoch as seen by this session.
-func (s *ShardedSession) Epoch() uint64 { return s.s.Epoch() }
-
-// --- Maintenance (write-ahead journaled per shard) ---
-//
-// Every mutation runs through Router.Mutate: the op is encoded (IDs
-// allocated) under the router's mutation lock, write-ahead logged to its
-// shard's journal inside the owning shard's write lock, then applied
-// through the same router code path journal replay re-runs on recovery.
-// Because synchronization is internal (see Exclusive), mutations MAY
-// overlap queries: a mutation stalls only readers of its own shard.
-
-// journalAndApply write-ahead logs op to its shard's journal (when
-// attached) and applies it through the router — the exact code path
-// journal replay re-runs on recovery. Runs inside Mutate's critical
-// section, under the owning shard's write lock.
-func (db *ShardedDB) journalAndApply(sid shard.ID, op snapshot.Op) error {
-	if j := db.journals[sid]; j != nil {
-		if _, err := j.Append(op); err != nil {
-			return fmt.Errorf("road: journaling %s: %w", op.Kind, err)
-		}
-	}
-	//roadvet:ignore append is conditional by design: a ShardedDB without attached journals is ephemeral and applies directly
-	return db.r.ApplyOp(sid, op, true)
-}
-
-// applyOp encodes, journals and applies one mutation under the router's
-// per-shard locking; the encoded op is returned so callers can report
-// the global IDs it allocated.
-func (db *ShardedDB) applyOp(encode func() (shard.ID, snapshot.Op, error)) (snapshot.Op, error) {
-	return db.r.Mutate(encode, db.journalAndApply)
-}
-
-// AddObject places an object on road e at distance offset from the road's
-// U endpoint. See DB.AddObject.
-func (db *ShardedDB) AddObject(e EdgeID, offset float64, attr int32) (Object, error) {
-	var obj Object
-	_, err := db.r.Mutate(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeInsertObject(e, offset, attr)
-	}, func(sid shard.ID, op snapshot.Op) error {
-		if err := db.journalAndApply(sid, op); err != nil {
-			return err
-		}
-		// Resolve the inserted object's global form while the shard
-		// write lock still excludes a concurrent deletion of it.
-		o, ok := db.r.ObjectInShard(sid, op.Object)
-		if !ok {
-			return fmt.Errorf("road: object %d missing after insert: %w", op.Object, ErrNoSuchObject)
-		}
-		obj = o
-		return nil
-	})
-	if err != nil {
-		return Object{}, err
-	}
-	return obj, nil
-}
-
-// RemoveObject deletes an object.
-func (db *ShardedDB) RemoveObject(id ObjectID) error {
-	_, err := db.applyOp(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeDeleteObject(id)
-	})
-	return err
-}
-
-// SetObjectAttr changes an object's attribute category.
-func (db *ShardedDB) SetObjectAttr(id ObjectID, attr int32) error {
-	_, err := db.applyOp(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeSetObjectAttr(id, attr)
-	})
-	return err
-}
-
-// SetRoadDistance changes a road's distance metric; the owning shard's
-// index, border distance table and nearest-border array repair
-// themselves incrementally (filter-and-refresh).
-func (db *ShardedDB) SetRoadDistance(e EdgeID, dist float64) error {
-	_, err := db.applyOp(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeSetDistance(e, dist)
-	})
-	return err
-}
-
-// AddRoad inserts a new road segment between existing intersections. Both
-// endpoints must be present in a common shard (always true for roads that
-// do not bridge two previously unconnected regions).
-func (db *ShardedDB) AddRoad(u, v NodeID, dist float64) (EdgeID, error) {
-	op, err := db.applyOp(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeAddRoad(u, v, dist)
-	})
-	if err != nil {
-		return NoEdge, err
-	}
-	return op.Edge, nil
-}
-
-// CloseRoad removes a road segment (objects on it are dropped).
-func (db *ShardedDB) CloseRoad(e EdgeID) error {
-	_, err := db.applyOp(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeClose(e)
-	})
-	return err
-}
-
-// ReopenRoad restores a previously closed road segment.
-func (db *ShardedDB) ReopenRoad(e EdgeID) error {
-	_, err := db.applyOp(func() (shard.ID, snapshot.Op, error) {
-		return db.r.EncodeReopen(e)
-	})
-	return err
-}
-
-// Exclusive runs fn with every internal lock held: no query or mutation
-// overlaps it. It satisfies road.Synchronized; serving layers use it for
-// whole-store operations that need one consistent multi-shard view, such
-// as SaveSnapshotFiles followed by CompactJournals.
-func (db *ShardedDB) Exclusive(fn func() error) error { return db.r.Exclusive(fn) }
-
 // --- Persistence (per-shard snapshots + journals, one manifest) ---
 
 // ShardSnapshotPath names shard i's snapshot file under a prefix.
-func ShardSnapshotPath(prefix string, i int) string { return fmt.Sprintf("%s.%d", prefix, i) }
+func ShardSnapshotPath(prefix string, i int) string { return shard.SnapshotPath(prefix, i) }
 
 // ShardManifestPath names the manifest file under a prefix.
-func ShardManifestPath(prefix string) string { return prefix + ".manifest" }
+func ShardManifestPath(prefix string) string { return shard.ManifestPath(prefix) }
 
 // ShardJournalPath names shard i's write-ahead journal under a prefix.
-func ShardJournalPath(prefix string, i int) string { return fmt.Sprintf("%s.%d", prefix, i) }
+func ShardJournalPath(prefix string, i int) string { return shard.JournalPath(prefix, i) }
 
 // SaveSnapshotFiles persists the sharded database under the given path
 // prefix: one ordinary snapshot per shard (prefix.0 … prefix.K-1, each in
@@ -296,27 +119,37 @@ func ShardJournalPath(prefix string, i int) string { return fmt.Sprintf("%s.%d",
 // fully written and synced under a staging name first, then the set is
 // committed by renames — shrinking the window in which a crash could
 // leave mixed-generation files (which Reassemble detects and refuses)
-// from the whole multi-file write to the final rename loop.
+// from the whole multi-file write to the final rename loop. A failed save
+// removes whatever it staged and leaves the previous set in place.
 func (db *ShardedDB) SaveSnapshotFiles(prefix string) error {
 	const staged = ".saving"
-	seqs := make([]uint64, db.r.NumShards())
-	for i := 0; i < db.r.NumShards(); i++ {
+	k := db.r.NumShards()
+	files := make([]string, k+1) // final names; the manifest commits last
+	for i := 0; i < k; i++ {
+		files[i] = ShardSnapshotPath(prefix, i)
+	}
+	files[k] = ShardManifestPath(prefix)
+	// Whatever is still staged when the save returns goes: every file
+	// written so far after an error, nothing after the commit.
+	defer func() {
+		for _, p := range files {
+			os.Remove(p + staged)
+		}
+	}()
+	seqs := make([]uint64, k)
+	for i := 0; i < k; i++ {
 		seqs[i] = db.shardSeq(i)
-		if err := snapshot.SaveFile(db.r.Shard(i).F, seqs[i], ShardSnapshotPath(prefix, i)+staged); err != nil {
+		if err := snapshot.SaveFile(db.r.Shard(i).F, seqs[i], files[i]+staged); err != nil {
 			return fmt.Errorf("road: shard %d snapshot: %w", i, err)
 		}
 	}
-	if err := writeManifestFile(ShardManifestPath(prefix)+staged, db.r.Manifest()); err != nil {
-		return err
+	if err := writeManifestFile(files[k]+staged, db.r.Manifest()); err != nil {
+		return fmt.Errorf("road: shard manifest: %w", err)
 	}
-	for i := 0; i < db.r.NumShards(); i++ {
-		p := ShardSnapshotPath(prefix, i)
+	for _, p := range files {
 		if err := os.Rename(p+staged, p); err != nil {
-			return fmt.Errorf("road: committing shard %d snapshot: %w", i, err)
+			return fmt.Errorf("road: committing %s: %w", p, err)
 		}
-	}
-	if err := os.Rename(ShardManifestPath(prefix)+staged, ShardManifestPath(prefix)); err != nil {
-		return fmt.Errorf("road: committing shard manifest: %w", err)
 	}
 	copy(db.lastSnapSeqs, seqs)
 	return nil
@@ -329,29 +162,27 @@ func (db *ShardedDB) shardSeq(i int) uint64 {
 	return db.baseSeqs[i]
 }
 
+// writeManifestFile writes and syncs m at path; the caller owns path's
+// removal on error.
 func writeManifestFile(path string, m *shard.Manifest) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	if err := enc.Encode(m); err != nil {
+	if err := json.NewEncoder(f).Encode(m); err != nil {
 		f.Close()
-		os.Remove(tmp)
 		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return f.Close()
 }
+
+// Save persists the sharded store under the path prefix (Store.Save; the
+// interface form of SaveSnapshotFiles).
+func (db *ShardedDB) Save(path string) error { return db.SaveSnapshotFiles(path) }
 
 // OpenShardedSnapshotFiles reopens a sharded database previously saved
 // with SaveSnapshotFiles: O(load) per shard instead of O(build), with all
@@ -496,6 +327,10 @@ func (db *ShardedDB) CompactJournals() error {
 	}
 	return nil
 }
+
+// CompactJournal rotates every attached shard journal (Store.CompactJournal;
+// the interface form of CompactJournals).
+func (db *ShardedDB) CompactJournal() error { return db.CompactJournals() }
 
 // JournalSeq sums the last journal sequence numbers incorporated in each
 // shard's state — a monotonic recovery watermark for monitoring, the

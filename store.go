@@ -2,7 +2,6 @@ package road
 
 import (
 	"context"
-	"fmt"
 
 	"road/internal/core"
 	"road/internal/obs"
@@ -13,8 +12,9 @@ import (
 // transport-ready interface. All three implementations in this package
 // satisfy it — *DB (one index), *ShardedDB (K region shards behind a
 // query router) and *RemoteDB (the same router over out-of-process shard
-// hosts) — so serving layers, benchmarks and tests are written once
-// against the interface and run unchanged over any deployment shape.
+// hosts; the two share one router-backed implementation and differ only
+// in persistence) — so serving layers, benchmarks and tests are written
+// once against the interface and run unchanged over any deployment shape.
 //
 // Query entry points take a context and a typed request struct (built
 // literally, with NewKNN/NewWithin/NewPath, or decoded from JSON) and
@@ -25,7 +25,8 @@ import (
 //
 // The Store's own query methods are single-threaded conveniences, like
 // the methods on the concrete types; concurrent callers take one Querier
-// per goroutine from OpenSession. Unless the Store also satisfies
+// per goroutine from OpenSession (a *Session from a DB, a *RouterSession
+// from a ShardedDB or a RemoteDB). Unless the Store also satisfies
 // Synchronized, mutations must not overlap queries — the internal/server
 // coordinator enforces exactly that when serving. A Synchronized store
 // (ShardedDB, RemoteDB) synchronizes internally instead, with per-shard
@@ -74,9 +75,11 @@ type Store interface {
 
 	// Persistence. Save snapshots the store to path — one file for a DB,
 	// per-shard files plus a manifest under the path prefix for a
-	// ShardedDB — and CompactJournal rotates the attached journal(s),
-	// dropping entries the latest snapshot already covers. Both must run
-	// with mutations and readers excluded.
+	// ShardedDB, each host's own files whatever the path for a RemoteDB —
+	// and CompactJournal rotates the attached journal(s), dropping entries
+	// the latest snapshot already covers (a no-op on a RemoteDB, whose
+	// hosts rotate as they snapshot). Both must run with mutations and
+	// readers excluded.
 	Save(path string) error
 	CompactJournal() error
 }
@@ -84,7 +87,8 @@ type Store interface {
 // Synchronized marks a Store whose queries and mutations synchronize
 // internally, so a serving layer needs no global reader/writer exclusion
 // around them. ShardedDB and RemoteDB are the package's Synchronized
-// implementations (both sit on one shard.Router): each mutation takes
+// implementations (one embedded base over one shard.Router, so Exclusive
+// and every mutator are the same code for both): each mutation takes
 // only its owning shard's write lock, stalling that shard's readers
 // instead of the whole store. The one operation that still needs total
 // exclusion — a consistent whole-store snapshot — runs through Exclusive.
@@ -123,13 +127,16 @@ type Path struct {
 	Dist  float64  `json:"dist"`
 }
 
-// Compile-time interface assertions: the v1 acceptance contract.
+// Compile-time interface assertions: the v1 acceptance contract, for all
+// three stores and both session types.
 var (
 	_ Store        = (*DB)(nil)
 	_ Store        = (*ShardedDB)(nil)
+	_ Store        = (*RemoteDB)(nil)
 	_ Synchronized = (*ShardedDB)(nil)
+	_ Synchronized = (*RemoteDB)(nil)
 	_ Querier      = (*Session)(nil)
-	_ Querier      = (*ShardedSession)(nil)
+	_ Querier      = (*RouterSession)(nil)
 )
 
 // searchLimits folds a request context and budget into core.Limits. A
@@ -256,115 +263,5 @@ func (s *Session) PathToContext(ctx context.Context, req PathRequest) (Path, Sta
 	done := traceSearch(ctx)
 	nodes, dist, stats, err := s.s.PathToLimited(core.Query{Node: req.From, Attr: req.Attr}, req.Object, searchLimits(ctx, req.Budget))
 	done(stats.NodesPopped)
-	return Path{Nodes: nodes, Dist: dist}, stats, err
-}
-
-// --- ShardedDB: sharded Store implementation ---
-
-// KNNContext answers a kNN request across shards. MaxRadius is honoured
-// by truncating the merged answer (the single-index search applies it
-// inside the expansion; results are identical).
-func (db *ShardedDB) KNNContext(ctx context.Context, req KNNRequest) ([]Result, Stats, error) {
-	if err := validateKNN(req, db.NumNodes()); err != nil {
-		return nil, Stats{}, err
-	}
-	res, stats, err := db.session().KNNLimited(req.From, req.K, req.Attr, searchLimits(ctx, req.Budget))
-	return clampByRadius(res, req.MaxRadius), stats, err
-}
-
-// WithinContext answers a range request across shards.
-func (db *ShardedDB) WithinContext(ctx context.Context, req WithinRequest) ([]Result, Stats, error) {
-	if err := validateWithin(req, db.NumNodes()); err != nil {
-		return nil, Stats{}, err
-	}
-	return db.session().WithinLimited(req.From, req.Radius, req.Attr, searchLimits(ctx, req.Budget))
-}
-
-// PathToContext answers a detailed-route request across shards (no
-// StorePaths needed; legs are recomputed per shard).
-func (db *ShardedDB) PathToContext(ctx context.Context, req PathRequest) (Path, Stats, error) {
-	if err := validatePath(req, db.NumNodes()); err != nil {
-		return Path{}, Stats{}, err
-	}
-	if err := db.checkPathAttr(req); err != nil {
-		return Path{}, Stats{}, err
-	}
-	nodes, dist, stats, err := db.session().PathToLimited(req.From, req.Object, searchLimits(ctx, req.Budget))
-	return Path{Nodes: nodes, Dist: dist}, stats, err
-}
-
-// checkPathAttr enforces PathRequest.Attr, which the single-index path
-// search checks internally but the shard router (attribute-agnostic by
-// design) does not.
-func (db *ShardedDB) checkPathAttr(req PathRequest) error {
-	if req.Attr == 0 {
-		return nil
-	}
-	o, ok := db.r.Object(req.Object)
-	if !ok {
-		return fmt.Errorf("road: object %d: %w", req.Object, ErrNoSuchObject)
-	}
-	if o.Attr != req.Attr {
-		return fmt.Errorf("road: object %d does not match attribute %d: %w", req.Object, req.Attr, ErrAttrMismatch)
-	}
-	return nil
-}
-
-// Query answers a batch on the ShardedDB's cached session; see DB.Query.
-func (db *ShardedDB) Query(ctx context.Context, reqs []Request) []Response {
-	return RunBatch(ctx, db.storeSession(), reqs)
-}
-
-// storeSession wraps the DB-level cached shard session as a Querier.
-func (db *ShardedDB) storeSession() *ShardedSession {
-	return &ShardedSession{s: db.session(), db: db}
-}
-
-// OpenSession returns a concurrent cross-shard read context as a Querier.
-func (db *ShardedDB) OpenSession() Querier { return db.NewSession() }
-
-// WarmAfterMutation is a no-op for ShardedDB: mutations synchronize
-// internally and re-warm the owning shard's shortcut trees before
-// releasing its write lock, so by the time any caller could run this,
-// the work is already done — and doing it here, outside the locks, would
-// race with concurrent readers.
-func (db *ShardedDB) WarmAfterMutation() {}
-
-// Save persists the sharded store under the path prefix (Store.Save; the
-// interface form of SaveSnapshotFiles).
-func (db *ShardedDB) Save(path string) error { return db.SaveSnapshotFiles(path) }
-
-// CompactJournal rotates every attached shard journal (Store.CompactJournal;
-// the interface form of CompactJournals).
-func (db *ShardedDB) CompactJournal() error { return db.CompactJournals() }
-
-// --- ShardedSession: sharded Querier implementation ---
-
-// KNNContext is the session variant of ShardedDB.KNNContext.
-func (s *ShardedSession) KNNContext(ctx context.Context, req KNNRequest) ([]Result, Stats, error) {
-	if err := validateKNN(req, s.db.NumNodes()); err != nil {
-		return nil, Stats{}, err
-	}
-	res, stats, err := s.s.KNNLimited(req.From, req.K, req.Attr, searchLimits(ctx, req.Budget))
-	return clampByRadius(res, req.MaxRadius), stats, err
-}
-
-// WithinContext is the session variant of ShardedDB.WithinContext.
-func (s *ShardedSession) WithinContext(ctx context.Context, req WithinRequest) ([]Result, Stats, error) {
-	if err := validateWithin(req, s.db.NumNodes()); err != nil {
-		return nil, Stats{}, err
-	}
-	return s.s.WithinLimited(req.From, req.Radius, req.Attr, searchLimits(ctx, req.Budget))
-}
-
-// PathToContext is the session variant of ShardedDB.PathToContext.
-func (s *ShardedSession) PathToContext(ctx context.Context, req PathRequest) (Path, Stats, error) {
-	if err := validatePath(req, s.db.NumNodes()); err != nil {
-		return Path{}, Stats{}, err
-	}
-	if err := s.db.checkPathAttr(req); err != nil {
-		return Path{}, Stats{}, err
-	}
-	nodes, dist, stats, err := s.s.PathToLimited(req.From, req.Object, searchLimits(ctx, req.Budget))
 	return Path{Nodes: nodes, Dist: dist}, stats, err
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"road/internal/dataset"
+	"road/internal/shard"
 )
 
 // TestTypedErrors pins the v1 error contract: every failure mode answers
@@ -63,25 +64,61 @@ func TestTypedErrors(t *testing.T) {
 	}
 }
 
+// TestTypedErrorsSharded pins the typed-error contract of the
+// router-backed stores, one body over both: a ShardedDB and a two-host
+// RemoteDB answer every failure mode with the same sentinel.
 func TestTypedErrorsSharded(t *testing.T) {
-	_, sdb := shardedPair(t, 7, 300, 40, 4)
+	t.Run("ShardedDB", func(t *testing.T) {
+		_, sdb := shardedPair(t, 7, 300, 40, 4)
+		checkRouterStoreTypedErrors(t, sdb, sdb.Router())
+	})
+	t.Run("RemoteDB", func(t *testing.T) {
+		_, rdb, hosts := remoteTriple(t, 7, 300, 40, 4)
+		r := rdb.Router()
+		checkRouterStoreTypedErrors(t, rdb, r)
+
+		// An attribute-checked route whose target lives on a crashed host:
+		// the object read fails in transport, which is "unavailable", not
+		// "no such object".
+		target, attr := ObjectID(-1), int32(0)
+		for id := ObjectID(0); id < 40 && target < 0; id++ {
+			s, err := r.OwnerOfObject(id)
+			if err != nil || s.ID < 2 { // hosts[1] serves shards 2 and 3
+				continue
+			}
+			if o, _ := r.Object(id); o.Attr != 0 {
+				target, attr = id, o.Attr
+			}
+		}
+		if target < 0 {
+			t.Fatal("no attributed object on the second host")
+		}
+		hosts[1].crash()
+		_, _, err := rdb.PathToContext(context.Background(), NewPath(0, target, WithAttr(attr)))
+		if !errors.Is(err, ErrShardUnavailable) || errors.Is(err, ErrNoSuchObject) {
+			t.Fatalf("PathTo WithAttr against a crashed host = %v, want ErrShardUnavailable", err)
+		}
+	})
+}
+
+func checkRouterStoreTypedErrors(t *testing.T, st Store, r *shard.Router) {
+	t.Helper()
 	ctx := context.Background()
 
-	if err := sdb.RemoveObject(999); !errors.Is(err, ErrNoSuchObject) {
-		t.Fatalf("sharded RemoveObject(999) = %v, want ErrNoSuchObject", err)
+	if err := st.RemoveObject(999); !errors.Is(err, ErrNoSuchObject) {
+		t.Fatalf("RemoveObject(999) = %v, want ErrNoSuchObject", err)
 	}
-	if err := sdb.CloseRoad(99999); !errors.Is(err, ErrNoSuchEdge) {
-		t.Fatalf("sharded CloseRoad(bad) = %v, want ErrNoSuchEdge", err)
+	if err := st.CloseRoad(99999); !errors.Is(err, ErrNoSuchEdge) {
+		t.Fatalf("CloseRoad(bad) = %v, want ErrNoSuchEdge", err)
 	}
-	if _, _, err := sdb.KNNContext(ctx, NewKNN(99999, 1)); !errors.Is(err, ErrNoSuchNode) {
-		t.Fatalf("sharded KNN bad node = %v, want ErrNoSuchNode", err)
+	if _, _, err := st.KNNContext(ctx, NewKNN(99999, 1)); !errors.Is(err, ErrNoSuchNode) {
+		t.Fatalf("KNN bad node = %v, want ErrNoSuchNode", err)
 	}
-	if _, _, err := sdb.PathToContext(ctx, NewPath(0, 9999)); !errors.Is(err, ErrNoSuchObject) {
-		t.Fatalf("sharded PathTo bad object = %v, want ErrNoSuchObject", err)
+	if _, _, err := st.PathToContext(ctx, NewPath(0, 9999)); !errors.Is(err, ErrNoSuchObject) {
+		t.Fatalf("PathTo bad object = %v, want ErrNoSuchObject", err)
 	}
 
 	// Cross-shard road addition: typed rejection.
-	r := sdb.Router()
 	interior := func(id int) (NodeID, bool) {
 		s := r.Shard(id)
 		for _, gn := range s.GlobalNodes() {
@@ -101,19 +138,19 @@ func TestTypedErrorsSharded(t *testing.T) {
 	u, okU := interior(0)
 	v, okV := interior(1)
 	if okU && okV {
-		if _, err := sdb.AddRoad(u, v, 1); !errors.Is(err, ErrCrossShardRoad) {
+		if _, err := st.AddRoad(u, v, 1); !errors.Is(err, ErrCrossShardRoad) {
 			t.Fatalf("cross-shard AddRoad = %v, want ErrCrossShardRoad", err)
 		}
 	}
 
-	// Attribute predicate on a sharded path query.
-	hits, _, err := sdb.KNNContext(ctx, NewKNN(0, 1))
+	// Attribute predicate on a path query.
+	hits, _, err := st.KNNContext(ctx, NewKNN(0, 1))
 	if err != nil || len(hits) == 0 {
 		t.Fatalf("no object: %v", err)
 	}
 	wrongAttr := hits[0].Object.Attr + 1
-	if _, _, err := sdb.PathToContext(ctx, NewPath(0, hits[0].Object.ID, WithAttr(wrongAttr))); !errors.Is(err, ErrAttrMismatch) {
-		t.Fatalf("sharded PathTo attr mismatch = %v, want ErrAttrMismatch", err)
+	if _, _, err := st.PathToContext(ctx, NewPath(0, hits[0].Object.ID, WithAttr(wrongAttr))); !errors.Is(err, ErrAttrMismatch) {
+		t.Fatalf("PathTo attr mismatch = %v, want ErrAttrMismatch", err)
 	}
 }
 
