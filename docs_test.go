@@ -20,19 +20,7 @@ import (
 // ST-class checks cover formatting and comment form; this covers
 // presence, which staticcheck does not).
 func TestExportedSymbolsDocumented(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, ok := pkgs["road"]
-	if !ok {
-		t.Fatalf("package road not found; parsed %v", pkgs)
-	}
-	d := doc.New(pkg, "road", 0)
-
+	d := rootPackageDoc(t)
 	var missing []string
 	requireDoc := func(kind, name, docText string) {
 		if !ast.IsExported(name) {
@@ -69,6 +57,50 @@ func TestExportedSymbolsDocumented(t *testing.T) {
 	}
 }
 
+// rootPackageDoc parses the public package's non-test sources.
+func rootPackageDoc(t *testing.T) *doc.Package {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, ok := pkgs["road"]
+	if !ok {
+		t.Fatalf("package road not found; parsed %v", pkgs)
+	}
+	return doc.New(pkg, "road", 0)
+}
+
+// exportedNames lists the package-level names package road exports:
+// types, functions (constructors included), constants and variables.
+func exportedNames(d *doc.Package) map[string]bool {
+	names := map[string]bool{}
+	addValues := func(groups []*doc.Value) {
+		for _, grp := range groups {
+			for _, name := range grp.Names {
+				names[name] = true
+			}
+		}
+	}
+	for _, f := range d.Funcs {
+		names[f.Name] = true
+	}
+	for _, typ := range d.Types {
+		names[typ.Name] = true
+		for _, f := range typ.Funcs {
+			names[f.Name] = true
+		}
+		addValues(typ.Consts)
+		addValues(typ.Vars)
+	}
+	addValues(d.Consts)
+	addValues(d.Vars)
+	return names
+}
+
 // declDoc returns the per-spec doc or line comment of one name inside a
 // grouped const/var declaration, so a documented group member counts
 // even when the group itself has no doc block.
@@ -98,6 +130,7 @@ var (
 	fencedBlock  = regexp.MustCompile("(?s)```.*?```")
 	inlineCode   = regexp.MustCompile("`([^`]+)`")
 	cmdDirRef    = regexp.MustCompile(`\bcmd/([a-z]+)`)
+	rootSymbol   = regexp.MustCompile(`\broad\.([A-Z]\w*)`)
 	rootArtefact = regexp.MustCompile(`^[A-Z][^/\s]*\.json$`)
 	flagToken    = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
 	flagDecl     = regexp.MustCompile(`flag\.\w+\(\s*(?:&[\w.]+,\s*)?"([^"]+)"`)
@@ -105,8 +138,9 @@ var (
 
 // TestDocsReferToWhatExists is the referential-integrity guard of the
 // prose docs: every `cmd/<name>` they put in backticks is a directory,
-// every upper-case `NAME.json` (the repository's root artefacts; `*`
-// globs) is a file at the root, and every flag they attach to a command
+// every `road.<Name>` is a symbol the root package exports, every
+// upper-case `NAME.json` (the repository's root artefacts; `*` globs) is
+// a file at the root, and every flag they attach to a command
 // (`roadd -shards 4`) — or name on its own (`-shards K`) — is registered
 // by that command's (some command's, or the benchmark harness's) flag
 // set. A deletion that leaves a stale sentence behind, or a doc that
@@ -141,6 +175,7 @@ func TestDocsReferToWhatExists(t *testing.T) {
 	}
 	// The referee's harness, as benchmark/run.sh builds it.
 	register("roadbenchmark", "benchmark")
+	exported := exportedNames(rootPackageDoc(t))
 
 	for _, path := range []string{"README.md", "ARCHITECTURE.md", "internal/shard/DESIGN.md"} {
 		raw, err := os.ReadFile(path)
@@ -153,6 +188,11 @@ func TestDocsReferToWhatExists(t *testing.T) {
 			for _, ref := range cmdDirRef.FindAllStringSubmatch(span, -1) {
 				if fi, err := os.Stat(filepath.Join("cmd", ref[1])); err != nil || !fi.IsDir() {
 					t.Errorf("%s: `%s` names cmd/%s, which does not exist", path, span, ref[1])
+				}
+			}
+			for _, ref := range rootSymbol.FindAllStringSubmatch(span, -1) {
+				if !exported[ref[1]] {
+					t.Errorf("%s: `%s` names road.%s, which package road does not export", path, span, ref[1])
 				}
 			}
 			cmd := "" // the command the flags seen so far belong to

@@ -11,21 +11,23 @@ import (
 	"road/internal/rnet"
 )
 
-// This file holds the CSR hot path: the query-time representation of the
-// Route Overlay as flat, int32-indexed arrays. The per-node shortcut trees
-// (rnet.TreeNode) are pointer structures built for clarity and for the
-// paper's paged storage model; every settled node of every query used to
-// chase them. The CSR index flattens each node's tree once into contiguous
-// slabs — entries in exactly the order the reference traversal visits
-// them, with a skip pointer per entry so a bypass is a single index jump —
-// and bakes shortcut distances and live edge weights in, so the inner loop
-// of kNN/range/path search touches nothing but these slabs, the dense
-// Association Directory arrays and a typed heap. storage.Store is never
+// This file holds the CSR hot path: the Route Overlay's per-node shortcut
+// trees as flat, int32-indexed arrays — the only form the overlay keeps.
+// Each node's tree is flattened (rnet.Hierarchy.FlattenTree, into reused
+// scratch) straight into contiguous slabs — entries in exactly the order
+// the reference traversal visits them, with a skip pointer per entry so a
+// bypass is a single index jump — with shortcut distances and live edge
+// weights baked in, so the inner loop of kNN/range/path search touches
+// nothing but these slabs, the dense Association Directory arrays and a
+// typed heap. The pointer trees (rnet.TreeNode) are built only by the
+// reference traversal, lazily; the index-size metric and the simulated
+// page record sizes are read off the slabs. storage.Store is never
 // consulted here: it remains only for snapshot persistence and the
 // paper-faithful I/O-accounting report mode (Framework-level queries).
 //
-// Queries only read the slabs. Network mutations stale them, and the
-// post-mutation fence (WarmTrees) repairs them at the cost of the change:
+// The overlay builds the slabs when it is built or restored, and queries
+// only read them. Network mutations stale them, and the post-mutation
+// fence (WarmTrees) repairs them at the cost of the change:
 // rnet.Hierarchy logs the nodes a mutation touched — the edge's endpoints
 // and the borders of every Rnet whose shortcuts changed — and the drain
 // re-emits just those nodes' slabs, in place when the shape is unchanged.
@@ -114,61 +116,52 @@ func (c *csrIndex) deadHeavy() bool {
 	return c.dead.bytes()*5 > c.bytes()
 }
 
-// buildCSR flattens every node's shortcut tree.
-func buildCSR(g *graph.Graph, h *rnet.Hierarchy) *csrIndex {
+// buildCSR flattens every node's shortcut tree through the scratch t.
+func buildCSR(g *graph.Graph, h *rnet.Hierarchy, t *rnet.FlatTree) *csrIndex {
 	c := &csrIndex{gen: h.TopoGen()}
 	nn := g.NumNodes()
 	c.span = make([]csrSpan, nn)
 	for n := 0; n < nn; n++ {
 		start := int32(len(c.ents))
-		c.emitNode(g, h, graph.NodeID(n))
+		c.emitNode(g, h, t, graph.NodeID(n))
 		c.span[n] = csrSpan{start, int32(len(c.ents))}
 	}
 	return c
 }
 
-// emitNode appends node n's whole slab. The entry order is the exact
-// order the reference stack traversal processes entries — top-level
-// entries reversed, children reversed at every level (a stack pops
-// last-first) — so the CSR walk pushes frontier entries in the same
-// sequence and FIFO tie-breaking yields identical answers.
-func (c *csrIndex) emitNode(g *graph.Graph, h *rnet.Hierarchy, n graph.NodeID) {
-	tops := h.Tree(n)
-	for i := len(tops) - 1; i >= 0; i-- {
-		c.emit(g, h, n, tops[i])
-	}
-}
-
-// emit appends t's entry followed by its subtree (children reversed) and
-// patches the skip pointer once the subtree's extent is known.
-func (c *csrIndex) emit(g *graph.Graph, h *rnet.Hierarchy, n graph.NodeID, t *rnet.TreeNode) {
-	idx := len(c.ents)
-	e := csrEnt{rnet: t.Rnet}
-	if t.IsBorder {
-		e.flags |= csrBorder
-		e.scOff = int32(len(c.scTo))
-		for _, sc := range h.ShortcutsFrom(t.Rnet, n) {
-			c.scTo = append(c.scTo, int32(sc.To))
-			c.scDist = append(c.scDist, sc.Dist)
+// emitNode appends node n's whole slab, flattening its tree through the
+// scratch t. The entry order is the exact order the reference stack
+// traversal processes entries — top-level entries reversed, children
+// reversed at every level (a stack pops last-first) — so the CSR walk
+// pushes frontier entries in the same sequence and FIFO tie-breaking
+// yields identical answers.
+func (c *csrIndex) emitNode(g *graph.Graph, h *rnet.Hierarchy, t *rnet.FlatTree, n graph.NodeID) {
+	h.FlattenTree(n, t)
+	base := int32(len(c.ents))
+	for _, fe := range t.Ents {
+		e := csrEnt{rnet: fe.Rnet, skip: base + fe.Skip}
+		if fe.IsBorder {
+			e.flags |= csrBorder
+			e.scOff = int32(len(c.scTo))
+			for _, sc := range h.ShortcutsFrom(fe.Rnet, n) {
+				c.scTo = append(c.scTo, int32(sc.To))
+				c.scDist = append(c.scDist, sc.Dist)
+			}
+			e.scEnd = int32(len(c.scTo))
 		}
-		e.scEnd = int32(len(c.scTo))
-	}
-	if len(t.Children) > 0 {
-		e.flags |= csrChildren
-	} else {
-		e.edgeOff = int32(len(c.leTo))
-		for _, half := range t.Edges {
-			c.leTo = append(c.leTo, int32(half.To))
-			c.leEdge = append(c.leEdge, int32(half.Edge))
-			c.leW = append(c.leW, g.Weight(half.Edge))
+		if !fe.Leaf {
+			e.flags |= csrChildren
+		} else {
+			e.edgeOff = int32(len(c.leTo))
+			for _, half := range t.Edges[fe.EdgeOff:fe.EdgeEnd] {
+				c.leTo = append(c.leTo, int32(half.To))
+				c.leEdge = append(c.leEdge, int32(half.Edge))
+				c.leW = append(c.leW, g.Weight(half.Edge))
+			}
+			e.edgeEnd = int32(len(c.leTo))
 		}
-		e.edgeEnd = int32(len(c.leTo))
+		c.ents = append(c.ents, e)
 	}
-	c.ents = append(c.ents, e)
-	for i := len(t.Children) - 1; i >= 0; i-- {
-		c.emit(g, h, n, t.Children[i])
-	}
-	c.ents[idx].skip = int32(len(c.ents))
 }
 
 // extentOf returns where node n's cells currently start in each slab
@@ -192,16 +185,46 @@ func (c *csrIndex) extentOf(n graph.NodeID) (base, size csrExtent) {
 	return base, size
 }
 
+// treeSizeBytes is node n's shortcut-tree record size — the figure
+// rnet.Hierarchy.TreeSizeBytes computes over a pointer tree — read off
+// its slab.
+func (c *csrIndex) treeSizeBytes(n graph.NodeID) int {
+	if int(n) >= len(c.span) {
+		return rnet.EmptyTreeBytes
+	}
+	_, size := c.extentOf(n)
+	if size.ents == 0 {
+		return rnet.EmptyTreeBytes
+	}
+	return rnet.TreeEntryBytes*int(size.ents) + rnet.TreeEdgeBytes*int(size.le)
+}
+
+// treeBytes is treeSizeBytes summed over a network of nodes nodes without
+// visiting a single entry: the live cells are the slabs less the dead
+// ones, and only the empty spans need counting.
+func (c *csrIndex) treeBytes(nodes int) int64 {
+	empty := nodes - len(c.span)
+	for _, sp := range c.span {
+		if sp.start == sp.end {
+			empty++
+		}
+	}
+	return rnet.TreeEntryBytes*int64(len(c.ents)-int(c.dead.ents)) +
+		rnet.TreeEdgeBytes*int64(len(c.leTo)-int(c.dead.le)) +
+		rnet.EmptyTreeBytes*int64(empty)
+}
+
 // patchNode brings node n's slab up to date: it re-emits n into the
-// scratch index s (the same emit a full build runs) and installs the result. When the new
+// scratch index s (the same emit a full build runs, flattening through the
+// scratch t) and installs the result. When the new
 // slab has the old one's extents — a weight or shortcut-distance change —
 // it overwrites the old cells in place and allocates nothing; otherwise it
 // is appended at the slab tails, the node's span repointed, and the old
 // cells counted dead.
-func (c *csrIndex) patchNode(s *csrIndex, g *graph.Graph, h *rnet.Hierarchy, n graph.NodeID) {
+func (c *csrIndex) patchNode(s *csrIndex, t *rnet.FlatTree, g *graph.Graph, h *rnet.Hierarchy, n graph.NodeID) {
 	s.ents, s.scTo, s.scDist = s.ents[:0], s.scTo[:0], s.scDist[:0]
 	s.leTo, s.leEdge, s.leW = s.leTo[:0], s.leEdge[:0], s.leW[:0]
-	s.emitNode(g, h, n)
+	s.emitNode(g, h, t, n)
 
 	if int(n) >= len(c.span) {
 		c.span = append(c.span, make([]csrSpan, int(n)+1-len(c.span))...)
@@ -258,14 +281,28 @@ type CSRStats struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// csrBox holds the shared CSR index of one overlay. Frameworks produced by
-// Rebind share their network and hierarchy — and therefore the box — so a
-// drain through one is seen by all.
+// csrBox holds the CSR index of one overlay. Frameworks produced by
+// Rebind share the overlay — and therefore the box — so a drain through
+// one is seen by all.
 type csrBox struct {
 	idx     *csrIndex
-	scratch csrIndex // patchNode's emit target, reused across drains
+	scratch csrIndex      // patchNode's emit target, reused across drains
+	tree    rnet.FlatTree // flattening scratch of builds and patches alike
 	stats   CSRStats
 	onDrain func(time.Duration)
+	// built is how long the build at construction took: it runs before
+	// any OnCSRDrain hook can be set, so OnCSRDrain reports it.
+	built time.Duration
+}
+
+// newCSRBox flattens every node's shortcut tree for a new or restored
+// overlay.
+func newCSRBox(h *rnet.Hierarchy) *csrBox {
+	start := time.Now()
+	b := &csrBox{}
+	b.drain(h.Graph(), h)
+	b.built = time.Since(start)
+	return b
 }
 
 // drain brings the index up to the hierarchy's generation at the cost of
@@ -278,12 +315,12 @@ func (b *csrBox) drain(g *graph.Graph, h *rnet.Hierarchy) *csrIndex {
 	nodes, all := h.DrainDirty()
 	c := b.idx
 	if c == nil || all || len(nodes) == 0 || c.deadHeavy() {
-		c = buildCSR(g, h)
+		c = buildCSR(g, h, &b.tree)
 		b.idx = c
 		b.stats.Rebuilds++
 	} else {
 		for _, n := range nodes {
-			c.patchNode(&b.scratch, g, h, n)
+			c.patchNode(&b.scratch, &b.tree, g, h, n)
 		}
 		c.gen = h.TopoGen()
 		b.stats.Patches++
@@ -295,27 +332,32 @@ func (b *csrBox) drain(g *graph.Graph, h *rnet.Hierarchy) *csrIndex {
 	return c
 }
 
-// ensureCSR returns a CSR index current with the hierarchy. Catching up
-// writes shared state — the slabs, and the shortcut trees of the nodes it
-// re-emits — so it must not race with readers: serving layers call
-// WarmTrees (which is this) after every mutation while readers are still
-// excluded, and the call every query makes here finds nothing to do. A
-// single-threaded library caller that never warms gets the same patch
-// lazily from its next query.
-func (f *Framework) ensureCSR() *csrIndex {
-	if c := f.csr.idx; c != nil && c.gen == f.h.TopoGen() {
+// ensureCSR returns the overlay's CSR index, current with the hierarchy.
+// Building or restoring the overlay leaves it current. Catching up after a
+// mutation writes the shared slabs, so it must not race with readers:
+// serving layers call WarmTrees (which is this) after every mutation while
+// readers are still excluded, and the call every query — and every
+// IndexSizeBytes — makes here finds nothing to do. A single-threaded
+// library caller that never warms gets the same patch lazily from its next
+// query.
+func (ro *RouteOverlay) ensureCSR() *csrIndex {
+	if c := ro.csr.idx; c != nil && c.gen == ro.h.TopoGen() {
 		return c
 	}
-	return f.csr.drain(f.g, f.h)
+	return ro.csr.drain(ro.h.Graph(), ro.h)
 }
 
 // CSRStats reports how the CSR index has been kept current so far.
-func (f *Framework) CSRStats() CSRStats { return f.csr.stats }
+func (f *Framework) CSRStats() CSRStats { return f.ro.csr.stats }
 
 // OnCSRDrain registers fn to be told how long each index drain — patch or
-// rebuild — took. Set it before serving starts; it runs inside the
+// rebuild — took. The build at construction precedes any registration, so
+// fn hears of it at once. Set it before serving starts; it runs inside the
 // mutation fence.
-func (f *Framework) OnCSRDrain(fn func(time.Duration)) { f.csr.onDrain = fn }
+func (f *Framework) OnCSRDrain(fn func(time.Duration)) {
+	f.ro.csr.onDrain = fn
+	fn(f.ro.csr.built)
+}
 
 // csrVerdict memoizes one Rnet's bypass-vs-descend verdict in the dense
 // per-query scratch (a plain method, not a closure, so the hot loop
@@ -338,7 +380,7 @@ func (f *Framework) csrVerdict(ad *AssocDir, ws *queryWorkspace, r rnet.RnetID, 
 func (f *Framework) searchCSR(ad *AssocDir, seeds []Seed, attr int32, k int, radius float64, ws *queryWorkspace, watch *WatchSet, watchDist map[graph.NodeID]float64, lim Limits, dst []Result) ([]Result, QueryStats, error) {
 	stats := QueryStats{ShardsSearched: 1}
 	var stopErr error
-	c := f.ensureCSR()
+	c := f.ro.ensureCSR()
 	f.prepare(ws)
 	res := dst
 	base := len(dst)
@@ -471,7 +513,7 @@ func (f *Framework) pathCSR(q Query, target graph.ObjectID, ws *queryWorkspace, 
 		return nil, 0, stats, fmt.Errorf("core: object %d does not match attribute %d: %w", target, q.Attr, apierr.ErrAttrMismatch)
 	}
 
-	c := f.ensureCSR()
+	c := f.ro.ensureCSR()
 	f.prepare(ws)
 	ws.growLinks(f.g.NumNodes())
 	for r := f.h.LeafOf(o.Edge); r != rnet.NoRnet; r = f.h.Rnet(r).Parent {

@@ -72,7 +72,8 @@ func csrAndRefSessions(f *Framework) (*Session, *Session) {
 // queries with object churn and network mutations, asserting the CSR hot
 // path and the retained page-store reference produce rank-for-rank
 // identical answers, distances, traversal statistics and typed errors
-// throughout.
+// throughout; after every mutation the patched slabs must equal a fresh
+// build and report the sizes pointer trees give.
 func TestCSRMatchesReferenceStorm(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -195,7 +196,9 @@ func TestCSRMatchesReferenceStorm(t *testing.T) {
 						_, _, _ = f.AddEdge(u, v, 1+120*rng.Float64())
 					}
 					f.WarmTrees()
-					assertCSRMatchesFreshBuild(t, fmt.Sprintf("round%d m%d", round, m), f)
+					label := fmt.Sprintf("round%d m%d", round, m)
+					assertCSRMatchesFreshBuild(t, label, f)
+					assertSlabSizesMatchPointerTrees(t, label, f)
 				}
 				checkQueries(fmt.Sprintf("round%d", round))
 				checkRoutes(fmt.Sprintf("round%d", round))
@@ -390,8 +393,8 @@ func TestPathPopsFarBelowDijkstra(t *testing.T) {
 // shortcut (to,dist) and leaf (to,edge,w) lists behind their offsets.
 func assertCSRMatchesFreshBuild(t *testing.T, label string, f *Framework) {
 	t.Helper()
-	got := f.ensureCSR()
-	want := buildCSR(f.g, f.h)
+	got := f.ro.ensureCSR()
+	want := buildCSR(f.g, f.h, new(rnet.FlatTree))
 	if got.gen != want.gen {
 		t.Fatalf("%s: index at generation %d, hierarchy at %d", label, got.gen, want.gen)
 	}
@@ -428,8 +431,8 @@ func assertCSRMatchesFreshBuild(t *testing.T, label string, f *Framework) {
 	}
 }
 
-// TestCSRFencePaths walks the fence's edge cases: the first warm of a
-// fresh framework is a full build whatever was logged before it; an op
+// TestCSRFencePaths walks the fence's edge cases: Build leaves the index
+// built, so a mutation before the first warm is patched by it; an op
 // that touched the hierarchy and then failed higher up is still drained; a
 // rolled-back AddEdge leaves nothing to drain; frameworks sharing an
 // overlay through Rebind share the drain; and a caller that never warms
@@ -439,14 +442,17 @@ func TestCSRFencePaths(t *testing.T) {
 	cfg.Rnet.StorePaths = true
 	cfg.BufferPages = -1
 	f, g, _ := fixture(t, 400, 520, 60, 29, cfg)
+	if st := f.CSRStats(); st.Rebuilds != 1 || st.Patches != 0 {
+		t.Fatalf("after Build: %+v, want exactly one build", st)
+	}
 
-	// Mutations before the first warm: logged against no index.
+	// A mutation before the first warm: logged against Build's index.
 	if _, err := f.SetEdgeWeight(3, g.Weight(3)*2); err != nil {
 		t.Fatal(err)
 	}
 	f.WarmTrees()
-	if st := f.CSRStats(); st.Rebuilds != 1 || st.Patches != 0 {
-		t.Fatalf("first warm: %+v, want exactly one build", st)
+	if st := f.CSRStats(); st.Rebuilds != 1 || st.Patches != 1 {
+		t.Fatalf("first warm: %+v, want one patch of Build's index", st)
 	}
 	assertCSRMatchesFreshBuild(t, "first warm", f)
 
@@ -457,8 +463,8 @@ func TestCSRFencePaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.WarmTrees()
-	if st := f.CSRStats(); st.Rebuilds != 1 || st.Patches != 1 {
-		t.Fatalf("failed-op fence: %+v, want one patch", st)
+	if st := f.CSRStats(); st.Rebuilds != 1 || st.Patches != 2 {
+		t.Fatalf("failed-op fence: %+v, want one more patch", st)
 	}
 	assertCSRMatchesFreshBuild(t, "failed-op fence", f)
 	checkCSRAgainstAdjacency(t, f, g)
@@ -491,13 +497,12 @@ func TestCSRFencePaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	bound.WarmTrees()
-	if f.csr.idx.gen != f.h.TopoGen() || bound.CSRStats() != f.CSRStats() {
+	if f.ro.csr.idx.gen != f.h.TopoGen() || bound.CSRStats() != f.CSRStats() {
 		t.Fatalf("Rebind: drain through the bound framework did not reach the shared index")
 	}
 	assertCSRMatchesFreshBuild(t, "rebind", f)
 
-	// No warm at all: the next query's ensureCSR patches. (The sessions
-	// come first — creating the first one warms.)
+	// No warm at all: the next query's ensureCSR patches.
 	csr, ref := csrAndRefSessions(f)
 	if _, err := f.RestoreEdge(5); err != nil {
 		t.Fatal(err)
@@ -559,7 +564,7 @@ func TestCSRCompactionBoundsSlabs(t *testing.T) {
 	cfg.BufferPages = -1
 	f, g, _ := fixture(t, 700, 900, 160, 9, cfg)
 	f.WarmTrees()
-	live := len(f.ensureCSR().ents)
+	live := len(f.ro.ensureCSR().ents)
 	rng := rand.New(rand.NewSource(9))
 	for pair := 0; pair < 600; pair++ {
 		e := graph.EdgeID(rng.Intn(g.NumEdges()))
@@ -573,7 +578,7 @@ func TestCSRCompactionBoundsSlabs(t *testing.T) {
 		f.WarmTrees()
 		// A quarter dead plus the one drain that may run past the cap
 		// before the next one compacts.
-		if n := len(f.ensureCSR().ents); n > live+live/2 {
+		if n := len(f.ro.ensureCSR().ents); n > live+live/2 {
 			t.Fatalf("pair %d: entry slab grew to %d cells over %d live ones", pair, n, live)
 		}
 	}
@@ -679,7 +684,7 @@ func TestCSRStructure(t *testing.T) {
 
 func checkCSRAgainstAdjacency(t *testing.T, f *Framework, g *graph.Graph) {
 	t.Helper()
-	c := f.ensureCSR()
+	c := f.ro.ensureCSR()
 	if len(c.span) != g.NumNodes() {
 		t.Fatalf("spans cover %d nodes, graph has %d", len(c.span), g.NumNodes())
 	}
@@ -739,8 +744,8 @@ func checkCSRAgainstAdjacency(t *testing.T, f *Framework, g *graph.Graph) {
 // FuzzCSRBuild feeds arbitrary small graphs — including isolated nodes and
 // closed edges — through the CSR builder and then through a mutation
 // sequence, asserting the structural adjacency invariant, patched-equals-
-// fresh-build after every mutation, and differential query equality on
-// every input.
+// fresh-build and slab sizes equal to pointer-tree sizes after every
+// mutation, and differential query equality on every input.
 func FuzzCSRBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 10, 1, 2, 20})
@@ -812,6 +817,7 @@ func FuzzCSRBuild(f *testing.F) {
 		refereed := func(label string) {
 			fw.WarmTrees()
 			assertCSRMatchesFreshBuild(t, label, fw)
+			assertSlabSizesMatchPointerTrees(t, label, fw)
 			checkCSRAgainstAdjacency(t, fw, g)
 		}
 		for j := 0; j+1 < len(data) && j < 64; j += 2 {

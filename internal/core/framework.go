@@ -41,9 +41,7 @@ type Framework struct {
 	ro      *RouteOverlay
 	ad      *AssocDir
 	store   *storage.Store
-	csr     *csrBox
 	qws     *queryWorkspace
-	prewarm prewarmOnce
 	epoch   atomic.Uint64
 
 	// BuildTime records how long construction took (the paper's index
@@ -80,7 +78,6 @@ func Build(g *graph.Graph, objects *graph.ObjectSet, cfg Config) (*Framework, er
 		h:       h,
 		objects: objects,
 		store:   store,
-		csr:     &csrBox{},
 	}
 	f.ro = NewRouteOverlay(h, store)
 	f.ad = NewAssocDir(h, objects, cfg.Abstract, store)
@@ -117,7 +114,6 @@ func Rebind(f *Framework, objects *graph.ObjectSet, kind AbstractKind) *Framewor
 		ro:        f.ro,
 		ad:        NewAssocDir(f.h, objects, kind, f.store),
 		store:     f.store,
-		csr:       f.csr, // same overlay, same flat slabs
 		BuildTime: f.BuildTime,
 	}
 }
@@ -154,24 +150,23 @@ func (f *Framework) Epoch() uint64 { return f.epoch.Load() }
 // bumpEpoch marks a completed mutation.
 func (f *Framework) bumpEpoch() { f.epoch.Add(1) }
 
-// WarmTrees brings the shared read-path state — per-node shortcut trees
-// and the CSR hot-path index flattened from them — up to date with the
-// hierarchy. Network maintenance invalidates the trees of the touched
-// edge's endpoints and stales the slabs of every node whose weights or
-// shortcuts it changed; left alone, the next query would repair both
-// lazily — a hidden write that would race with concurrent session
-// queries. A serving layer that interleaves maintenance with concurrent
-// sessions must therefore call WarmTrees after each mutation, failed ones
-// included, while still excluding readers, so the read path never mutates
-// shared state.
+// WarmTrees brings the shared read-path state — the CSR slabs holding
+// every node's flattened shortcut tree — up to date with the hierarchy.
+// Build and Restore leave the slabs current. Network maintenance stales
+// the slabs of every node whose incidence, weights or shortcuts it
+// changed; left alone, the next query would repair them lazily — a hidden
+// write that would race with concurrent session queries. A serving layer
+// that interleaves maintenance with concurrent sessions must therefore
+// call WarmTrees after each mutation, failed ones included, while still
+// excluding readers, so the read path never mutates shared state.
 //
 // The cost follows the change, not the network: the hierarchy logs the
-// nodes a mutation touched and only those are re-materialized (see
-// csrBox.drain); when nothing was logged — after object churn, or a
-// second call — it is one generation compare. The first call on a fresh
-// or restored framework, and the one after a bulk replay that overflowed
-// the log, build everything.
-func (f *Framework) WarmTrees() { f.ensureCSR() }
+// nodes a mutation touched and only those are re-flattened (see
+// csrBox.drain), building no pointer trees; when nothing was logged —
+// after object churn, or a second call — it is one generation compare.
+// The call after a bulk replay that overflowed the log rebuilds
+// everything.
+func (f *Framework) WarmTrees() { f.ro.ensureCSR() }
 
 // --- Object maintenance (§5.1) ---
 

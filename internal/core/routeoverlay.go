@@ -11,10 +11,13 @@ import (
 // ID whose leaf entries lead to each node's shortcut tree — the flattened
 // representation of the Rnet hierarchy that lets a traversal switch
 // between physical edges and shortcuts without ever leaving one structure.
-// The actual tree and shortcut data live in the Hierarchy; RouteOverlay
-// adds the paged-index simulation so queries are charged realistic I/O.
+// The shortcut data live in the Hierarchy; the trees are held only as the
+// CSR slabs (csr.go), which the overlay builds with itself. RouteOverlay
+// adds the paged-index simulation so report-mode queries are charged
+// realistic I/O.
 type RouteOverlay struct {
 	h      *rnet.Hierarchy
+	csr    *csrBox
 	index  *btree.Tree[int32]
 	layout *storage.Layout
 	store  *storage.Store
@@ -24,15 +27,18 @@ type RouteOverlay struct {
 	order []graph.NodeID
 }
 
-// NewRouteOverlay wraps hierarchy h; store may be nil to skip I/O
-// simulation. Node records are laid out in Hilbert order (CCAM-style
-// clustering [18]) sized by shortcut-tree and shortcut payload.
+// NewRouteOverlay wraps hierarchy h and flattens every node's shortcut
+// tree into the CSR slabs; store may be nil to skip I/O simulation. Node
+// records are laid out in Hilbert order (CCAM-style clustering [18]) sized
+// by shortcut-tree and shortcut payload.
 func NewRouteOverlay(h *rnet.Hierarchy, store *storage.Store) *RouteOverlay {
 	ro := &RouteOverlay{
 		h:     h,
+		csr:   newCSRBox(h),
 		index: btree.New[int32](btree.DefaultOrder),
 		store: store,
 	}
+	c := ro.csr.idx
 	if store != nil {
 		ro.layout = storage.NewLayout(store)
 		ro.index.OnAccess = func(id int64) { store.Read(roIndexPageBase - storage.PageID(id)) }
@@ -42,7 +48,7 @@ func NewRouteOverlay(h *rnet.Hierarchy, store *storage.Store) *RouteOverlay {
 	for _, n := range ro.order {
 		ro.index.Put(int64(n), 0)
 		if ro.layout != nil {
-			ro.layout.Place(int64(n), ro.nodeRecordSize(n))
+			ro.layout.Place(int64(n), ro.nodeRecordSize(c, n))
 			ro.layout.Write(int64(n))
 		}
 	}
@@ -50,22 +56,16 @@ func NewRouteOverlay(h *rnet.Hierarchy, store *storage.Store) *RouteOverlay {
 }
 
 // nodeRecordSize estimates the stored size of node n's entry: its shortcut
-// tree plus all shortcuts departing n.
-func (ro *RouteOverlay) nodeRecordSize(n graph.NodeID) int {
-	size := ro.h.TreeSizeBytes(n)
-	var walk func(tn *rnet.TreeNode)
-	walk = func(tn *rnet.TreeNode) {
-		if tn.IsBorder {
-			for _, sc := range ro.h.ShortcutsFrom(tn.Rnet, n) {
+// tree plus all shortcuts departing n, read off n's slab in c.
+func (ro *RouteOverlay) nodeRecordSize(c *csrIndex, n graph.NodeID) int {
+	size := c.treeSizeBytes(n)
+	sp := c.span[n]
+	for i := sp.start; i < sp.end; i++ {
+		if e := &c.ents[i]; e.flags&csrBorder != 0 {
+			for _, sc := range ro.h.ShortcutsFrom(e.rnet, n) {
 				size += 16 + 4*len(sc.Via)
 			}
 		}
-		for _, c := range tn.Children {
-			walk(c)
-		}
-	}
-	for _, top := range ro.h.Tree(n) {
-		walk(top)
 	}
 	return size
 }
@@ -81,12 +81,8 @@ func (ro *RouteOverlay) Visit(n graph.NodeID) []*rnet.TreeNode {
 }
 
 // SizeBytes estimates the Route Overlay's storage footprint: the
-// hierarchy's Rnet/shortcut data plus per-node shortcut-tree records.
+// hierarchy's Rnet/shortcut data plus per-node shortcut-tree records,
+// counted off the CSR slabs.
 func (ro *RouteOverlay) SizeBytes() int64 {
-	total := ro.h.SizeBytes()
-	g := ro.h.Graph()
-	for n := 0; n < g.NumNodes(); n++ {
-		total += int64(ro.h.TreeSizeBytes(graph.NodeID(n)))
-	}
-	return total
+	return ro.h.SizeBytes() + ro.ensureCSR().treeBytes(ro.h.Graph().NumNodes())
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"road/internal/graph"
 	"road/internal/rnet"
-	"sync"
 )
 
 // Session is a read-only query context over a built Framework. Unlike the
@@ -26,14 +25,15 @@ type Session struct {
 // page-store reference implementation instead of the CSR slabs, still
 // without I/O charging. The differential test harness and the hotpath
 // benchmark use it to compare both paths in one process; serving code has
-// no reason to call it.
+// no reason to call it. A pinned session builds pointer shortcut trees
+// into the hierarchy's shared cache as it visits nodes, so it must not run
+// concurrently with any other query on the framework.
 func (s *Session) UseReferencePath(on bool) { s.ws.useRef = on }
 
-// NewSession returns an independent concurrent query context. The first
-// session construction eagerly materializes all per-node shortcut trees
-// (they are otherwise built lazily, which would race).
+// NewSession returns an independent concurrent query context. It writes
+// nothing shared: the CSR slabs its queries read are current from Build or
+// Restore on, as long as every mutation is followed by WarmTrees.
 func (f *Framework) NewSession() *Session {
-	f.prewarm.Do(f.WarmTrees)
 	return &Session{
 		f: f,
 		ws: &queryWorkspace{
@@ -128,6 +128,3 @@ func (s *Session) path(q Query, target graph.ObjectID, lim Limits) ([]graph.Node
 // Epoch returns the owning framework's maintenance epoch at the time of
 // the call — a fence for detecting index mutations between two queries.
 func (s *Session) Epoch() uint64 { return s.f.Epoch() }
-
-// prewarmOnce is the type of Framework.prewarm.
-type prewarmOnce = sync.Once

@@ -196,12 +196,11 @@ func newAssocIndex(store *storage.Store) *btree.Tree[int32] {
 	return idx
 }
 
-// RestoreRouteOverlay reassembles the overlay over h without walking any
-// shortcut trees: the simulated B+-tree is repopulated in the recorded
-// cluster (Hilbert) order — re-deriving it would re-rank and re-sort
-// every coordinate — and the page layout, whose record sizes would
-// otherwise force every tree to materialize, is restored from exported
-// state. Trees stay lazy; WarmTrees (or the first session) builds them.
+// RestoreRouteOverlay reassembles the overlay over h: the simulated
+// B+-tree is repopulated in the recorded cluster (Hilbert) order —
+// re-deriving it would re-rank and re-sort every coordinate — the page
+// layout is restored from exported state, and the CSR slabs are built
+// from the hierarchy, as NewRouteOverlay builds them.
 func RestoreRouteOverlay(h *rnet.Hierarchy, store *storage.Store, layout *storage.LayoutState, order []graph.NodeID) (*RouteOverlay, error) {
 	ro := &RouteOverlay{
 		h:     h,
@@ -235,6 +234,7 @@ func RestoreRouteOverlay(h *rnet.Hierarchy, store *storage.Store, layout *storag
 		ro.index.Put(int64(n), 0)
 	}
 	ro.order = order
+	ro.csr = newCSRBox(h)
 	return ro, nil
 }
 
@@ -292,11 +292,9 @@ func Restore(spec RestoreSpec) (*Framework, error) {
 		objects: spec.Objects,
 		store:   store,
 		ad:      ad,
-		ro:      ro,
-		// The CSR index is derived state: snapshots don't carry it, the
-		// first WarmTrees (or session prewarm) rebuilds it from the
-		// restored hierarchy.
-		csr:       &csrBox{},
+		// The CSR index is derived state: snapshots don't carry it, and
+		// RestoreRouteOverlay rebuilt it from the restored hierarchy.
+		ro:        ro,
 		BuildTime: spec.BuildTime,
 	}
 	f.epoch.Store(spec.Epoch)

@@ -103,7 +103,8 @@ type Hierarchy struct {
 	// shortcuts[r] maps a border node of Rnet r to its outgoing shortcuts.
 	shortcuts []map[graph.NodeID][]Shortcut
 
-	// trees caches per-node shortcut trees (built on demand).
+	// trees caches per-node pointer shortcut trees for the reference
+	// traversal; it stays empty until that path first runs (see Tree).
 	trees []*TreeNode
 
 	// isBorder[r] is the border set of Rnet r for O(1) membership tests;
@@ -210,7 +211,6 @@ func Build(g *graph.Graph, cfg Config) (*Hierarchy, error) {
 	h.originLeaf = append([]RnetID(nil), h.leafOf...)
 	h.computeBorders()
 	h.computeAllShortcuts()
-	h.trees = make([]*TreeNode, g.NumNodes())
 	return h, nil
 }
 

@@ -360,9 +360,6 @@ func (h *Hierarchy) ensureNodeCapacity() {
 	for len(h.borderRnetsOf) < h.g.NumNodes() {
 		h.borderRnetsOf = append(h.borderRnetsOf, nil)
 	}
-	for len(h.trees) < h.g.NumNodes() {
-		h.trees = append(h.trees, nil)
-	}
 }
 
 func symmetricDiff(a, b map[RnetID]bool) map[RnetID]bool {

@@ -10,10 +10,11 @@ import (
 // HierarchyState is the explicit, serializable form of a built Hierarchy:
 // everything that cannot be rederived cheaply from the graph — the Rnet
 // tree, edge-to-leaf assignments (current and build-time origin), and
-// every shortcut set with optional Via waypoints. Border sets, per-level
-// indices and shortcut trees are derived state and are reconstructed on
-// import. Config.EdgeWeight (a function) does not survive serialization;
-// it only influences partitioning, which is already fixed by the state.
+// every shortcut set with optional Via waypoints. Border sets and
+// per-level indices are derived state and are reconstructed on import;
+// shortcut trees are derived from those on demand. Config.EdgeWeight (a
+// function) does not survive serialization; it only influences
+// partitioning, which is already fixed by the state.
 type HierarchyState struct {
 	Config     Config
 	Rnets      []Rnet
@@ -79,7 +80,7 @@ func (h *Hierarchy) ExportState() *HierarchyState {
 // ImportHierarchy reassembles a Hierarchy over g from exported state,
 // validating every cross-reference so corrupt state yields an error, never
 // a panic. Border sets and per-level indices are rederived; shortcut trees
-// rebuild lazily (or eagerly via the framework's WarmTrees).
+// are not state at all (the framework flattens them from the hierarchy).
 //
 // ImportHierarchy takes ownership of st and the slices it references —
 // snapshot loading is its only caller and decodes fresh state each time;
@@ -213,6 +214,5 @@ func ImportHierarchy(g *graph.Graph, st *HierarchyState) (*Hierarchy, error) {
 			h.borderRnetsOf[b] = append(h.borderRnetsOf[b], RnetID(i))
 		}
 	}
-	h.trees = make([]*TreeNode, g.NumNodes())
 	return h, nil
 }

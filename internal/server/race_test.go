@@ -14,9 +14,9 @@ import (
 	"road"
 )
 
-// buildGrid returns an n×n grid DB (unit-ish edge weights) with one
-// object per row, StorePaths on, plus the edge and object ID ranges.
-func buildGrid(t *testing.T, n int) (*road.DB, []road.EdgeID, []road.ObjectID) {
+// gridNetwork returns a builder holding an n×n grid (unit-ish edge
+// weights) and its edge IDs.
+func gridNetwork(t *testing.T, n int) (*road.NetworkBuilder, []road.EdgeID) {
 	t.Helper()
 	b := road.NewNetworkBuilder()
 	ids := make([][]road.NodeID, n)
@@ -45,19 +45,33 @@ func buildGrid(t *testing.T, n int) (*road.DB, []road.EdgeID, []road.ObjectID) {
 			}
 		}
 	}
-	db, err := road.Open(b, road.Options{StorePaths: true, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	return b, edges
+}
+
+// addRowObjects places one object per grid row on store.
+func addRowObjects(t *testing.T, store road.Store, n int, edges []road.EdgeID) []road.ObjectID {
+	t.Helper()
 	var objs []road.ObjectID
 	for i := 0; i < n; i++ {
-		o, err := db.AddObject(edges[(i*13)%len(edges)], 0.3, int32(i%3))
+		o, err := store.AddObject(edges[(i*13)%len(edges)], 0.3, int32(i%3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		objs = append(objs, o.ID)
 	}
-	return db, edges, objs
+	return objs
+}
+
+// buildGrid returns an n×n grid DB with one object per row, StorePaths
+// on, plus the edge and object ID ranges.
+func buildGrid(t *testing.T, n int) (*road.DB, []road.EdgeID, []road.ObjectID) {
+	t.Helper()
+	b, edges := gridNetwork(t, n)
+	db, err := road.Open(b, road.Options{StorePaths: true, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, edges, addRowObjects(t, db, n, edges)
 }
 
 // TestConcurrentQueriesAndMaintenance races many concurrent KNN / Within /
@@ -77,45 +91,12 @@ func TestConcurrentQueriesAndMaintenance(t *testing.T) {
 // locking end to end, incremental border-table refresh included.
 func TestConcurrentQueriesAndMaintenanceSharded(t *testing.T) {
 	const gridSide = 8
-	b := road.NewNetworkBuilder()
-	ids := make([][]road.NodeID, gridSide)
-	for i := 0; i < gridSide; i++ {
-		ids[i] = make([]road.NodeID, gridSide)
-		for j := 0; j < gridSide; j++ {
-			ids[i][j] = b.AddNode(float64(i), float64(j))
-		}
-	}
-	var edges []road.EdgeID
-	for i := 0; i < gridSide; i++ {
-		for j := 0; j < gridSide; j++ {
-			if i+1 < gridSide {
-				e, err := b.AddRoad(ids[i][j], ids[i+1][j], 1+0.1*float64((i+j)%3))
-				if err != nil {
-					t.Fatal(err)
-				}
-				edges = append(edges, e)
-			}
-			if j+1 < gridSide {
-				e, err := b.AddRoad(ids[i][j], ids[i][j+1], 1+0.1*float64((i*j)%3))
-				if err != nil {
-					t.Fatal(err)
-				}
-				edges = append(edges, e)
-			}
-		}
-	}
+	b, edges := gridNetwork(t, gridSide)
 	sdb, err := road.OpenSharded(b, road.Options{Seed: 42}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var objs []road.ObjectID
-	for i := 0; i < gridSide; i++ {
-		o, err := sdb.AddObject(edges[(i*13)%len(edges)], 0.3, int32(i%3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		objs = append(objs, o.ID)
-	}
+	objs := addRowObjects(t, sdb, gridSide, edges)
 	runMaintenanceStorm(t, sdb, gridSide*gridSide, edges, objs)
 }
 

@@ -745,10 +745,10 @@ func (s *Server) maintenance(op func(*MaintenanceRequest, *MaintenanceResponse) 
 		resp := MaintenanceResponse{Edge: road.NoEdge, Object: -1}
 		epoch, err := s.coord.Write(func() error {
 			opErr := op(&req, &resp)
-			// Re-materialize any shortcut trees the mutation invalidated
+			// Re-emit the CSR slabs of the nodes the mutation touched
 			// while readers are still excluded — even on error, a partial
-			// mutation may have invalidated some — so concurrent sessions
-			// never trigger a lazy rebuild. (A no-op for internally
+			// mutation may have touched some — so concurrent sessions
+			// never trigger a lazy repair. (A no-op for internally
 			// synchronized stores, which re-warm under their own locks.)
 			s.b.WarmAfterMutation()
 			return opErr

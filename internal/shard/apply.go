@@ -158,8 +158,8 @@ func (s *Shard) applyLocal(op snapshot.Op) (applyResult, error) {
 func (s *Shard) HostApply(op snapshot.Op) (ApplyReply, error) {
 	res, err := s.applyLocal(op)
 	if err != nil {
-		// Even a failed op can have invalidated shortcut trees (see
-		// Router.Mutate); re-materialize before readers resume.
+		// Even a failed op can have staled CSR slabs (see
+		// Router.Mutate); re-warm before readers resume.
 		s.F.WarmTrees()
 		return ApplyReply{}, err
 	}
@@ -181,7 +181,7 @@ func (s *Shard) ReplayApply(op snapshot.Op) error {
 }
 
 // RefreshDerived rebuilds the shard's derived routing state and re-warms
-// shortcut trees — the bulk counterpart of per-op maintenance, for after
+// its CSR slabs — the bulk counterpart of per-op maintenance, for after
 // host-side journal replay.
 func (s *Shard) RefreshDerived() {
 	s.refreshDerived(true)

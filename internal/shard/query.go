@@ -35,8 +35,9 @@ type Session struct {
 
 // NewSession returns an independent concurrent query context. Safe to
 // call while other sessions query and mutations run: each shard's
-// searcher is constructed under that shard's read lock (the first
-// construction per framework materializes shortcut trees).
+// searcher is constructed under that shard's read lock, and constructing
+// one writes nothing shared (the CSR slabs it reads are current from
+// Build or Restore on).
 func (r *Router) NewSession() *Session {
 	q := make([]Searcher, len(r.shards))
 	for i, s := range r.shards {

@@ -271,9 +271,9 @@ func (r *Router) Mutate(encode func() (ID, snapshot.Op, error), apply func(ID, s
 	r.shardMu[sid].Lock()
 	defer r.shardMu[sid].Unlock()
 	if err := apply(sid, op); err != nil {
-		// Even a failed op can have invalidated shortcut trees (a road
-		// addition whose global mirror rejected it, say); re-materialize
-		// before this shard's readers resume.
+		// Even a failed op can have staled CSR slabs (a road addition
+		// whose global mirror rejected it, say); re-warm before this
+		// shard's readers resume.
 		r.shards[sid].warmTrees()
 		return op, err
 	}
@@ -324,8 +324,8 @@ func (r *Router) IndexSizeBytes() int64 {
 	return sum
 }
 
-// WarmTrees brings every shard's shortcut trees and CSR search slabs up
-// to date with its hierarchy (core.Framework.WarmTrees). Single-threaded
+// WarmTrees brings every shard's CSR search slabs up to date with its
+// hierarchy (core.Framework.WarmTrees). Single-threaded
 // bulk use only (after build or journal replay, before serving): the live
 // mutation path re-warms the mutated shard itself, under its write lock.
 func (r *Router) WarmTrees() {
@@ -551,7 +551,7 @@ func (r *Router) objectInShard(sid ID, gid graph.ObjectID) (graph.Object, bool, 
 }
 
 // RefreshAll rebuilds every shard's derived routing state (watch sets and
-// border tables) and re-warms shortcut trees — the bulk counterpart of
+// border tables) and re-warms CSR slabs — the bulk counterpart of
 // per-op refresh, for after journal replay. Mirror shards are skipped:
 // their derived state arrives from the host (adoption and ApplyReply).
 func (r *Router) RefreshAll() {

@@ -117,9 +117,9 @@ type localSearcher struct {
 	watched []WatchDist
 }
 
-// newLocalSearcher builds a Searcher over a full local shard. Callers
-// must hold the shard's read exclusion: the first session per framework
-// materializes shortcut trees.
+// newLocalSearcher builds a Searcher over a full local shard. Building one
+// writes nothing shared; callers hold the shard's read exclusion, as
+// every reader of the shard does.
 func (s *Shard) newLocalSearcher() *localSearcher {
 	return &localSearcher{sh: s, sess: s.F.NewSession()}
 }

@@ -143,10 +143,9 @@ func LoadFile(path string) (*core.Framework, uint64, error) {
 }
 
 // loadBytes parses and reassembles a snapshot already in memory.
-// Derived search state is deliberately NOT part of the image: shortcut
-// trees rematerialize lazily and the CSR slabs rebuild on the first
-// WarmTrees (or session prewarm), so the format is indifferent to
-// hot-path representation changes.
+// Derived search state is deliberately NOT part of the image: core.Restore
+// rebuilds the CSR slabs from the restored hierarchy, so the format is
+// indifferent to hot-path representation changes.
 func loadBytes(data []byte) (*core.Framework, uint64, error) {
 	sections, err := parseContainer(data)
 	if err != nil {

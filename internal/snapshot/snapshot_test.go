@@ -231,14 +231,20 @@ func TestRoundTripSecondGeneration(t *testing.T) {
 	assertSameAnswers(t, f, g2, 300)
 }
 
-// TestRestoredFrameworkFirstWarmBuilds: a restored framework carries no
-// CSR index, so its first warm — even after journal-style replay logged
-// dirty nodes against the restored hierarchy — is the one full build, and
-// only mutations after it are patched.
-func TestRestoredFrameworkFirstWarmBuilds(t *testing.T) {
+// TestRestoredFrameworkBuildsCSR: a snapshot carries no CSR index, so
+// Restore builds it from the restored hierarchy — the framework leaves
+// Restore ready to serve, with no pointer trees cached — and every
+// mutation after it, journal-style replay included, is patched.
+func TestRestoredFrameworkBuildsCSR(t *testing.T) {
 	f := buildFixture(t, 51)
 	f.WarmTrees()
 	loaded, _ := loadFromBytes(t, saveToBytes(t, f, 0))
+	if st := loaded.CSRStats(); st.Rebuilds != 1 || st.Patches != 0 {
+		t.Fatalf("after restore: %+v, want exactly one build", st)
+	}
+	if n := loaded.Hierarchy().CachedTrees(); n != 0 {
+		t.Fatalf("restore cached %d pointer trees, want none", n)
+	}
 	reweigh := func(fr *core.Framework, e graph.EdgeID, factor float64) {
 		if _, err := fr.SetEdgeWeight(e, fr.Graph().Weight(e)*factor); err != nil {
 			t.Fatal(err)
@@ -249,14 +255,14 @@ func TestRestoredFrameworkFirstWarmBuilds(t *testing.T) {
 		reweigh(loaded, e, 2)
 	}
 	loaded.WarmTrees()
-	if st := loaded.CSRStats(); st.Rebuilds != 1 || st.Patches != 0 {
-		t.Fatalf("first warm after restore: %+v, want exactly one build", st)
+	if st := loaded.CSRStats(); st.Rebuilds != 1 || st.Patches != 1 {
+		t.Fatalf("first warm after restore: %+v, want one patch", st)
 	}
 	reweigh(f, 0, 0.25)
 	reweigh(loaded, 0, 0.25)
 	loaded.WarmTrees()
-	if st := loaded.CSRStats(); st.Rebuilds != 1 || st.Patches != 1 {
-		t.Fatalf("warm after a post-restore mutation: %+v, want one patch", st)
+	if st := loaded.CSRStats(); st.Rebuilds != 1 || st.Patches != 2 {
+		t.Fatalf("warm after a post-restore mutation: %+v, want another patch", st)
 	}
 	assertSameAnswers(t, f, loaded, 700)
 }

@@ -286,7 +286,7 @@ func (db *routerStore) ReopenRoad(e EdgeID) error {
 }
 
 // WarmAfterMutation is a no-op for a router-backed store: mutations
-// synchronize internally and re-warm the owning shard's shortcut trees
+// synchronize internally and re-warm the owning shard's CSR slabs
 // before releasing its write lock (on the host, for an out-of-process
 // shard, before the apply RPC returns), so by the time any caller could
 // run this, the work is already done — and doing it here, outside the

@@ -59,10 +59,10 @@ type Store interface {
 	CloseRoad(e EdgeID) error
 	ReopenRoad(e EdgeID) error
 
-	// WarmAfterMutation re-materializes lazily-rebuilt read-path state
-	// (shortcut trees) while readers are still excluded; serving layers
-	// call it after every mutation, even a failed one — partial mutations
-	// invalidate too.
+	// WarmAfterMutation repairs the read-path state a mutation staled
+	// (the CSR slabs of the nodes it touched) while readers are still
+	// excluded; serving layers call it after every mutation, even a
+	// failed one — partial mutations stale it too.
 	WarmAfterMutation()
 
 	// Introspection.
@@ -222,8 +222,8 @@ func (db *DB) Query(ctx context.Context, reqs []Request) []Response {
 // interface form of NewSession).
 func (db *DB) OpenSession() Querier { return db.NewSession() }
 
-// WarmAfterMutation re-materializes invalidated shortcut trees; see
-// Store.WarmAfterMutation.
+// WarmAfterMutation re-emits the CSR slabs of the nodes the last
+// mutations touched; see Store.WarmAfterMutation.
 func (db *DB) WarmAfterMutation() { db.f.WarmTrees() }
 
 // Save atomically snapshots the DB to path (Store.Save; the file form of
