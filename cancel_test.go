@@ -183,19 +183,26 @@ func TestDeadlineExceededWrapsBoth(t *testing.T) {
 	}
 }
 
-// TestCancelPathTo: path queries honour the context too, on both shapes.
+// TestCancelPathTo: path queries honour the context too, in process and
+// across a fleet's wire.
 func TestCancelPathTo(t *testing.T) {
 	_, sdb := caPair(t)
-	// Find any reachable object for a valid target.
-	hits, _, err := sdb.KNNContext(context.Background(), NewKNN(0, 1))
-	if err != nil || len(hits) == 0 {
-		t.Fatalf("no object to route to: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err = sdb.PathToContext(ctx, NewPath(0, hits[0].Object.ID))
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("sharded path err = %v, want ErrCanceled", err)
+	_, rdb, _ := remoteTriple(t, 3, 600, 60, 4)
+	for _, tc := range []struct {
+		name  string
+		store Store
+	}{{"sharded", sdb}, {"fleet", rdb}} {
+		// Find any reachable object for a valid target.
+		hits, _, err := tc.store.KNNContext(context.Background(), NewKNN(0, 1))
+		if err != nil || len(hits) == 0 {
+			t.Fatalf("%s: no object to route to: %v", tc.name, err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, _, err = tc.store.PathToContext(ctx, NewPath(0, hits[0].Object.ID))
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s path err = %v, want ErrCanceled", tc.name, err)
+		}
 	}
 }
 
@@ -223,6 +230,27 @@ func TestBudgetExhausted(t *testing.T) {
 			if res[i].Dist < res[i-1].Dist {
 				t.Fatalf("%s: truncated result unsorted", tc.name)
 			}
+		}
+	}
+
+	// Routes: the first settled node of the first leg exhausts a budget of
+	// one, in process and on a fleet's hosts alike.
+	_, rdb, _ := remoteTriple(t, 3, 600, 60, 4)
+	for _, tc := range []struct {
+		name  string
+		store Store
+	}{{"sharded", sdb}, {"fleet", rdb}} {
+		hits, _, err := tc.store.KNNContext(context.Background(), NewKNN(0, 1))
+		if err != nil || len(hits) == 0 {
+			t.Fatalf("%s: no object to route to: %v", tc.name, err)
+		}
+		_, stats, err := tc.store.PathToContext(context.Background(),
+			NewPath(0, hits[0].Object.ID, WithBudget(1)))
+		if !errors.Is(err, ErrBudgetExhausted) {
+			t.Fatalf("%s path: err = %v, want ErrBudgetExhausted", tc.name, err)
+		}
+		if !stats.Truncated {
+			t.Fatalf("%s path: Truncated not set", tc.name)
 		}
 	}
 }

@@ -58,8 +58,8 @@ var (
 	ErrUnreachable = errors.New("object unreachable")
 
 	// ErrPathsNotStored marks a detailed-route query against a DB opened
-	// without Options.StorePaths (sharded stores reconstruct routes and
-	// never return this).
+	// without Options.StorePaths (sharded stores always store shortcut
+	// waypoints and never return this).
 	ErrPathsNotStored = errors.New("paths not stored (open with Options.StorePaths)")
 
 	// ErrCrossShardRoad marks an AddRoad whose endpoints share no shard:

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 	"unsafe"
 
@@ -474,58 +475,82 @@ func (f *Framework) searchCSR(ad *AssocDir, seeds []Seed, attr int32, k int, rad
 	return res, stats, stopErr
 }
 
-// pathRelax mirrors pathTo's relax: record the parent link unless the node
-// already has a strictly better (or equal — keep-first-on-tie) one, then
-// push. src never has its link overwritten.
-func (f *Framework) pathRelax(ws *queryWorkspace, src, n graph.NodeID, nd float64, prev graph.NodeID, edge graph.EdgeID, r rnet.RnetID) {
-	if ws.linkEpoch[n] == ws.epoch && graph.NodeID(ws.linkPrev[n]) != graph.NoNode && ws.linkDist[n] <= nd {
+// pathRelax is the route search's relax, mirroring pathTo's: it records
+// the parent link and pushes n unless n already holds an equal or better
+// label (keep-first-on-tie). A seed is relaxed with prev = NoNode, which
+// is what ends the walk back.
+func (f *Framework) pathRelax(ws *queryWorkspace, n graph.NodeID, nd float64, prev graph.NodeID, edge graph.EdgeID, r rnet.RnetID) {
+	if ws.linkEpoch[n] == ws.epoch && ws.linkDist[n] <= nd {
 		return
 	}
-	if n != src {
-		ws.linkEpoch[n] = ws.epoch
-		ws.linkPrev[n] = int32(prev)
-		ws.linkEdge[n] = int32(edge)
-		ws.linkRnet[n] = int32(r)
-		ws.linkDist[n] = nd
-	}
+	ws.linkEpoch[n] = ws.epoch
+	ws.linkPrev[n] = int32(prev)
+	ws.linkEdge[n] = int32(edge)
+	ws.linkRnet[n] = int32(r)
+	ws.linkDist[n] = nd
 	ws.spq.Push(int32(n), -1, nd)
 }
 
-// pathCSR is pathTo's hot-path twin: the same target-directed ChoosePath
-// with parent tracking, walked over the CSR slabs like searchCSR (bypass =
-// jump to skip, descend = advance one entry) with dense epoch-stamped link
-// arrays instead of per-call maps. The only explorable Rnets are the
-// target's ancestor chain — at most Levels of them — so the chain is
-// stamped into the verdict scratch up front and the per-entry test is one
-// compare; see pathTo for why the rule is exact. The route is rebuilt in
-// the workspace's hop buffer, so the one allocation of a query is the
-// slice it returns.
-func (f *Framework) pathCSR(q Query, target graph.ObjectID, ws *queryWorkspace, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
-	stats := QueryStats{ShardsSearched: 1}
-	if !f.h.Config().StorePaths {
-		return nil, 0, stats, fmt.Errorf("core: framework built without StorePaths: %w", apierr.ErrPathsNotStored)
-	}
-	o, ok := f.objects.Get(target)
-	if !ok {
-		return nil, 0, stats, fmt.Errorf("core: object %d: %w", target, apierr.ErrNoSuchObject)
-	}
-	if q.Attr != 0 && o.Attr != q.Attr {
-		return nil, 0, stats, fmt.Errorf("core: object %d does not match attribute %d: %w", target, q.Attr, apierr.ErrAttrMismatch)
-	}
+// routeGoal is where a route search stops. A path goal names two end
+// nodes with the distance still to go past each — an object's edge
+// endpoints with the object's offsets, or one node twice at offset zero —
+// and the search stops once no cheaper arrival is possible. A watch goal
+// has no end: the search stops once every watched node is settled. Both
+// stop past cap.
+type routeGoal struct {
+	ends  [2]graph.NodeID
+	off   [2]float64
+	watch *WatchSet
+	cap   float64
+}
 
+// beginRoute readies ws for one route search: a fresh epoch and link
+// arrays sized to the network. The caller then stamps the explorable Rnets
+// (stampChain) and runs route.
+func (f *Framework) beginRoute(ws *queryWorkspace) *csrIndex {
 	c := f.ro.ensureCSR()
 	f.prepare(ws)
 	ws.growLinks(f.g.NumNodes())
-	for r := f.h.LeafOf(o.Edge); r != rnet.NoRnet; r = f.h.Rnet(r).Parent {
-		ws.verdictEpoch[r] = ws.epoch // explorable: holds the target's edge
+	return c
+}
+
+// stampChain marks the ancestor chain of edge e's leaf explorable for the
+// current route search.
+func (f *Framework) stampChain(ws *queryWorkspace, e graph.EdgeID) {
+	for r := f.h.LeafOf(e); r != rnet.NoRnet; r = f.h.Rnet(r).Parent {
+		if ws.verdictEpoch[r] == ws.epoch {
+			return // ancestors already stamped through a sibling
+		}
+		ws.verdictEpoch[r] = ws.epoch
 	}
+}
 
-	ws.linkEpoch[q.Node] = ws.epoch
-	ws.linkPrev[q.Node] = int32(graph.NoNode)
-	ws.linkEdge[q.Node] = int32(graph.NoEdge)
-	ws.spq.Push(int32(q.Node), -1, 0)
-
-	e := f.g.Edge(o.Edge)
+// route is the seeded route kernel every path query runs on: a search from
+// seeds (each entering at its own distance) with parent tracking, walked
+// over the CSR slabs like searchCSR — bypass = jump to skip, descend =
+// advance one entry — but with the explorable Rnets stamped into the
+// verdict scratch up front, so the per-entry test is one compare. The
+// caller stamps exactly the Rnets that can hold the goal: the ancestor
+// chain of an object's edge, the chains of a node's incident edges (the
+// NewWatchSet rule), or a watch set's chains. Every other Rnet is bypassed
+// through shortcuts, which is exact (see pathTo). It returns the end node
+// reached and the distance including its offset — NoNode and +Inf when no
+// seed reaches the goal, and always for a watch goal, whose answers are
+// the settled link distances.
+func (f *Framework) route(c *csrIndex, seeds []Seed, goal *routeGoal, ws *queryWorkspace, lim Limits) (graph.NodeID, float64, QueryStats, error) {
+	stats := QueryStats{ShardsSearched: 1}
+	for _, sd := range seeds {
+		if int(sd.Node) < 0 || int(sd.Node) >= f.g.NumNodes() {
+			return graph.NoNode, 0, stats, fmt.Errorf("core: seed node %d: %w", sd.Node, apierr.ErrNoSuchNode)
+		}
+		f.pathRelax(ws, sd.Node, sd.Dist, graph.NoNode, graph.NoEdge, rnet.NoRnet)
+	}
+	left := 0
+	if goal.watch != nil {
+		if left = goal.watch.distinct; left == 0 {
+			return graph.NoNode, math.Inf(1), stats, nil
+		}
+	}
 	bestEnd := graph.NoNode
 	bestDist := math.Inf(1)
 
@@ -533,8 +558,8 @@ func (f *Framework) pathCSR(q Query, target graph.ObjectID, ws *queryWorkspace, 
 		item, _ := ws.spq.Pop()
 		n := item.Node
 		d := item.Prio
-		if d >= bestDist {
-			break // cannot improve the object's distance any further
+		if d >= bestDist || d > goal.cap {
+			break // cannot improve the goal's distance any further
 		}
 		if ws.nodeEpoch[n] == ws.epoch {
 			continue
@@ -543,17 +568,23 @@ func (f *Framework) pathCSR(q Query, target graph.ObjectID, ws *queryWorkspace, 
 		stats.NodesPopped++
 		if err := lim.Stop(stats.NodesPopped); err != nil {
 			stats.Truncated = true
-			return nil, 0, stats, err
+			return graph.NoNode, 0, stats, err
 		}
 		nid := graph.NodeID(n)
 
-		if nid == e.U && d+o.DU < bestDist {
-			bestDist = d + o.DU
-			bestEnd = nid
-		}
-		if nid == e.V && d+o.DV < bestDist {
-			bestDist = d + o.DV
-			bestEnd = nid
+		if goal.watch != nil {
+			if goal.watch.nodes[n] {
+				if left--; left == 0 {
+					break
+				}
+			}
+		} else {
+			for i, t := range goal.ends {
+				if nid == t && d+goal.off[i] < bestDist {
+					bestDist = d + goal.off[i]
+					bestEnd = nid
+				}
+			}
 		}
 
 		if int(n) >= len(c.span) {
@@ -565,7 +596,7 @@ func (f *Framework) pathCSR(q Query, target graph.ObjectID, ws *queryWorkspace, 
 			if ent.flags&csrBorder != 0 && ws.verdictEpoch[ent.rnet] != ws.epoch {
 				stats.RnetsBypassed++
 				for j := ent.scOff; j < ent.scEnd; j++ {
-					f.pathRelax(ws, q.Node, graph.NodeID(c.scTo[j]), d+c.scDist[j], nid, graph.NoEdge, ent.rnet)
+					f.pathRelax(ws, graph.NodeID(c.scTo[j]), d+c.scDist[j], nid, graph.NoEdge, ent.rnet)
 				}
 				i = ent.skip
 				continue
@@ -576,38 +607,133 @@ func (f *Framework) pathCSR(q Query, target graph.ObjectID, ws *queryWorkspace, 
 				continue
 			}
 			for j := ent.edgeOff; j < ent.edgeEnd; j++ {
-				f.pathRelax(ws, q.Node, graph.NodeID(c.leTo[j]), d+c.leW[j], nid, graph.EdgeID(c.leEdge[j]), rnet.NoRnet)
+				f.pathRelax(ws, graph.NodeID(c.leTo[j]), d+c.leW[j], nid, graph.EdgeID(c.leEdge[j]), rnet.NoRnet)
 			}
 			i++
 		}
 	}
-	if bestEnd == graph.NoNode {
-		return nil, math.Inf(1), stats, fmt.Errorf("core: object %d unreachable from node %d: %w", target, q.Node, apierr.ErrUnreachable)
-	}
+	return bestEnd, bestDist, stats, nil
+}
 
-	// Walk the links back to the source, expanding shortcut hops.
+// routeTo runs a path goal and appends the route to dst, seed first. A
+// goal no seed reaches leaves dst as it was and reports +Inf.
+func (f *Framework) routeTo(dst []graph.NodeID, c *csrIndex, seeds []Seed, goal *routeGoal, ws *queryWorkspace, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
+	end, dist, stats, err := f.route(c, seeds, goal, ws, lim)
+	if err != nil || end == graph.NoNode {
+		return dst, dist, stats, err
+	}
+	dst, err = f.appendRoute(dst, end, ws)
+	return dst, dist, stats, err
+}
+
+// appendRoute walks the parent links back from end to the seed it was
+// reached from, expanding shortcut hops, and appends the route to dst seed
+// first. The walk collects into the workspace's hop buffer, so the only
+// allocation is dst's growth.
+func (f *Framework) appendRoute(dst []graph.NodeID, end graph.NodeID, ws *queryWorkspace) ([]graph.NodeID, error) {
 	rev := ws.hops[:0]
-	cur := bestEnd
-	for cur != q.Node {
-		if ws.linkEpoch[cur] != ws.epoch || graph.NodeID(ws.linkPrev[cur]) == graph.NoNode {
-			return nil, 0, stats, fmt.Errorf("core: broken parent chain at node %d", cur)
+	cur := end
+	for {
+		if ws.linkEpoch[cur] != ws.epoch {
+			return dst, fmt.Errorf("core: broken parent chain at node %d", cur)
 		}
 		prev := graph.NodeID(ws.linkPrev[cur])
-		if eid := graph.EdgeID(ws.linkEdge[cur]); eid != graph.NoEdge {
+		if prev == graph.NoNode {
+			break // a seed
+		}
+		if graph.EdgeID(ws.linkEdge[cur]) != graph.NoEdge {
 			rev = append(rev, cur)
 		} else {
 			var err error
 			if rev, err = f.appendHopReversed(rev, rnet.RnetID(ws.linkRnet[cur]), prev, cur); err != nil {
-				return nil, 0, stats, err
+				return dst, err
 			}
 		}
 		cur = prev
 	}
-	rev = append(rev, q.Node)
+	rev = append(rev, cur)
 	ws.hops = rev // keep what the walk grew
-	path := make([]graph.NodeID, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
+	dst = slices.Grow(dst, len(rev))
+	for i := len(rev) - 1; i >= 0; i-- {
+		dst = append(dst, rev[i])
 	}
-	return path, bestDist, stats, nil
+	return dst, nil
+}
+
+// routeToObject routes from seeds to object target: the route ends at
+// whichever endpoint of the object's edge reaches it cheaper, and the
+// distance includes the offset along the edge. attr, when non-zero, must
+// match the object's attribute; it plays no part in the search.
+func (f *Framework) routeToObject(dst []graph.NodeID, seeds []Seed, target graph.ObjectID, attr int32, ws *queryWorkspace, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
+	if !f.h.Config().StorePaths {
+		return dst, 0, QueryStats{ShardsSearched: 1}, fmt.Errorf("core: framework built without StorePaths: %w", apierr.ErrPathsNotStored)
+	}
+	o, ok := f.objects.Get(target)
+	if !ok {
+		return dst, 0, QueryStats{ShardsSearched: 1}, fmt.Errorf("core: object %d: %w", target, apierr.ErrNoSuchObject)
+	}
+	if attr != 0 && o.Attr != attr {
+		return dst, 0, QueryStats{ShardsSearched: 1}, fmt.Errorf("core: object %d does not match attribute %d: %w", target, attr, apierr.ErrAttrMismatch)
+	}
+	c := f.beginRoute(ws)
+	f.stampChain(ws, o.Edge)
+	e := f.g.Edge(o.Edge)
+	goal := routeGoal{ends: [2]graph.NodeID{e.U, e.V}, off: [2]float64{o.DU, o.DV}, cap: math.Inf(1)}
+	return f.routeTo(dst, c, seeds, &goal, ws, lim)
+}
+
+// routeToNode routes from seeds to node t. The explorable Rnets are the
+// chains of t's incident edges — the Rnets a watch set over t descends.
+func (f *Framework) routeToNode(dst []graph.NodeID, seeds []Seed, t graph.NodeID, ws *queryWorkspace, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
+	if !f.h.Config().StorePaths {
+		return dst, 0, QueryStats{ShardsSearched: 1}, fmt.Errorf("core: framework built without StorePaths: %w", apierr.ErrPathsNotStored)
+	}
+	if int(t) < 0 || int(t) >= f.g.NumNodes() {
+		return dst, 0, QueryStats{ShardsSearched: 1}, fmt.Errorf("core: node %d: %w", t, apierr.ErrNoSuchNode)
+	}
+	c := f.beginRoute(ws)
+	for _, half := range f.g.Neighbors(t) {
+		f.stampChain(ws, half.Edge)
+	}
+	goal := routeGoal{ends: [2]graph.NodeID{t, t}, cap: math.Inf(1)}
+	return f.routeTo(dst, c, seeds, &goal, ws, lim)
+}
+
+// watchedDistances is the route kernel's distance-only form: the
+// explorable Rnets are watch's chains, no route is kept, and the search
+// stops once every watched node is settled or the frontier passes cap.
+// It appends one distance per watched node, in the set's order (+Inf for
+// a node no seed reaches within cap).
+func (f *Framework) watchedDistances(dst []float64, seeds []Seed, watch *WatchSet, cap float64, ws *queryWorkspace, lim Limits) ([]float64, QueryStats, error) {
+	c := f.beginRoute(ws)
+	for _, r := range watch.chain {
+		ws.verdictEpoch[r] = ws.epoch
+	}
+	goal := routeGoal{watch: watch, cap: cap}
+	if cap <= 0 {
+		goal.cap = math.Inf(1)
+	}
+	_, _, stats, err := f.route(c, seeds, &goal, ws, lim)
+	if err != nil {
+		return dst, stats, err
+	}
+	for _, n := range watch.list {
+		d := math.Inf(1)
+		if ws.nodeEpoch[n] == ws.epoch {
+			d = ws.linkDist[n]
+		}
+		dst = append(dst, d)
+	}
+	return dst, stats, nil
+}
+
+// pathCSR is pathTo's hot-path twin: the route kernel with one seed, the
+// query node, and the target object as its goal.
+func (f *Framework) pathCSR(q Query, target graph.ObjectID, ws *queryWorkspace, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
+	ws.seed[0] = Seed{Node: q.Node}
+	path, dist, stats, err := f.routeToObject(nil, ws.seed[:], target, q.Attr, ws, lim)
+	if err == nil && math.IsInf(dist, 1) {
+		return nil, math.Inf(1), stats, fmt.Errorf("core: object %d unreachable from node %d: %w", target, q.Node, apierr.ErrUnreachable)
+	}
+	return path, dist, stats, err
 }

@@ -168,6 +168,19 @@ func (f *Framework) bumpEpoch() { f.epoch.Add(1) }
 // everything.
 func (f *Framework) WarmTrees() { f.ro.ensureCSR() }
 
+// EnableWaypoints upgrades a framework built or restored without
+// StorePaths to store shortcut waypoints, recomputing every shortcut and
+// re-flattening the CSR slabs; answers do not change, routes become
+// available. It reports whether an upgrade ran. Like a mutation, it must
+// run while readers are excluded.
+func (f *Framework) EnableWaypoints() bool {
+	if !f.h.EnableWaypoints() {
+		return false
+	}
+	f.WarmTrees()
+	return true
+}
+
 // --- Object maintenance (§5.1) ---
 
 // InsertObject places a new object on edge e at offset du from the edge's

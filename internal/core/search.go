@@ -39,7 +39,7 @@ type QueryStats struct {
 	// home shard plus one per shard the expansion re-entered through its
 	// borders — so a query that never crossed a boundary reports 1, even
 	// when its home shard was searched twice (the watched re-run). Path
-	// queries count per-shard Dijkstra legs instead.
+	// queries count per-shard route legs instead.
 	ShardsSearched int
 	// Truncated reports a partial result: the search stopped early on
 	// context cancellation or budget exhaustion. What was returned is a
@@ -111,6 +111,13 @@ type WatchSet struct {
 	// after build; AddEdge reuses existing leaf Rnets).
 	nodes []bool
 	rnets []bool
+	// list holds the watched nodes in the order the set was built from,
+	// distinct how many of them differ, and chain every marked Rnet: a
+	// route search stamps chain as its explorable set and reports
+	// distances in list order.
+	list     []graph.NodeID
+	distinct int
+	chain    []rnet.RnetID
 }
 
 // NewWatchSet builds a watch set over the given nodes of f's network.
@@ -118,9 +125,14 @@ func (f *Framework) NewWatchSet(nodes []graph.NodeID) *WatchSet {
 	w := &WatchSet{
 		nodes: make([]bool, f.g.NumNodes()),
 		rnets: make([]bool, f.h.NumRnets()),
+		list:  append([]graph.NodeID(nil), nodes...),
 	}
 	for _, n := range nodes {
+		if w.nodes[n] {
+			continue
+		}
 		w.nodes[n] = true
+		w.distinct++
 		for _, half := range f.g.Neighbors(n) {
 			leaf := f.h.LeafOf(half.Edge)
 			if leaf == rnet.NoRnet {
@@ -131,6 +143,7 @@ func (f *Framework) NewWatchSet(nodes []graph.NodeID) *WatchSet {
 					break // ancestors already marked via a sibling
 				}
 				w.rnets[r] = true
+				w.chain = append(w.chain, r)
 			}
 		}
 	}
@@ -141,6 +154,10 @@ func (f *Framework) NewWatchSet(nodes []graph.NodeID) *WatchSet {
 func (w *WatchSet) Contains(n graph.NodeID) bool {
 	return int(n) < len(w.nodes) && w.nodes[n]
 }
+
+// Nodes returns the watched nodes in the order the set was built from.
+// The slice is the set's own; callers must not modify it.
+func (w *WatchSet) Nodes() []graph.NodeID { return w.list }
 
 // queryWorkspace holds per-query scratch state, reused across queries so
 // steady-state searches allocate nothing. A Framework (and thus its
@@ -164,9 +181,9 @@ type queryWorkspace struct {
 	// benchmark flip it to compare the two paths in one process.
 	useRef bool
 
-	// Dense CSR-path scratch: Rnet verdict memo (for a path search, the
-	// stamp alone marks the target's ancestor chain), visited objects, and
-	// the path search's parent links, all valid only where the stamp matches
+	// Dense CSR-path scratch: Rnet verdict memo (for a route search, the
+	// stamp alone marks the explorable Rnets), visited objects, and the
+	// route search's parent links, all valid only where the stamp matches
 	// epoch.
 	verdictEpoch []uint32
 	verdictVal   []bool
@@ -176,9 +193,11 @@ type queryWorkspace struct {
 	linkEdge     []int32
 	linkRnet     []int32
 	linkDist     []float64
-	// hops is where the path search rebuilds its route, target first, before
-	// copying it out reversed.
+	// hops is where the route search rebuilds its route, target first,
+	// before copying it out reversed.
 	hops []graph.NodeID
+	// seed is the one-seed list of a single-source route.
+	seed [1]Seed
 }
 
 func (f *Framework) workspace() *queryWorkspace {
@@ -232,7 +251,7 @@ func (ws *queryWorkspace) growObjEpoch(id graph.ObjectID) {
 	ws.objEpoch = grown
 }
 
-// growLinks sizes the path search's parent-link arrays to n nodes.
+// growLinks sizes the route search's parent-link arrays to n nodes.
 func (ws *queryWorkspace) growLinks(n int) {
 	if len(ws.linkEpoch) >= n {
 		return

@@ -125,6 +125,34 @@ func (s *Session) path(q Query, target graph.ObjectID, lim Limits) ([]graph.Node
 	return s.f.pathCSR(q, target, s.ws, lim)
 }
 
+// RouteToObject is the seeded form of PathTo: the shortest route from any
+// of seeds — each entering at its own accumulated distance — to object
+// target, appended to dst starting with the seed it leaves from. The
+// distance includes the seed's and the final along-edge offset. When no
+// seed reaches the object, dst comes back unchanged with +Inf. Like PathTo
+// it runs on the CSR slabs and needs StorePaths; the sharding router runs
+// its direct and tail legs on it.
+func (s *Session) RouteToObject(dst []graph.NodeID, seeds []Seed, target graph.ObjectID, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
+	return s.f.routeToObject(dst, seeds, target, 0, s.ws, lim)
+}
+
+// RouteToNode is RouteToObject with a node as the goal: the sharding
+// router's head and gateway-hop legs.
+func (s *Session) RouteToNode(dst []graph.NodeID, seeds []Seed, target graph.NodeID, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
+	return s.f.routeToNode(dst, seeds, target, s.ws, lim)
+}
+
+// WatchedDistances appends to dst the exact distance from seeds to every
+// node of watch, in the order the set was built from (+Inf for a node no
+// seed reaches, or reaches only beyond cap). The search descends only the
+// Rnets that hold a watched node, collects no objects, and stops once
+// every watched node is settled or the frontier passes cap (cap ≤ 0: no
+// cap). The sharding router measures a query node's distances to its home
+// shard's borders with it.
+func (s *Session) WatchedDistances(dst []float64, seeds []Seed, watch *WatchSet, cap float64, lim Limits) ([]float64, QueryStats, error) {
+	return s.f.watchedDistances(dst, seeds, watch, cap, s.ws, lim)
+}
+
 // Epoch returns the owning framework's maintenance epoch at the time of
 // the call — a fence for detecting index mutations between two queries.
 func (s *Session) Epoch() uint64 { return s.f.Epoch() }

@@ -127,6 +127,22 @@ func (h *Hierarchy) filterAffected(leaf RnetID, e graph.EdgeID, oldW, newW float
 	return false
 }
 
+// adoptWaypoints copies each shortcut's Via from fresh, a recomputation of
+// the same (from, to) pairs, into stored, leaving the stored distances —
+// which derived indexes bake in — as they are.
+func adoptWaypoints(stored, fresh map[graph.NodeID][]Shortcut) {
+	for from, list := range stored {
+		for i := range list {
+			for _, sc := range fresh[from] {
+				if sc.To == list[i].To {
+					list[i].Via = sc.Via
+					break
+				}
+			}
+		}
+	}
+}
+
 func hasShortcut(scs map[graph.NodeID][]Shortcut, from, to graph.NodeID) bool {
 	for _, sc := range scs[from] {
 		if sc.To == to {
@@ -153,6 +169,12 @@ func (h *Hierarchy) refreshChains(dirty []RnetID) UpdateResult {
 			res.RecomputedRnets = append(res.RecomputedRnets, r)
 			fresh := h.computeShortcuts(r)
 			if shortcutSetsEqual(h.shortcuts[r], fresh) {
+				// Same distances, but the paths behind them may have moved:
+				// onto an equal-length detour, or onto child shortcuts a
+				// refresh below replaced. Take the fresh waypoints.
+				if h.cfg.StorePaths {
+					adoptWaypoints(h.shortcuts[r], fresh)
+				}
 				continue
 			}
 			h.shortcuts[r] = fresh

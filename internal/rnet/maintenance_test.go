@@ -466,3 +466,73 @@ func TestTreeInvalidationAfterStructuralChange(t *testing.T) {
 		t.Fatalf("tree edges %d -> %d after delete, want %d", before, after, before-1)
 	}
 }
+
+// TestWaypointsFollowMaintenance: after every update, every stored
+// shortcut still expands (AppendShortcutPath) into a walk over live edges
+// whose length is the shortcut's distance. Integer weights make
+// equal-length detours common, which is where a refresh that finds the
+// distances unchanged must still take the fresh waypoints: the old path
+// may have moved onto a heavier or closed edge, or onto a child shortcut
+// that a refresh below dropped.
+func TestWaypointsFollowMaintenance(t *testing.T) {
+	g := testNetwork(t, 400, 520, 17)
+	for e := 0; e < g.NumEdges(); e++ {
+		g.SetWeight(graph.EdgeID(e), float64(1+e%3))
+	}
+	h := build(t, g, Config{Fanout: 2, Levels: 4, KLPasses: -1, PruneMaxBorders: 32, StorePaths: true})
+	rng := rand.New(rand.NewSource(17))
+	check := func(op int) {
+		t.Helper()
+		for r := RnetID(0); int(r) < h.NumRnets(); r++ {
+			for _, b := range h.Rnet(r).Borders {
+				for _, sc := range h.ShortcutsFrom(r, b) {
+					path, err := h.ExpandShortcut(r, sc)
+					if err != nil {
+						t.Fatalf("op %d: Rnet %d shortcut %d->%d: %v", op, r, sc.From, sc.To, err)
+					}
+					var sum float64
+					for i := 1; i < len(path); i++ {
+						w := math.Inf(1)
+						for _, half := range g.Neighbors(path[i-1]) {
+							if half.To == path[i] && !g.Edge(half.Edge).Removed {
+								w = math.Min(w, g.Weight(half.Edge))
+							}
+						}
+						sum += w
+					}
+					if math.Abs(sum-sc.Dist) > 1e-9*math.Max(1, sc.Dist) {
+						t.Fatalf("op %d: Rnet %d shortcut %d->%d (%g) expands to a %g walk", op, r, sc.From, sc.To, sc.Dist, sum)
+					}
+				}
+			}
+		}
+	}
+	var deleted []graph.EdgeID
+	for op := 0; op < 150; op++ {
+		e := graph.EdgeID(rng.Intn(g.NumEdges()))
+		switch rng.Intn(3) {
+		case 0:
+			if !g.Edge(e).Removed {
+				if _, err := h.SetEdgeWeight(e, float64(1+rng.Intn(3))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 1:
+			if !g.Edge(e).Removed {
+				if _, err := h.DeleteEdge(e); err != nil {
+					t.Fatal(err)
+				}
+				deleted = append(deleted, e)
+			}
+		case 2:
+			if len(deleted) > 0 {
+				i := rng.Intn(len(deleted))
+				if _, err := h.RestoreEdge(deleted[i]); err != nil {
+					t.Fatal(err)
+				}
+				deleted = append(deleted[:i], deleted[i+1:]...)
+			}
+		}
+		check(op)
+	}
+}

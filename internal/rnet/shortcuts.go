@@ -40,6 +40,23 @@ func (h *Hierarchy) computeAllShortcuts() {
 	}
 }
 
+// EnableWaypoints turns StorePaths on for a hierarchy built or restored
+// without it: every shortcut is recomputed bottom-up, now with its Via
+// waypoints, and the whole network is logged dirty so derived indexes
+// re-flatten. It reports whether anything changed; a hierarchy that
+// already stores paths is left alone.
+func (h *Hierarchy) EnableWaypoints() bool {
+	if h.cfg.StorePaths {
+		return false
+	}
+	h.cfg.StorePaths = true
+	h.computeAllShortcuts()
+	h.topoGen++
+	h.DrainDirty()
+	h.dirtyAll = true
+	return true
+}
+
 // computeShortcuts computes the full shortcut set of one Rnet from current
 // graph state (leaf) or current child shortcuts (upper), applying Lemma-4
 // pruning when configured.

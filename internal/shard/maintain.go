@@ -82,11 +82,7 @@ func (s *Shard) maintainDerived(chg netChange) {
 // refresh recomputed.
 func (s *Shard) maintainDerivedEmit(chg netChange, emit bool) *DerivedUpdate {
 	if chg.topology || s.watch == nil {
-		local := make([]graph.NodeID, len(s.borders))
-		for i, b := range s.borders {
-			local[i] = s.localNode[b]
-		}
-		s.watch = s.F.NewWatchSet(local)
+		s.watch = s.F.NewWatchSet(s.localBorders)
 	}
 	if len(s.borders) == 0 {
 		return nil // no borders: btable empty, borderDist all +Inf, nothing derived from the network
@@ -269,7 +265,6 @@ func (s *Shard) refreshIncrease(chg netChange) (stale []int, bdRebuilt bool) {
 	// btable filter: a row is stale only if some arc's old optimum could
 	// have crossed e. Absent arcs cannot be affected — an increase never
 	// creates connectivity.
-	var targets []graph.NodeID // lazily hoisted for the stale-row refreshes
 	for i, a := range s.borders {
 		la := s.localNode[a]
 		dua, dva := du[la], dv[la]
@@ -283,10 +278,7 @@ func (s *Shard) refreshIncrease(chg netChange) (stale []int, bdRebuilt bool) {
 				bound = alt
 			}
 			if bound <= arc.Dist*(1+refreshTol) {
-				if targets == nil {
-					targets = s.borderTargets()
-				}
-				s.refreshBTableRow(i, targets)
+				s.refreshBTableRow(i, s.localBorders)
 				stale = append(stale, i)
 				break
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"road/internal/apierr"
 	"road/internal/core"
@@ -20,24 +21,30 @@ type gatewayPred struct {
 	via  ID
 }
 
+// gatewayHop is one border-to-border hop of a gateway route, in global
+// IDs, inside shard via.
+type gatewayHop struct {
+	from, to graph.NodeID
+	via      ID
+}
+
 // PathTo computes the detailed shortest route (as a global node sequence)
 // from a global intersection to a global object, plus its network
 // distance. Cross-shard routes are assembled from per-shard legs: the
 // head leg inside the query's home shard, one leg per border-to-border
-// gateway hop, and the tail leg inside the object's shard. Unlike
-// road.DB.PathTo this does not require the shards to store shortcut
-// waypoints: legs are recomputed with plain Dijkstra on the shard-local
-// graphs, which are a fraction of the network each.
+// gateway hop, and the tail leg inside the object's shard. Every leg is a
+// route search on the shard's own index (see Searcher.Leg), which expands
+// shortcut waypoints — shards always store them.
 func (s *Session) PathTo(from graph.NodeID, gid graph.ObjectID) ([]graph.NodeID, float64, error) {
 	path, dist, _, err := s.PathToLimited(from, gid, core.Limits{})
 	return path, dist, err
 }
 
 // PathToLimited is PathTo under core.Limits, reporting traversal
-// statistics: NodesPopped sums the nodes settled by every per-shard
-// Dijkstra leg, and ShardsSearched counts the shard graphs those legs ran
-// on — the same metrics a single-index path query reports, which the
-// plain PathTo predates and drops.
+// statistics: NodesPopped sums the nodes settled by every per-shard route
+// leg, and ShardsSearched counts the shard indexes those legs ran on —
+// the same metrics a single-index path query reports, which the plain
+// PathTo predates and drops.
 //
 // Locking: a route can thread any subset of shards (head leg, gateway
 // hops, tail leg), so the whole query runs under the whole-router read
@@ -48,6 +55,10 @@ func (s *Session) PathToLimited(from graph.NodeID, gid graph.ObjectID, lim core.
 	return s.pathToLocked(from, gid, lim)
 }
 
+// pathToLocked assembles the route in session scratch — the direct
+// candidate in s.direct, the border route in s.route — and hands the
+// caller a copy of the winner, so a warm session's route allocates a
+// constant number of slices whatever its length.
 func (s *Session) pathToLocked(from graph.NodeID, gid graph.ObjectID, lim core.Limits) ([]graph.NodeID, float64, core.QueryStats, error) {
 	var stats core.QueryStats
 	target, err := s.r.OwnerOfObject(gid)
@@ -65,7 +76,7 @@ func (s *Session) pathToLocked(from graph.NodeID, gid graph.ObjectID, lim core.L
 	}
 
 	bestDist := math.Inf(1)
-	var bestPath []graph.NodeID
+	var best []graph.NodeID // s.direct or s.route, whichever won
 
 	// Direct candidate: from and the object share a shard. The object's
 	// edge endpoints are resolved shard-side (the mirror tracks object
@@ -85,15 +96,21 @@ func (s *Session) pathToLocked(from graph.NodeID, gid graph.ObjectID, lim core.L
 		}
 		if resp.Dist < bestDist {
 			bestDist = resp.Dist
-			bestPath = s.translatePath(target, resp.Path)
+			s.direct = appendGlobal(s.direct[:0], target, resp.Path)
+			best = s.direct
 		}
 	}
 
 	// Border route: exact distances from the query node to its home
-	// borders, a predecessor-tracking gateway run, then a multi-seed
-	// Dijkstra inside the object's shard.
+	// borders — capped at the direct candidate, past which no border can
+	// lead anywhere cheaper — a predecessor-tracking gateway run, then a
+	// multi-seed route leg inside the object's shard.
+	var borderCap float64 // 0: uncapped
+	if !isInf(bestDist) {
+		borderCap = bestDist
+	}
 	clear(s.gdist)
-	homeOf := make(map[graph.NodeID]ID) // seed border -> home shard it was reached through
+	clear(s.homeOf)
 	for _, h := range homes {
 		sh := s.r.shards[h]
 		if len(sh.borders) == 0 {
@@ -101,7 +118,8 @@ func (s *Session) pathToLocked(from graph.NodeID, gid graph.ObjectID, lim core.L
 		}
 		resp, err := s.legCall(h, LegReq{
 			Seeds:   s.seed1(sh.localNode[from]),
-			Targets: sh.borderTargets(),
+			Targets: sh.localBorders,
+			Cap:     borderCap,
 			PathTo:  graph.NoNode,
 			Object:  -1,
 		}, &stats, lim)
@@ -112,32 +130,27 @@ func (s *Session) pathToLocked(from graph.NodeID, gid graph.ObjectID, lim core.L
 			if d := resp.Dists[i]; !isInf(d) {
 				if cur, ok := s.gdist[b]; !ok || d < cur {
 					s.gdist[b] = d
-					homeOf[b] = h
+					s.homeOf[b] = h
 				}
 			}
 		}
 	}
-	if len(s.gdist) == 0 {
-		if bestPath == nil {
-			return nil, math.Inf(1), stats, fmt.Errorf("shard: object %d unreachable from node %d: %w", gid, from, apierr.ErrUnreachable)
+	s.seeds = s.seeds[:0]
+	if len(s.gdist) > 0 {
+		clear(s.pred)
+		if err := s.gateway(bestDist, s.pred, lim); err != nil {
+			stats.Truncated = true
+			return nil, 0, stats, err
 		}
-		return bestPath, bestDist, stats, nil
-	}
-	pred := make(map[graph.NodeID]gatewayPred, len(s.gdist))
-	if err := s.gateway(bestDist, pred, lim); err != nil {
-		stats.Truncated = true
-		return nil, 0, stats, err
-	}
-
-	seeds := make([]core.Seed, 0, len(target.borders))
-	for _, b := range target.borders {
-		if d, ok := s.gdist[b]; ok && d < bestDist {
-			seeds = append(seeds, core.Seed{Node: target.localNode[b], Dist: d})
+		for _, b := range target.borders {
+			if d, ok := s.gdist[b]; ok && d < bestDist {
+				s.seeds = append(s.seeds, core.Seed{Node: target.localNode[b], Dist: d})
+			}
 		}
 	}
-	if len(seeds) > 0 {
+	if len(s.seeds) > 0 {
 		resp, err := s.legCall(target.ID, LegReq{
-			Seeds:  seeds,
+			Seeds:  s.seeds,
 			PathTo: graph.NoNode,
 			Object: lo,
 		}, &stats, lim)
@@ -145,24 +158,26 @@ func (s *Session) pathToLocked(from graph.NodeID, gid graph.ObjectID, lim core.L
 			return nil, 0, stats, err
 		}
 		if resp.Dist < bestDist {
-			tail := resp.Path
-			entry := tail[0] // local ID of the winning seed border
-			route, err := s.assemble(target, entry, tail, pred, homeOf, from, &stats, lim)
+			// Translate the tail now: the legs assemble runs may reuse the
+			// target shard's searcher and with it the scratch resp aliases.
+			s.tail = appendGlobal(s.tail[:0], target, resp.Path)
+			route, err := s.assemble(s.route[:0], s.tail, from, &stats, lim)
+			s.route = route
 			if err != nil {
 				return nil, 0, stats, err
 			}
 			bestDist = resp.Dist
-			bestPath = route
+			best = route
 		}
 	}
 
-	if bestPath == nil {
+	if best == nil {
 		return nil, math.Inf(1), stats, fmt.Errorf("shard: object %d unreachable from node %d: %w", gid, from, apierr.ErrUnreachable)
 	}
-	return bestPath, bestDist, stats, nil
+	return slices.Clone(best), bestDist, stats, nil
 }
 
-// legCall runs one per-shard Dijkstra leg through the shard's Searcher,
+// legCall runs one per-shard route leg through the shard's Searcher,
 // passing down the remaining traversal budget and recording its cost:
 // settled nodes into stats.NodesPopped, one more searched shard, and —
 // when the query carries a trace — a timed "path_leg" record for the
@@ -185,71 +200,58 @@ func (s *Session) legCall(sid ID, req LegReq, stats *core.QueryStats, lim core.L
 	return resp, nil
 }
 
-// assemble stitches the full global route: head leg (query node to the
-// first border inside its home shard), one leg per gateway hop, then the
-// already-computed tail leg inside the target shard.
-func (s *Session) assemble(target *Shard, entryLocal graph.NodeID, tail []graph.NodeID, pred map[graph.NodeID]gatewayPred, homeOf map[graph.NodeID]ID, from graph.NodeID, stats *core.QueryStats, lim core.Limits) ([]graph.NodeID, error) {
+// assemble appends the full global route to dst: head leg (query node to
+// the first border inside its home shard), one leg per gateway hop, then
+// tail, the already-translated leg inside the target shard, which starts
+// at the entry border the gateway chain ends at.
+func (s *Session) assemble(dst, tail []graph.NodeID, from graph.NodeID, stats *core.QueryStats, lim core.Limits) ([]graph.NodeID, error) {
 	// Walk the gateway chain backward from the entry border to a seed.
-	entry := target.globalNode[entryLocal]
-	type hop struct {
-		from, to graph.NodeID // global border IDs
-		via      ID
-	}
-	var hops []hop
-	cur := entry
+	s.hops = s.hops[:0]
+	cur := tail[0]
 	for {
-		p, ok := pred[cur]
+		p, ok := s.pred[cur]
 		if !ok {
-			return nil, fmt.Errorf("shard: broken gateway chain at border %d", cur)
+			return dst, fmt.Errorf("shard: broken gateway chain at border %d", cur)
 		}
 		if p.prev == graph.NoNode {
 			break
 		}
-		hops = append(hops, hop{from: p.prev, to: cur, via: p.via})
+		s.hops = append(s.hops, gatewayHop{from: p.prev, to: cur, via: p.via})
 		cur = p.prev
-	}
-	// The walk collected hops target-to-source; reverse into travel order.
-	for i, j := 0, len(hops)-1; i < j; i, j = i+1, j-1 {
-		hops[i], hops[j] = hops[j], hops[i]
 	}
 
 	// Head leg: from -> first border, inside the home shard that supplied
 	// the seed distance.
-	first := cur
-	home, ok := homeOf[first]
+	home, ok := s.homeOf[cur]
 	if !ok {
-		return nil, fmt.Errorf("shard: gateway seed %d has no home shard", first)
+		return dst, fmt.Errorf("shard: gateway seed %d has no home shard", cur)
 	}
-	route, err := s.legPath(home, from, first, stats, lim)
+	dst, err := s.appendLeg(dst, home, from, cur, stats, lim)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-
-	// Gateway legs.
-	for _, hp := range hops {
-		leg, err := s.legPath(hp.via, hp.from, hp.to, stats, lim)
-		if err != nil {
-			return nil, err
+	// Gateway legs, collected target-to-source, in travel order.
+	for i := len(s.hops) - 1; i >= 0; i-- {
+		hp := s.hops[i]
+		if dst, err = s.appendLeg(dst, hp.via, hp.from, hp.to, stats, lim); err != nil {
+			return dst, err
 		}
-		route = append(route, leg[1:]...) // drop duplicated junction
 	}
-
-	// Tail leg (local IDs, already computed).
-	gtail := s.translatePath(target, tail)
-	if len(route) > 0 && len(gtail) > 0 && route[len(route)-1] == gtail[0] {
-		gtail = gtail[1:]
+	if len(dst) > 0 && dst[len(dst)-1] == tail[0] {
+		tail = tail[1:] // drop the duplicated junction
 	}
-	return append(route, gtail...), nil
+	return append(dst, tail...), nil
 }
 
-// legPath recomputes the shortest within-shard path between two global
-// nodes of shard sid and returns it in global IDs.
-func (s *Session) legPath(sid ID, a, b graph.NodeID, stats *core.QueryStats, lim core.Limits) ([]graph.NodeID, error) {
+// appendLeg routes between two global nodes of shard sid and appends the
+// leg to dst in global IDs, dropping its first node when dst already ends
+// there (the junction with the previous leg).
+func (s *Session) appendLeg(dst []graph.NodeID, sid ID, a, b graph.NodeID, stats *core.QueryStats, lim core.Limits) ([]graph.NodeID, error) {
 	sh := s.r.shards[sid]
 	la, okA := sh.localNode[a]
 	lb, okB := sh.localNode[b]
 	if !okA || !okB {
-		return nil, fmt.Errorf("shard: leg %d->%d not inside shard %d", a, b, sid)
+		return dst, fmt.Errorf("shard: leg %d->%d not inside shard %d", a, b, sid)
 	}
 	resp, err := s.legCall(sid, LegReq{
 		Seeds:  s.seed1(la),
@@ -257,19 +259,22 @@ func (s *Session) legPath(sid ID, a, b graph.NodeID, stats *core.QueryStats, lim
 		Object: -1,
 	}, stats, lim)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if isInf(resp.Dist) {
-		return nil, fmt.Errorf("shard: leg %d->%d no longer connected inside shard %d", a, b, sid)
+		return dst, fmt.Errorf("shard: leg %d->%d no longer connected inside shard %d", a, b, sid)
 	}
-	return s.translatePath(sh, resp.Path), nil
+	path := resp.Path
+	if len(dst) > 0 && len(path) > 0 && dst[len(dst)-1] == sh.globalNode[path[0]] {
+		path = path[1:]
+	}
+	return appendGlobal(dst, sh, path), nil
 }
 
-// translatePath converts a shard-local node sequence to global IDs.
-func (s *Session) translatePath(sh *Shard, path []graph.NodeID) []graph.NodeID {
-	out := make([]graph.NodeID, len(path))
-	for i, n := range path {
-		out[i] = sh.globalNode[n]
+// appendGlobal appends a shard-local node sequence to dst in global IDs.
+func appendGlobal(dst []graph.NodeID, sh *Shard, path []graph.NodeID) []graph.NodeID {
+	for _, n := range path {
+		dst = append(dst, sh.globalNode[n])
 	}
-	return out
+	return dst
 }

@@ -27,10 +27,19 @@ type Session struct {
 	r       *Router
 	q       []Searcher               // per-shard compute handles
 	gdist   map[graph.NodeID]float64 // per-query: gateway distances, GLOBAL IDs
-	gpq     pqueue.Queue
+	gpq     pqueue.SearchQueue
 	m       merger       // per-query candidate merge (scratch reused)
 	entry   []shardEntry // per-query entry-order scratch
 	oneSeed []core.Seed  // single-seed scratch for home searches
+
+	// Route scratch (path.go), cleared per PathTo: the home shard each
+	// gateway seed border was reached through, the gateway predecessors,
+	// the tail leg's seeds, the gateway chain, and the candidate routes.
+	homeOf              map[graph.NodeID]ID
+	pred                map[graph.NodeID]gatewayPred
+	seeds               []core.Seed
+	hops                []gatewayHop
+	direct, tail, route []graph.NodeID
 }
 
 // NewSession returns an independent concurrent query context. Safe to
@@ -46,10 +55,12 @@ func (r *Router) NewSession() *Session {
 		r.shardMu[i].RUnlock()
 	}
 	return &Session{
-		r:     r,
-		q:     q,
-		gdist: make(map[graph.NodeID]float64),
-		m:     merger{at: make(map[graph.ObjectID]int)},
+		r:      r,
+		q:      q,
+		gdist:  make(map[graph.NodeID]float64),
+		m:      merger{at: make(map[graph.ObjectID]int)},
+		homeOf: make(map[graph.NodeID]ID),
+		pred:   make(map[graph.NodeID]gatewayPred),
 	}
 }
 
@@ -552,7 +563,7 @@ func (s *Session) withinFinish(radius float64, attr int32, stats core.QueryStats
 func (s *Session) gateway(cap float64, pred map[graph.NodeID]gatewayPred, lim core.Limits) error {
 	s.gpq.Reset()
 	for b, d := range s.gdist {
-		s.gpq.Push(b, d)
+		s.gpq.Push(int32(b), -1, d)
 		if pred != nil {
 			pred[b] = gatewayPred{prev: graph.NoNode}
 		}
@@ -564,7 +575,7 @@ func (s *Session) gateway(cap float64, pred map[graph.NodeID]gatewayPred, lim co
 	}
 	for s.gpq.Len() > 0 {
 		item, _ := s.gpq.Pop()
-		d := item.Priority
+		d := item.Prio
 		if d > cap {
 			break
 		}
@@ -572,7 +583,7 @@ func (s *Session) gateway(cap float64, pred map[graph.NodeID]gatewayPred, lim co
 		if err := (core.Limits{Ctx: lim.Ctx}).Stop(pops); err != nil {
 			return err
 		}
-		b := item.Value.(graph.NodeID)
+		b := graph.NodeID(item.Node)
 		if d > s.gdist[b] {
 			continue // superseded entry
 		}
@@ -587,7 +598,7 @@ func (s *Session) gateway(cap float64, pred map[graph.NodeID]gatewayPred, lim co
 					if pred != nil {
 						pred[arc.To] = gatewayPred{prev: b, via: sid}
 					}
-					s.gpq.Push(arc.To, nd)
+					s.gpq.Push(int32(arc.To), -1, nd)
 				}
 			}
 		}

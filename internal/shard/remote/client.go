@@ -368,7 +368,7 @@ func (c *HostClient) Search(ctx context.Context, id int, req shard.SearchReq) (s
 	return resp, info(dur, env), decodeEnvelope(env, &resp)
 }
 
-// Leg runs one plain Dijkstra leg on shard id.
+// Leg runs one route leg on shard id (see shard.Searcher.Leg).
 func (c *HostClient) Leg(ctx context.Context, id int, req shard.LegReq) (shard.LegResp, rpcInfo, error) {
 	body, err := json.Marshal(req)
 	if err != nil {

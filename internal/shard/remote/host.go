@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -466,6 +467,10 @@ func (h *Host) handleLeg(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resp, err := q.Leg(r.Context(), req)
 	compute := time.Since(start)
+	// Copy out before returning the searcher: Path and Dists may alias its
+	// scratch, which the next Leg on this searcher overwrites.
+	resp.Path = slices.Clone(resp.Path)
+	resp.Dists = slices.Clone(resp.Dists)
 	hs.searchers.Put(q)
 	hs.mu.RUnlock()
 	h.queueWait.Observe(queue.Seconds())

@@ -32,7 +32,8 @@ type Options struct {
 	// (negative selects the partitioner default, 0 disables).
 	KLPasses int
 	// Core configures each shard's framework. A zero Rnet config resolves
-	// per-shard defaults sized to that shard's node count.
+	// per-shard defaults sized to that shard's node count. Rnet.StorePaths
+	// is always turned on: route legs expand shortcut waypoints.
 	Core core.Config
 }
 
@@ -118,10 +119,11 @@ func Build(g *graph.Graph, objects *graph.ObjectSet, opt Options) (*Router, erro
 			rcfg.Levels--
 		}
 		rcfg.Seed = opt.Core.Rnet.Seed
-		rcfg.StorePaths = opt.Core.Rnet.StorePaths
 		rcfg.EdgeWeight = opt.Core.Rnet.EdgeWeight
 		opt.Core.Rnet = rcfg
 	}
+	// Route legs expand shortcut hops, so every shard stores waypoints.
+	opt.Core.Rnet.StorePaths = true
 	parts, err := partition.Split(g, active, partition.Options{
 		Parts:    opt.Shards,
 		KLPasses: klPasses,

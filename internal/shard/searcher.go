@@ -3,8 +3,8 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 
-	"road/internal/apierr"
 	"road/internal/core"
 	"road/internal/graph"
 )
@@ -12,10 +12,10 @@ import (
 // A Searcher is one query session's handle onto one shard's compute
 // surface, in SHARD-LOCAL coordinates. The cross-shard Session machinery
 // (query.go, path.go) runs entirely against this seam: for an in-process
-// shard it is backed by a core.Session plus a plain Dijkstra workspace;
-// for an out-of-process shard (internal/shard/remote) every call is an
-// RPC to the host that owns the shard. A Searcher serves one goroutine
-// at a time, like the Session that owns it.
+// shard it is backed by a core.Session over the shard's CSR slabs; for an
+// out-of-process shard (internal/shard/remote) every call is an RPC to
+// the host that owns the shard. A Searcher serves one goroutine at a
+// time, like the Session that owns it.
 //
 // All identity translation (local↔global) stays on the router side: the
 // Session owns the shard's identity maps whether the compute is local or
@@ -25,8 +25,9 @@ type Searcher interface {
 	// building block). Partial results may accompany a budget or
 	// cancellation error, exactly like core.Session.SearchSeededLimited.
 	Search(ctx context.Context, req SearchReq) (SearchResp, error)
-	// Leg runs one plain Dijkstra leg on the shard's live local graph
-	// (the PathTo building block).
+	// Leg runs one route leg on the shard's index (the PathTo building
+	// block): a seeded route search that descends only the Rnets that can
+	// hold the leg's goal and bypasses every other Rnet through shortcuts.
 	Leg(ctx context.Context, req LegReq) (LegResp, error)
 }
 
@@ -68,20 +69,25 @@ type WatchDist struct {
 	Dist float64      `json:"dist"`
 }
 
-// LegReq describes one plain Dijkstra leg. Exactly one of three shapes:
+// LegReq describes one route leg, run by the shard's route kernel
+// (core.Session.RouteToObject, RouteToNode, WatchedDistances). Exactly one
+// of three shapes:
 //
-//   - Targets only: distances to each target (head-borders leg).
-//   - PathTo (with Targets = {PathTo}): distances plus the shortest path
-//     to that node (gateway hop legs).
-//   - Object ≥ 0: the leg targets the object's edge endpoints, resolved
-//     shard-side, and returns the path to the cheaper endpoint plus the
-//     full object distance (direct and tail legs).
+//   - Object ≥ 0: the leg routes to the object, resolved shard-side, and
+//     returns the path to the cheaper endpoint of its edge plus the full
+//     object distance (direct and tail legs).
+//   - PathTo: the distance and shortest path to that node (head and
+//     gateway-hop legs).
+//   - Targets: distances to each target, no path (head-borders leg). Cap,
+//     when positive, stops the search there: targets farther away report
+//     +Inf.
 //
 // Constructors must set PathTo to graph.NoNode and Object to -1 when
 // unused: the zero values are valid IDs.
 type LegReq struct {
 	Seeds   []core.Seed    `json:"seeds"`
 	Targets []graph.NodeID `json:"targets,omitempty"`
+	Cap     float64        `json:"cap,omitempty"`
 	PathTo  graph.NodeID   `json:"path_to"`
 	Object  graph.ObjectID `json:"object"`
 	Budget  int            `json:"budget,omitempty"`
@@ -90,6 +96,9 @@ type LegReq struct {
 // LegResp is a Leg result in shard-local coordinates. Dist is +Inf when
 // the requested path target (or object) is unreachable; the wire layer
 // encodes +Inf as -1, but in-process values are real infinities.
+//
+// Dists and Path may alias searcher-owned scratch: they are valid until
+// the next Leg call on the same Searcher, so consume (or copy) them first.
 type LegResp struct {
 	// Dists is aligned with LegReq.Targets (+Inf = unreachable).
 	Dists []float64 `json:"dists,omitempty"`
@@ -112,9 +121,10 @@ type LegResp struct {
 type localSearcher struct {
 	sh      *Shard
 	sess    *core.Session
-	gs      *graph.Search // lazy: only path legs need it
 	wdist   map[graph.NodeID]float64
 	watched []WatchDist
+	path    []graph.NodeID // Leg's route scratch
+	dists   []float64      // Leg's distance scratch
 }
 
 // newLocalSearcher builds a Searcher over a full local shard. Building one
@@ -154,77 +164,35 @@ func (ls *localSearcher) Search(ctx context.Context, req SearchReq) (SearchResp,
 }
 
 func (ls *localSearcher) Leg(ctx context.Context, req LegReq) (LegResp, error) {
-	if ls.gs == nil {
-		ls.gs = graph.NewSearch(ls.sh.F.Graph())
-	}
-	gs := ls.gs
-	resp := LegResp{Dist: inf}
-
-	targets := req.Targets
-	var o graph.Object
-	var le graph.Edge
-	if req.Object >= 0 {
-		var ok bool
-		o, ok = ls.sh.F.Objects().Get(req.Object)
-		if !ok {
-			return resp, fmt.Errorf("shard %d: object %d: %w", ls.sh.ID, req.Object, apierr.ErrNoSuchObject)
-		}
-		le = ls.sh.F.Graph().Edge(o.Edge)
-		targets = []graph.NodeID{le.U, le.V}
-	}
-
-	opt := graph.Options{Targets: targets}
 	lim := core.Limits{Ctx: ctx, Budget: req.Budget}
-	aborted := false
-	if ctx != nil || req.Budget > 0 {
-		settled := 0
-		opt.OnSettle = func(graph.NodeID, float64) bool {
-			settled++
-			if err := lim.Stop(settled); err != nil {
-				aborted = true
-				return false
-			}
-			return true
-		}
-	}
-	gs.RunSeeded(req.Seeds, opt)
-	resp.Pops = gs.Visited
-	if aborted {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return resp, fmt.Errorf("%w: %w", apierr.ErrCanceled, err)
-			}
-		}
-		return resp, apierr.ErrBudgetExhausted
-	}
-
+	resp := LegResp{Dist: inf}
+	var st core.QueryStats
+	var err error
 	switch {
 	case req.Object >= 0:
-		if end, d := closerEnd(gs.Dist(le.U)+o.DU, gs.Dist(le.V)+o.DV, le); !isInf(d) {
-			resp.Dist = d
-			resp.Path = gs.Path(end)
-		}
+		ls.path, resp.Dist, st, err = ls.sess.RouteToObject(ls.path[:0], req.Seeds, req.Object, lim)
 	case req.PathTo != graph.NoNode:
-		if d := gs.Dist(req.PathTo); !isInf(d) {
-			resp.Dist = d
-			resp.Path = gs.Path(req.PathTo)
-		}
+		ls.path, resp.Dist, st, err = ls.sess.RouteToNode(ls.path[:0], req.Seeds, req.PathTo, lim)
+	default:
+		ls.dists, st, err = ls.sess.WatchedDistances(ls.dists[:0], req.Seeds, ls.watchOf(req.Targets), req.Cap, lim)
+		resp.Dists = ls.dists
 	}
-	if len(req.Targets) > 0 {
-		resp.Dists = make([]float64, len(req.Targets))
-		for i, t := range req.Targets {
-			resp.Dists[i] = gs.Dist(t)
-		}
+	resp.Pops = st.NodesPopped
+	if err != nil {
+		return resp, fmt.Errorf("shard %d: %w", ls.sh.ID, err)
+	}
+	if !isInf(resp.Dist) {
+		resp.Path = ls.path
 	}
 	return resp, nil
 }
 
-// closerEnd picks the object-edge endpoint through which the object is
-// cheaper to reach. Ties and the degenerate single-endpoint case resolve
-// toward U, matching the single-framework search's settling order.
-func closerEnd(viaU, viaV float64, e graph.Edge) (graph.NodeID, float64) {
-	if viaU <= viaV {
-		return e.U, viaU
+// watchOf returns a watch set over exactly targets: the shard's border
+// watch set when targets are its borders — the only list the router
+// sends — and a fresh one otherwise.
+func (ls *localSearcher) watchOf(targets []graph.NodeID) *core.WatchSet {
+	if w := ls.sh.watch; slices.Equal(targets, w.Nodes()) {
+		return w
 	}
-	return e.V, viaV
+	return ls.sh.F.NewWatchSet(targets)
 }

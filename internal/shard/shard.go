@@ -79,6 +79,9 @@ type Shard struct {
 	// static: border membership follows node presence, and nodes never
 	// move between shards.
 	borders []graph.NodeID
+	// localBorders is borders in local IDs, in the same order: the
+	// targets of every border Dijkstra and of the head-borders route leg.
+	localBorders []graph.NodeID
 
 	// watch marks the borders (in local IDs) for the home-shard search;
 	// rebuilt after topology mutations, which can move nodes between the
@@ -260,7 +263,16 @@ func (s *Shard) setGlobalObj(lo, gid graph.ObjectID) {
 // builds the derived watch set and border distance table.
 func (s *Shard) setBorders(borders []graph.NodeID) {
 	s.borders = borders
+	s.indexBorders()
 	s.refreshDerived(true)
+}
+
+// indexBorders derives localBorders from borders.
+func (s *Shard) indexBorders() {
+	s.localBorders = make([]graph.NodeID, len(s.borders))
+	for i, b := range s.borders {
+		s.localBorders[i] = s.localNode[b]
+	}
 }
 
 // refreshDerived rebuilds the border distance table and per-node
@@ -269,11 +281,7 @@ func (s *Shard) setBorders(borders []graph.NodeID) {
 // are excluded: query sessions consult all three.
 func (s *Shard) refreshDerived(topology bool) {
 	if topology || s.watch == nil {
-		local := make([]graph.NodeID, len(s.borders))
-		for i, b := range s.borders {
-			local[i] = s.localNode[b]
-		}
-		s.watch = s.F.NewWatchSet(local)
+		s.watch = s.F.NewWatchSet(s.localBorders)
 	}
 	s.rebuildBTable()
 	s.rebuildBorderDist()
@@ -311,9 +319,8 @@ func (s *Shard) rebuildBTable() {
 	if len(s.borders) < 2 {
 		return
 	}
-	targets := s.borderTargets()
 	for i := range s.borders {
-		s.refreshBTableRow(i, targets)
+		s.refreshBTableRow(i, s.localBorders)
 	}
 }
 
@@ -332,15 +339,6 @@ func (s *Shard) refreshBTableRow(i int, targets []graph.NodeID) {
 		}
 	}
 	s.btable[s.borders[i]] = arcs
-}
-
-// borderTargets returns the shard's borders in local IDs.
-func (s *Shard) borderTargets() []graph.NodeID {
-	targets := make([]graph.NodeID, len(s.borders))
-	for i, b := range s.borders {
-		targets[i] = s.localNode[b]
-	}
-	return targets
 }
 
 func isInf(d float64) bool { return d > maxFinite }

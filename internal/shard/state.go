@@ -97,8 +97,10 @@ func (r *Router) Manifest() *Manifest {
 
 // Reassemble reconstructs a Router from per-shard frameworks (loaded
 // from their snapshots) and the manifest saved alongside them. Derived
-// routing state is recomputed; the caller replays any per-shard journals
-// afterwards via ApplyOp and finishes with RefreshAll.
+// routing state is recomputed, and a framework saved without shortcut
+// waypoints is upgraded to store them (route legs expand them); the caller
+// replays any per-shard journals afterwards via ApplyOp and finishes with
+// RefreshAll.
 func Reassemble(frameworks []*core.Framework, m *Manifest) (*Router, error) {
 	if m.Version != ManifestVersion {
 		return nil, fmt.Errorf("shard: manifest version %d not supported (this build reads %d)", m.Version, ManifestVersion)
@@ -211,6 +213,7 @@ func Reassemble(frameworks []*core.Framework, m *Manifest) (*Router, error) {
 	}
 	for i, f := range frameworks {
 		sm := &m.PerShard[i]
+		f.EnableWaypoints() // shard sets saved before routes rode the index
 		s := &Shard{
 			ID:         i,
 			F:          f,
@@ -375,9 +378,10 @@ func manifestBorders(m *Manifest) map[graph.NodeID]int {
 // deployment a host owns: frameworks loaded from their snapshots keyed
 // by shard ID, identity maps from the per-shard sidecars (which, unlike
 // the manifest, track post-snapshot edge/object growth), and borders
-// derived from the manifest's static node lists. Derived routing state
-// is NOT built here — the host replays journals first (ReplayApply) and
-// then calls RefreshDerived per shard.
+// derived from the manifest's static node lists. A framework saved
+// without shortcut waypoints is upgraded to store them, as in Reassemble.
+// Derived routing state is NOT built here — the host replays journals
+// first (ReplayApply) and then calls RefreshDerived per shard.
 func AssembleHostShards(m *Manifest, frameworks map[ID]*core.Framework, idents map[ID]*ShardManifest) (map[ID]*Shard, error) {
 	if m.Version != ManifestVersion {
 		return nil, fmt.Errorf("shard: manifest version %d not supported (this build reads %d)", m.Version, ManifestVersion)
@@ -408,6 +412,7 @@ func AssembleHostShards(m *Manifest, frameworks map[ID]*core.Framework, idents m
 				return nil, fmt.Errorf("shard %d: identity node map diverges from manifest at local %d (%d vs %d)", id, li, sm.GlobalNode[li], gn)
 			}
 		}
+		f.EnableWaypoints() // shard sets saved before routes rode the index
 		s := &Shard{
 			ID:         id,
 			F:          f,
@@ -423,6 +428,7 @@ func AssembleHostShards(m *Manifest, frameworks map[ID]*core.Framework, idents m
 				s.borders = append(s.borders, gn) // ascending: globalNode is sorted
 			}
 		}
+		s.indexBorders()
 		for li, ge := range sm.GlobalEdge {
 			s.localEdge[ge] = graph.EdgeID(li)
 		}
@@ -628,6 +634,7 @@ func (s *Shard) adoptDerived(st *ShardState) error {
 		return fmt.Errorf("shard %d: border-distance array covers %d nodes, shard has %d", s.ID, len(st.BorderDist), len(st.GlobalNode))
 	}
 	s.borders = append([]graph.NodeID(nil), st.Borders...)
+	s.indexBorders()
 	s.borderDist = append([]float64(nil), st.BorderDist...)
 	s.btable = make(map[graph.NodeID][]BorderArc, len(st.BTable))
 	for b, arcs := range st.BTable {
@@ -644,7 +651,9 @@ func (s *Shard) adoptDerived(st *ShardState) error {
 // state: the host may have applied mutations whose acknowledgements the
 // router never saw (it journals before replying), so the host's state is
 // allowed to be AHEAD of the mirror — never behind, and never divergent.
-// Runs under Router.Exclusive.
+// The shard's index lives on the host, whose boot (AssembleHostShards)
+// already upgraded a snapshot saved without shortcut waypoints, so there
+// is nothing to upgrade here. Runs under Router.Exclusive.
 func (r *Router) Readopt(id ID, st *ShardState) error {
 	s := r.shards[id]
 	if s.F != nil {

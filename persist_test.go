@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -358,5 +359,57 @@ func TestShardedSaveFailureLeavesNoStagedFiles(t *testing.T) {
 	}
 	if old.Epoch() != epoch {
 		t.Fatalf("reopened epoch %d, want the first save's %d", old.Epoch(), epoch)
+	}
+}
+
+// TestOpenUpgradesWaypointlessShards: testdata/prewaypoint is a shard set
+// saved by a build whose shards kept no shortcut waypoints (the
+// shardedPair(t, 23, 300, 40, 4) deployment). Opened in process and on
+// fleet hosts, every shard is upgraded to store them, and routes come out
+// exactly as from a fresh build of the same network.
+func TestOpenUpgradesWaypointlessShards(t *testing.T) {
+	const seed, nodes, objects, shards = 23, 300, 40, 4
+	snap := filepath.Join(t.TempDir(), "set")
+	for _, name := range []string{ShardManifestPath(snap), ShardSnapshotPath(snap, 0), ShardSnapshotPath(snap, 1), ShardSnapshotPath(snap, 2), ShardSnapshotPath(snap, 3)} {
+		data, err := os.ReadFile(filepath.Join("testdata", "prewaypoint", filepath.Base(name)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, fresh := shardedPair(t, seed, nodes, objects, shards)
+	old, err := OpenShardedSnapshotFiles(snap)
+	if err != nil {
+		t.Fatalf("OpenShardedSnapshotFiles: %v", err)
+	}
+	for i := 0; i < shards; i++ {
+		if !old.Router().Shard(i).F.Hierarchy().Config().StorePaths {
+			t.Fatalf("shard %d opened without waypoints", i)
+		}
+	}
+	if got, want := old.IndexSizeBytes(), fresh.IndexSizeBytes(); got != want {
+		t.Fatalf("upgraded index holds %d bytes, a fresh build %d", got, want)
+	}
+	fleet, _ := remoteFromFiles(t, snap, shards)
+
+	ctx := context.Background()
+	for n := NodeID(0); n < nodes; n += 7 {
+		for obj := ObjectID(0); obj < objects; obj += 3 {
+			want, _, wantErr := fresh.PathToContext(ctx, NewPath(n, obj))
+			for _, leg := range []struct {
+				name string
+				s    Store
+			}{{"sharded", old}, {"fleet", fleet}} {
+				got, _, err := leg.s.PathToContext(ctx, NewPath(n, obj))
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("%s path %d->%d: err %v, fresh build %v", leg.name, n, obj, err, wantErr)
+				}
+				if got.Dist != want.Dist || !slices.Equal(got.Nodes, want.Nodes) {
+					t.Fatalf("%s path %d->%d: %v (%v), fresh build %v (%v)", leg.name, n, obj, got.Nodes, got.Dist, want.Nodes, want.Dist)
+				}
+			}
+		}
 	}
 }

@@ -73,12 +73,27 @@ func (h *testHost) restart() *testHost {
 func remoteTriple(t *testing.T, seed int64, nodes, objects, shards int) (*DB, *RemoteDB, []*testHost) {
 	t.Helper()
 	db, sdb := shardedPair(t, seed, nodes, objects, shards)
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "fleet")
-	wal := filepath.Join(dir, "wal")
+	rdb, hosts := remoteFrom(t, sdb)
+	return db, rdb, hosts
+}
+
+// remoteFrom boots a RemoteDB over two hosts from the snapshot files of
+// sdb, split half its shards each: a fleet twin of sdb that starts from
+// the same state.
+func remoteFrom(t *testing.T, sdb *ShardedDB) (*RemoteDB, []*testHost) {
+	t.Helper()
+	snap := filepath.Join(t.TempDir(), "fleet")
 	if err := sdb.SaveSnapshotFiles(snap); err != nil {
 		t.Fatalf("SaveSnapshotFiles: %v", err)
 	}
+	return remoteFromFiles(t, snap, sdb.NumShards())
+}
+
+// remoteFromFiles boots a RemoteDB over two hosts from the shard set
+// saved under snap, split half its shards each.
+func remoteFromFiles(t *testing.T, snap string, shards int) (*RemoteDB, []*testHost) {
+	t.Helper()
+	wal := filepath.Join(t.TempDir(), "wal")
 	var idsA, idsB []int
 	for i := 0; i < shards; i++ {
 		if i < shards/2 {
@@ -106,7 +121,7 @@ func remoteTriple(t *testing.T, seed int64, nodes, objects, shards int) (*DB, *R
 			h.crash()
 		}
 	})
-	return db, rdb, hosts
+	return rdb, hosts
 }
 
 // TestRemoteHostCSRMetrics: a shard host's /metrics says what a mutation

@@ -138,7 +138,7 @@ func (s *RouterSession) WithinContext(ctx context.Context, req WithinRequest) ([
 }
 
 // PathToContext answers a detailed-route request across shards (no
-// StorePaths needed; legs are recomputed per shard).
+// StorePaths option needed: shards always store waypoints).
 func (s *RouterSession) PathToContext(ctx context.Context, req PathRequest) (Path, Stats, error) {
 	if err := validatePath(req, s.db.NumNodes()); err != nil {
 		return Path{}, Stats{}, err

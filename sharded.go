@@ -26,8 +26,9 @@ import (
 // file persistence and the per-shard journals.
 //
 // Differences from DB worth knowing: PathTo works without
-// Options.StorePaths (cross-shard routes are assembled from per-shard
-// Dijkstra legs), and AddRoad requires both endpoints to share a shard —
+// Options.StorePaths (shards always store shortcut waypoints, because
+// cross-shard routes are assembled from route legs on each shard's
+// index), and AddRoad requires both endpoints to share a shard —
 // shard boundaries are fixed at build time, so a road bridging two shards
 // that share neither endpoint is rejected.
 type ShardedDB struct {
@@ -71,9 +72,8 @@ func openSharded(g *graph.Graph, objects *graph.ObjectSet, opts Options, shards 
 			rcfg.Levels = opts.Levels
 		}
 	}
-	// StorePaths is deliberately not forwarded: the router reconstructs
-	// cross-shard routes from per-shard Dijkstra legs and never expands
-	// stored shortcut waypoints.
+	// StorePaths need not be forwarded: shard.Build always stores
+	// waypoints, which the router's route legs expand.
 	rcfg.Seed = opts.Seed
 	cfg := core.Config{Rnet: rcfg, Abstract: opts.Abstract}
 	if opts.DisableIOSim {
