@@ -271,6 +271,42 @@ func TestDijkstraTargetsStopEarly(t *testing.T) {
 	}
 }
 
+// TestDijkstraTargetsAllocs pins the targeted run at zero allocations
+// once warm: target membership lives in reused workspace marks, not in a
+// per-run array. Marks an earlier run left unsettled must not count as
+// targets of the next one.
+func TestDijkstraTargetsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	g := grid(30, 30)
+	s := NewSearch(g)
+	far := []NodeID{899, 870}
+	near := []NodeID{1, 30}
+	s.Run(0, Options{Targets: far})
+	s.Run(0, Options{Targets: near})
+	if s.Dist(1) != 1 || s.Dist(30) != 1 || s.Reached(899) {
+		t.Fatalf("near run: Dist(1)=%g Dist(30)=%g reached(899)=%v", s.Dist(1), s.Dist(30), s.Reached(899))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.Run(0, Options{Targets: far}) }); allocs != 0 {
+		t.Fatalf("warm targeted run allocates %v; want 0", allocs)
+	}
+	if s.Dist(899) != 58 {
+		t.Fatalf("Dist(899) = %g, want 58", s.Dist(899))
+	}
+}
+
+// TestDijkstraExpandPrunes: a node Expand declines is settled but passes
+// nothing on, so the line beyond it stays unreached.
+func TestDijkstraExpandPrunes(t *testing.T) {
+	g := line(10)
+	s := NewSearch(g)
+	s.Run(0, Options{Expand: func(n NodeID, _ float64) bool { return n != 3 }})
+	if s.Dist(3) != 3 || s.Reached(4) {
+		t.Fatalf("Dist(3) = %g, reached(4) = %v; want 3, false", s.Dist(3), s.Reached(4))
+	}
+}
+
 func TestDijkstraFilter(t *testing.T) {
 	// Square 0-1-2-3-0; block edge (0,1): distance to 1 must go the long way.
 	g := New(4, 4)

@@ -18,6 +18,10 @@ type Search struct {
 	epoch  []uint32
 	cur    uint32
 	pq     *pqueue.IndexedQueue
+	// want marks the targets a run still has to settle: membership
+	// without a per-run array. Grown on the first targeted run; every
+	// run leaves it all false.
+	want []bool
 
 	// Visited is the number of nodes settled by the last run — the
 	// traversal-cost metric reported alongside times in the evaluation.
@@ -42,9 +46,7 @@ func NewSearch(g *Graph) *Search {
 func (s *Search) begin() {
 	s.cur++
 	if s.cur == 0 { // epoch counter wrapped: clear stamps
-		for i := range s.epoch {
-			s.epoch[i] = 0
-		}
+		clear(s.epoch)
 		s.cur = 1
 	}
 	s.pq.Reset()
@@ -141,6 +143,11 @@ type Options struct {
 	// OnSettle, when non-nil, is invoked for every settled node with its
 	// final distance. Returning false aborts the run.
 	OnSettle func(n NodeID, d float64) bool
+	// Expand, when non-nil, is asked for every settled node whether to
+	// relax its edges; false settles the node without following them.
+	// Dynamic shortest-path updates use it to propagate only
+	// improvements.
+	Expand func(n NodeID, d float64) bool
 }
 
 // Run executes Dijkstra from src with the given options. Distances and
@@ -165,15 +172,17 @@ func (s *Search) RunSeeded(seeds []Seed, opt Options) {
 	}
 
 	remaining := 0
-	var want []bool
 	if len(opt.Targets) > 0 {
-		want = make([]bool, s.g.NumNodes())
+		if len(s.want) != len(s.epoch) {
+			s.want = make([]bool, len(s.epoch))
+		}
 		for _, t := range opt.Targets {
-			if !want[t] {
-				want[t] = true
+			if !s.want[t] {
+				s.want[t] = true
 				remaining++
 			}
 		}
+		defer unwant(s.want, opt.Targets)
 	}
 
 	bound := opt.MaxDist
@@ -190,12 +199,15 @@ func (s *Search) RunSeeded(seeds []Seed, opt Options) {
 		if opt.OnSettle != nil && !opt.OnSettle(n, d) {
 			return
 		}
-		if want != nil && want[n] {
-			want[n] = false
+		if remaining > 0 && s.want[n] {
+			s.want[n] = false
 			remaining--
 			if remaining == 0 {
 				return
 			}
+		}
+		if opt.Expand != nil && !opt.Expand(n, d) {
+			continue
 		}
 		for _, h := range s.g.adj[n] {
 			if opt.Filter != nil && !opt.Filter(h.Edge) {
@@ -213,6 +225,14 @@ func (s *Search) RunSeeded(seeds []Seed, opt Options) {
 				s.pq.Push(h.To, nd)
 			}
 		}
+	}
+}
+
+// unwant clears the target marks a run left behind (it stopped before
+// settling them all).
+func unwant(want []bool, targets []NodeID) {
+	for _, t := range targets {
+		want[t] = false
 	}
 }
 

@@ -91,6 +91,9 @@ func TestFlattenTreeMatchesPointerTree(t *testing.T) {
 // TestFlattenTreeAllocs: with warm scratch the flat builder allocates
 // nothing.
 func TestFlattenTreeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
 	g := testNetwork(t, 600, 760, 13)
 	h := build(t, g, Config{Fanout: 4, Levels: 3, KLPasses: -1, PruneMaxBorders: 32})
 	var ft FlatTree

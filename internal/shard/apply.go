@@ -56,11 +56,13 @@ func (s *Shard) applyLocal(op snapshot.Op) (applyResult, error) {
 			return res, err
 		}
 		ed := s.F.Graph().Edge(op.Edge)
-		if _, err := s.F.SetEdgeWeight(op.Edge, op.Value); err != nil {
+		ur, err := s.F.SetEdgeWeight(op.Edge, op.Value)
+		if err != nil {
 			return res, err
 		}
 		res.network = true
-		res.chg = netChange{u: ed.U, v: ed.V, edge: op.Edge, wOld: ed.Weight, wNew: op.Value}
+		res.chg = netChange{u: ed.U, v: ed.V, edge: op.Edge, wOld: ed.Weight, wNew: op.Value,
+			overlayKept: ur.Filtered || len(ur.ChangedRnets) == 0}
 
 	case snapshot.OpClose:
 		if err := s.checkEdge(op.Edge); err != nil {
@@ -151,23 +153,26 @@ func (s *Shard) applyLocal(op snapshot.Op) (applyResult, error) {
 }
 
 // HostApply applies one op to a full local shard on behalf of a shard
-// host: framework + identity maps + incremental derived-state repair +
-// shortcut re-warm, emitting the mirror repair recipe the router needs.
-// The caller holds the host-side write exclusion for this shard and has
-// already write-ahead logged op; it fills the reply's Seq/JournalBytes.
+// host: framework + identity maps + shortcut re-warm + incremental
+// derived-state repair, returning the repair's outcome for the router's
+// mirror. The caller holds the host-side write exclusion for this shard
+// and has already write-ahead logged op; it fills the reply's
+// Seq/JournalBytes.
 func (s *Shard) HostApply(op snapshot.Op) (ApplyReply, error) {
 	res, err := s.applyLocal(op)
+	// Re-warm first: the repair's border searches read the CSR slabs, and
+	// even a failed op can have staled them (see Router.Mutate).
+	s.F.WarmTrees()
 	if err != nil {
-		// Even a failed op can have staled CSR slabs (see
-		// Router.Mutate); re-warm before readers resume.
-		s.F.WarmTrees()
 		return ApplyReply{}, err
 	}
 	rep := ApplyReply{LocalEdge: res.le, LocalObj: res.lo, Doomed: res.doomed}
 	if res.network {
-		rep.Derived = s.maintainDerivedEmit(res.chg, true)
+		if err := s.maintainDerived(res.chg); err != nil {
+			return ApplyReply{}, err
+		}
+		rep.Derived = s.derivedUpdate()
 	}
-	s.F.WarmTrees()
 	rep.Epoch = s.F.Epoch()
 	rep.IndexBytes = s.F.IndexSizeBytes()
 	return rep, nil
@@ -226,6 +231,13 @@ func (r *Router) ApplyOp(id ID, op snapshot.Op, refresh bool) error {
 		if err != nil {
 			return err
 		}
+		if refresh {
+			// Before any other mirror update: an outcome this router
+			// cannot read must fail the op, not stale the mirror.
+			if err := s.applyDerivedUpdate(rep.Derived); err != nil {
+				return err
+			}
+		}
 		res = applyResult{doomed: rep.Doomed, le: rep.LocalEdge, lo: rep.LocalObj}
 		// Mirror the shard-side identity updates applyLocal performed on
 		// the host.
@@ -248,9 +260,6 @@ func (r *Router) ApplyOp(id ID, op snapshot.Op, refresh bool) error {
 				s.globalObj[lo] = -1
 			}
 			delete(s.localObj, op.Object)
-		}
-		if refresh {
-			s.applyDerivedUpdate(rep.Derived)
 		}
 		s.repoch.Store(rep.Epoch)
 		s.rbytes.Store(rep.IndexBytes)
@@ -303,16 +312,16 @@ func (r *Router) ApplyOp(id ID, op snapshot.Op, refresh bool) error {
 	}
 
 	if refresh && s.F != nil {
+		// Re-warm first: the repair's border searches read the CSR slabs.
 		// Object churn leaves the routing state intact: border tables and
 		// nearest-border distances depend only on the network, so only
-		// network mutations pay a derived-state refresh — and that refresh
-		// is incremental (maintain.go): filter the border arcs whose
-		// shortest path could have crossed the touched edge, recompute
-		// only those.
-		if res.network {
-			s.maintainDerived(res.chg)
-		}
+		// network mutations pay a derived-state repair — and that repair
+		// is incremental (maintain.go): it costs what the mutation
+		// changed.
 		s.F.WarmTrees()
+		if res.network {
+			return s.maintainDerived(res.chg)
+		}
 	}
 	return nil
 }

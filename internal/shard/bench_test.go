@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math/rand"
 	"testing"
 
 	"road/internal/core"
@@ -85,5 +86,31 @@ func BenchmarkPathToSharded(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rs.PathTo(nodes[i%len(nodes)], objs[(i*7)%len(objs)].ID)
+	}
+}
+
+// BenchmarkShardSetDistance times one set-distance restore pair (×1.2,
+// then back) on a random road through Router.ApplyOp: framework apply,
+// CSR re-warm and the incremental derived-state repair.
+func BenchmarkShardSetDistance(b *testing.B) {
+	r, g, _, _ := caRouter(b)
+	rng := rand.New(rand.NewSource(9))
+	edges := make([]graph.EdgeID, 512)
+	for i := range edges {
+		edges[i] = graph.EdgeID(rng.Intn(g.NumEdges()))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ge := edges[i%len(edges)]
+		w := g.Weight(ge)
+		for _, v := range [2]float64{w * 1.2, w} {
+			sid, op, err := r.EncodeSetDistance(ge, v)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := r.ApplyOp(sid, op, true); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -1,53 +1,82 @@
 package shard
 
-import "road/internal/graph"
+import (
+	"fmt"
 
-// Incremental border-table maintenance (the paper's §5.2 filter-and-
+	"road/internal/core"
+	"road/internal/graph"
+	"road/internal/rnet"
+)
+
+// Incremental derived-state maintenance (the paper's §5.2 filter-and-
 // refresh, applied at the shard level).
 //
 // A shard's derived routing state — the border distance table btable and
 // the per-node nearest-border array borderDist — depends only on the
-// shard's local network, so any single network mutation can invalidate
+// shard's local network, so a single network mutation can invalidate
 // only the entries whose shortest path ran over the touched edge. The
-// whole-shard rebuild (one Dijkstra per border, B × Dijkstra(shard))
-// recomputes every entry regardless; the functions in this file instead
-// FILTER the entries that can possibly have changed with two Dijkstras
-// from the touched edge's endpoints, then REFRESH only those.
+// whole-shard rebuild (one Dijkstra per border plus one multi-source
+// Dijkstra) recomputes every entry regardless; the functions in this file
+// instead find what the change can touch and refresh only that, so a
+// mutation costs what it changed.
 //
 // Let e = (u,v) be the touched edge and d(·,·) shortest distances in the
-// shard's local graph. Two facts carry the whole scheme (positive
-// weights, undirected graph, so a shortest path is simple and crosses e
-// at most once, splitting into e-avoiding segments):
+// shard's local graph (positive weights, undirected: a shortest path is
+// simple and crosses e at most once, splitting into e-avoiding segments).
+//
+// btable. Two watched searches over the shard's own CSR index
+// (core.Session.WatchedDistances, from u and from v, watching the
+// borders) give the B-length arrays du, dv of new-graph distances from
+// the endpoints to every border; everything after is O(B²) arithmetic.
 //
 //   - Weight DECREASE (reopen and road addition are decreases from +Inf):
 //     the new distance is exactly
 //
 //	d'(a,b) = min( d(a,b), d'(a,u)+w'+d'(v,b), d'(a,v)+w'+d'(u,b) )
 //
-//     — the old value, or the best path through e at its new weight.
-//     Two Dijkstras from u and v on the NEW graph therefore repair every
-//     btable arc and every borderDist entry with pure arithmetic: no
-//     per-entry recomputation at all.
+//     — the old value, or the best path through e at its new weight —
+//     spliced into every row with no per-entry recomputation.
 //
-//   - Weight INCREASE (closure is an increase to +Inf): entries whose old
-//     shortest path avoided e are untouched. An old path that crossed e
-//     had length dᵉ(a,u)+w+dᵉ(v,b) (orientation as appropriate), where
-//     dᵉ is the old distance avoiding e itself — which equals the NEW
-//     graph's e-avoiding distance, computable after the fact. So two
-//     e-excluding Dijkstras from u and v decide, per entry, whether the
-//     old optimum could have crossed e; only the rows (and the
-//     nearest-border array) that fail the check are recomputed, each with
-//     the same bounded Dijkstra a full rebuild would spend on it.
+//   - Weight INCREASE (closure is an increase to +Inf): an arc whose old
+//     optimum avoided e is untouched. One that crossed e had length
+//     dᵉ(a,u)+w+dᵉ(v,b) (orientation as appropriate), with dᵉ the
+//     distance avoiding e. The new-graph distances are ≤ dᵉ (for a
+//     closure, equal), so du[a]+w+dv[b] ≤ arc marks every arc that could
+//     have crossed e — the filter can refresh too much, never too
+//     little. A flagged row is recomputed with one more watched search,
+//     seeded at its border.
+//
+//   - SKIP. A re-weight after which the hierarchy changed no shortcut
+//     set, on an edge whose leaf Rnet holds no shard border in its
+//     interior, cannot change btable: distances between nodes outside a
+//     leaf's interior are distances in that leaf's overlay (every edge
+//     outside the leaf plus the leaf's shortcuts), and the overlay did
+//     not change. Topology mutations never skip.
+//
+// borderDist is the classic dynamic single-source update (a virtual
+// source joined to every border), repaired over the plain local graph:
+//
+//   - DECREASE: relax from the endpoint that improved and propagate only
+//     improvements.
+//   - INCREASE: if e was tight for neither orientation (bd[x]+wOld >
+//     bd[y]), no node's nearest-border path used it. Otherwise the nodes
+//     that may have changed are those reachable from y over tight edges
+//     (the subtree e hung in the shortest-path forest); they are reset,
+//     seeded from their neighbours outside the set and settled by a
+//     Dijkstra confined to the set.
 //
 // Distances are floating-point sums associated differently by the filter
-// (prefix + w + suffix) than by a plain traversal, so all "could the old
-// path have used e" comparisons carry refreshTol of relative slack:
-// a false positive only wastes one row refresh, while a false negative
-// would leave a stale arc, so the slack errs toward refreshing.
+// (prefix + w + suffix) than by a plain traversal, so every "could the
+// old path have used e" comparison carries refreshTol of relative slack:
+// a false positive only wastes a refresh, while a false negative would
+// leave a stale entry, so the slack errs toward refreshing.
 //
 // Everything here runs on the mutation path, under the owning shard's
-// write lock (see router.go): readers of this shard are excluded, readers
-// of other shards are not — which is the point.
+// write lock (see router.go), after the shard's CSR slabs were re-warmed
+// for the mutation: readers of this shard are excluded, readers of other
+// shards are not — which is the point. Each repair records what it
+// changed (repairScratch.rows, and the nodes whose borderDist moved), so
+// a shard host ships exactly that outcome to its router's mirror.
 
 // netChange describes one applied network mutation in shard-local
 // coordinates, with enough context to repair derived state incrementally.
@@ -60,6 +89,10 @@ type netChange struct {
 	// nodes between the shard's internal Rnets, so the border watch set
 	// must be rebuilt alongside the distance state.
 	topology bool
+	// overlayKept marks a re-weight after which the hierarchy changed no
+	// shortcut set (its leaf filter proved none affected, or the refresh
+	// recomputed identical sets): the precondition of the btable skip.
+	overlayKept bool
 }
 
 // refreshTol is the relative slack of the filter comparisons, generously
@@ -67,139 +100,193 @@ type netChange struct {
 // (≲1e-11) and below any meaningful distance difference.
 const refreshTol = 1e-9
 
-// maintainDerived repairs the shard's derived routing state after one
-// network mutation: the filter-and-refresh counterpart of a full
-// refreshDerived. Must run while readers of this shard are excluded.
-func (s *Shard) maintainDerived(chg netChange) {
-	s.maintainDerivedEmit(chg, false)
+// repairScratch is the mutation-path workspace of maintain.go, reused
+// across mutations. Same locking discipline as Shard.bsearch.
+type repairScratch struct {
+	// sess runs the watched border searches over the shard's CSR index.
+	sess *core.Session
+	// du, dv: distances from the touched edge's endpoints to every
+	// border; row: a stale row's fresh distances (all in borders order).
+	du, dv, row []float64
+	// arcs is the btable row under reassembly.
+	arcs []BorderArc
+	// rows lists the border indices whose btable row the last repair
+	// changed.
+	rows []int
+	// mark flags the nodes listed in nodes (the increase's affected set,
+	// or the nodes the decrease improved); cleared when the repair ends.
+	mark []bool
+	// nodes lists the nodes whose borderDist the last repair touched,
+	// old their values before it (aligned).
+	nodes []graph.NodeID
+	old   []float64
+	// seeds holds the sources of the search in progress.
+	seeds []graph.Seed
 }
 
-// maintainDerivedEmit is maintainDerived with an optional wire recipe:
-// when emit is set (shard hosts) it returns the DerivedUpdate a remote
-// mirror needs to repair its copy of btable/borderDist — the decrease
-// case ships the two endpoint-distance arrays the repair arithmetic runs
-// on (computed here anyway), the increase case ships the rows this
-// refresh recomputed.
-func (s *Shard) maintainDerivedEmit(chg netChange, emit bool) *DerivedUpdate {
+// maintainDerived repairs the shard's derived routing state after one
+// network mutation: the filter-and-refresh counterpart of a full
+// refreshDerived. The caller has re-warmed the shard's CSR slabs (the
+// border searches read them) and excludes this shard's readers. What
+// changed is left in s.repair for derivedUpdate.
+func (s *Shard) maintainDerived(chg netChange) error {
+	rs := &s.repair
+	rs.rows = rs.rows[:0]
+	rs.nodes, rs.old = rs.nodes[:0], rs.old[:0]
 	if chg.topology || s.watch == nil {
-		s.watch = s.F.NewWatchSet(s.localBorders)
+		s.rewatch()
 	}
 	if len(s.borders) == 0 {
 		return nil // no borders: btable empty, borderDist all +Inf, nothing derived from the network
 	}
-	if chg.wNew <= chg.wOld {
-		du := s.endpointDists(&s.du, chg.u, graph.NoEdge)
-		dv := s.endpointDists(&s.dv, chg.v, graph.NoEdge)
-		s.applyDecrease(du, dv, chg.wNew)
-		if emit {
-			return &DerivedUpdate{
-				Kind: DerivedDecrease,
-				W:    chg.wNew,
-				DU:   append([]float64(nil), du...),
-				DV:   append([]float64(nil), dv...),
+	s.repairBorderDist(chg)
+	if len(s.borders) < 2 || s.btableKept(chg) {
+		return nil
+	}
+	return s.repairBTable(chg)
+}
+
+// derivedUpdate packages the last repair's outcome for a remote mirror:
+// the btable rows it changed, replaced whole, and the borderDist cells it
+// changed. Nil when nothing changed.
+func (s *Shard) derivedUpdate() *DerivedUpdate {
+	rs := &s.repair
+	u := &DerivedUpdate{Kind: DerivedPatch}
+	for _, i := range rs.rows {
+		b := s.borders[i]
+		u.Rows = append(u.Rows, BorderRow{Border: b, Arcs: append([]BorderArc(nil), s.btable[b]...)})
+	}
+	for i, n := range rs.nodes {
+		if d := s.borderDist[n]; d != rs.old[i] {
+			u.Cells = append(u.Cells, BorderCell{Node: n, Dist: d})
+		}
+	}
+	if len(u.Rows) == 0 && len(u.Cells) == 0 {
+		return nil
+	}
+	return u
+}
+
+// rewatch rebuilds the border watch set and the interiorLeaf marks the
+// btable skip consults: a leaf Rnet is marked when some shard border is
+// one of its nodes without being one of its borders.
+func (s *Shard) rewatch() {
+	s.watch = s.F.NewWatchSet(s.localBorders)
+	h := s.F.Hierarchy()
+	if len(s.interiorLeaf) != h.NumRnets() {
+		s.interiorLeaf = make([]bool, h.NumRnets())
+	} else {
+		clear(s.interiorLeaf)
+	}
+	g := s.F.Graph()
+	for _, b := range s.localBorders {
+		for _, half := range g.Neighbors(b) {
+			if leaf := h.LeafOf(half.Edge); leaf != rnet.NoRnet && !h.IsBorder(leaf, b) {
+				s.interiorLeaf[leaf] = true
 			}
+		}
+	}
+}
+
+// btableKept reports whether chg provably left btable unchanged (the
+// skip rule in the header comment).
+func (s *Shard) btableKept(chg netChange) bool {
+	if !chg.overlayKept {
+		return false
+	}
+	leaf := s.F.Hierarchy().LeafOf(chg.edge)
+	return leaf != rnet.NoRnet && !s.interiorLeaf[leaf]
+}
+
+// borderDists returns, in dst's storage, the distance from local node
+// src to every border in borders order: one watched search over the
+// shard's CSR index.
+func (s *Shard) borderDists(dst []float64, src graph.NodeID) ([]float64, error) {
+	rs := &s.repair
+	if rs.sess == nil {
+		rs.sess = s.F.NewSession()
+	}
+	rs.seeds = append(rs.seeds[:0], graph.Seed{Node: src})
+	d, _, err := rs.sess.WatchedDistances(dst[:0], rs.seeds, s.watch, 0, core.Limits{})
+	if err != nil {
+		return d, fmt.Errorf("shard %d: border search from local node %d: %w", s.ID, src, err)
+	}
+	return d, nil
+}
+
+// repairBTable is the btable half of maintainDerived: two border
+// searches from the touched edge's endpoints, then the decrease splice or
+// the increase filter over them.
+func (s *Shard) repairBTable(chg netChange) error {
+	rs := &s.repair
+	var err error
+	if rs.du, err = s.borderDists(rs.du, chg.u); err != nil {
+		return err
+	}
+	if rs.dv, err = s.borderDists(rs.dv, chg.v); err != nil {
+		return err
+	}
+	du, dv := rs.du, rs.dv
+
+	if chg.wNew <= chg.wOld {
+		// Splice the through-e candidate into every arc, adding arcs
+		// between borders the decrease newly connected.
+		w := chg.wNew
+		for i := range s.borders {
+			dua, dva := du[i], dv[i]
+			if isInf(dua) && isInf(dva) {
+				continue // border i cannot reach the touched edge: row unchanged
+			}
+			s.spliceRow(i, func(j int, old float64) float64 {
+				return min(old, dua+w+dv[j], dva+w+du[j])
+			})
 		}
 		return nil
 	}
-	stale, bdRebuilt := s.refreshIncrease(chg)
-	if emit {
-		u := &DerivedUpdate{Kind: DerivedRows}
-		for _, i := range stale {
-			b := s.borders[i]
-			u.Rows = append(u.Rows, BorderRow{Border: b, Arcs: append([]BorderArc(nil), s.btable[b]...)})
+
+	// A row is stale only if some arc's old optimum could have crossed e.
+	// Absent arcs cannot be affected: an increase never creates
+	// connectivity.
+	wOld := chg.wOld
+	for i, a := range s.borders {
+		dua, dva := du[i], dv[i]
+		if isInf(dua) && isInf(dva) {
+			continue // border i could not reach e at all
 		}
-		if bdRebuilt {
-			u.BorderDist = append([]float64(nil), s.borderDist...)
+		j := 0 // cursor into borders: arcs are sorted by To, as borders are
+		for _, arc := range s.btable[a] {
+			for s.borders[j] != arc.To {
+				j++
+			}
+			bound := min(dua+wOld+dv[j], dva+wOld+du[j])
+			if bound <= arc.Dist*(1+refreshTol) {
+				if rs.row, err = s.borderDists(rs.row, s.localBorders[i]); err != nil {
+					return err
+				}
+				fresh := rs.row
+				s.spliceRow(i, func(j int, _ float64) float64 { return fresh[j] })
+				break
+			}
 		}
-		return u
 	}
 	return nil
 }
 
-// endpointDists runs one Dijkstra from src over the live local graph
-// (optionally excluding one edge) and copies the distance of every node
-// into *buf, which is grown on first use and reused afterwards.
-func (s *Shard) endpointDists(buf *[]float64, src graph.NodeID, exclude graph.EdgeID) []float64 {
-	n := s.F.Graph().NumNodes()
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	d := (*buf)[:n]
-	opt := graph.Options{}
-	if exclude != graph.NoEdge {
-		opt.Filter = func(e graph.EdgeID) bool { return e != exclude }
-	}
-	s.bsearch.Run(src, opt)
-	for i := 0; i < n; i++ {
-		d[i] = s.bsearch.Dist(graph.NodeID(i))
-	}
-	return d
-}
-
-// nearestBorder returns min over the shard's borders of d[border].
-func (s *Shard) nearestBorder(d []float64) float64 {
-	best := inf
-	for _, b := range s.borders {
-		if v := d[s.localNode[b]]; v < best {
-			best = v
-		}
-	}
-	return best
-}
-
-// applyDecrease repairs btable and borderDist after a weight decrease
-// on an edge (reopen and AddRoad are decreases from +Inf). With du/dv
-// the new-graph distances from the endpoints, every repaired entry is
-// min(old, through-e candidate) — exact, by the decomposition above —
-// so the whole repair is pure O(B² + N) arithmetic over the arrays. It
-// runs identically on a full local shard (which computed du/dv with two
-// Dijkstras) and on a remote mirror (which received them on the wire):
-// everything it touches is identity-map and derived state.
-func (s *Shard) applyDecrease(du, dv []float64, w float64) {
-	// borderDist: a node's nearest border may now be cheaper through e.
-	minBu, minBv := s.nearestBorder(du), s.nearestBorder(dv)
-	for i := range s.borderDist {
-		if c := du[i] + w + minBv; c < s.borderDist[i] {
-			s.borderDist[i] = c
-		}
-		if c := dv[i] + w + minBu; c < s.borderDist[i] {
-			s.borderDist[i] = c
-		}
-	}
-
-	// btable: splice the through-e candidate into every arc, adding arcs
-	// between borders the decrease newly connected.
-	for _, a := range s.borders {
-		la := s.localNode[a]
-		dua, dva := du[la], dv[la]
-		if isInf(dua) && isInf(dva) {
-			continue // a cannot reach the touched edge: row unchanged
-		}
-		s.spliceRow(a, func(lb graph.NodeID, old float64) float64 {
-			if c := dua + w + dv[lb]; c < old {
-				old = c
-			}
-			if c := dva + w + du[lb]; c < old {
-				old = c
-			}
-			return old
-		})
-	}
-}
-
-// spliceRow rewrites border a's btable row: for every other border b the
-// new arc distance is next(localB, old) with old = +Inf for absent arcs;
-// non-finite results stay absent. The row is assembled in session-free
-// scratch first (a new arc may sort before unread old ones, so building
-// in place would overwrite entries still to be merged) and copied over
-// the old row only when something actually changed.
-func (s *Shard) spliceRow(a graph.NodeID, next func(lb graph.NodeID, old float64) float64) {
+// spliceRow rewrites border i's btable row: for every other border j the
+// new arc distance is next(j, old) with old = +Inf for absent arcs;
+// non-finite results stay absent. The row is assembled in scratch first
+// (a new arc may sort before unread old ones, so building in place would
+// overwrite entries still to be merged), copied over the old row only
+// when something changed, and then recorded in repair.rows.
+func (s *Shard) spliceRow(i int, next func(j int, old float64) float64) {
+	rs := &s.repair
+	a := s.borders[i]
 	row := s.btable[a]
-	s.rowScratch = s.rowScratch[:0]
+	rs.arcs = rs.arcs[:0]
 	ri := 0 // read cursor over the old row (sorted by To, as borders are)
 	changed := false
-	for _, b := range s.borders {
-		if b == a {
+	for j, b := range s.borders {
+		if j == i {
 			continue
 		}
 		old := inf
@@ -207,7 +294,7 @@ func (s *Shard) spliceRow(a graph.NodeID, next func(lb graph.NodeID, old float64
 			old = row[ri].Dist
 			ri++
 		}
-		nd := next(s.localNode[b], old)
+		nd := next(j, old)
 		if isInf(nd) {
 			if !isInf(old) {
 				changed = true
@@ -217,72 +304,109 @@ func (s *Shard) spliceRow(a graph.NodeID, next func(lb graph.NodeID, old float64
 		if nd != old {
 			changed = true
 		}
-		s.rowScratch = append(s.rowScratch, BorderArc{To: b, Dist: nd})
+		rs.arcs = append(rs.arcs, BorderArc{To: b, Dist: nd})
 	}
 	if changed {
-		s.btable[a] = append(row[:0], s.rowScratch...)
+		s.btable[a] = append(row[:0], rs.arcs...)
+		rs.rows = append(rs.rows, i)
 	}
 }
 
-// refreshIncrease repairs btable and borderDist after a weight increase
-// on chg.edge (closure is an increase to +Inf). Two e-excluding Dijkstras
-// from the endpoints reconstruct what any old through-e optimum must have
-// cost; entries that could not have crossed e are provably unchanged and
-// skipped, the rest are recomputed from scratch (one bounded Dijkstra per
-// stale border row, one multi-source Dijkstra if borderDist went stale).
-// It reports which border rows it recomputed and whether borderDist was
-// rebuilt, so hosts can ship exactly those to their router's mirror.
-func (s *Shard) refreshIncrease(chg netChange) (stale []int, bdRebuilt bool) {
-	// For a closure the edge is already detached from the adjacency
-	// lists; for a re-weight it is live at the new weight and must be
-	// excluded explicitly.
-	exclude := chg.edge
-	if isInf(chg.wNew) {
-		exclude = graph.NoEdge
+// repairBorderDist is the borderDist half of maintainDerived (see the
+// header comment), listing every node it touches in repair.nodes. Both
+// cases run on bsearch, writing the settled distances into borderDist.
+func (s *Shard) repairBorderDist(chg netChange) {
+	rs := &s.repair
+	bd := s.borderDist
+	if len(rs.mark) != len(bd) {
+		rs.mark = make([]bool, len(bd))
 	}
-	du := s.endpointDists(&s.du, chg.u, exclude)
-	dv := s.endpointDists(&s.dv, chg.v, exclude)
-	wOld := chg.wOld
+	defer func() {
+		for _, n := range rs.nodes {
+			rs.mark[n] = false
+		}
+	}()
+	rs.seeds = rs.seeds[:0]
 
-	// borderDist filter: did ANY node's old nearest-border path cross e?
-	// The old crossing cost from node i was ≥ du[i]+wOld+minBv (or the
-	// v-side mirror), so if that lower bound beats the recorded distance
-	// nowhere, every entry's old optimum avoided e and the array is
-	// exact as-is.
-	minBu, minBv := s.nearestBorder(du), s.nearestBorder(dv)
-	for i, bd := range s.borderDist {
-		lo := du[i] + wOld + minBv
-		if alt := dv[i] + wOld + minBu; alt < lo {
-			lo = alt
+	if chg.wNew <= chg.wOld {
+		// Seed the endpoint that improves through e, then follow only
+		// nodes the run improves: a node reached no closer than its
+		// recorded distance passes nothing on.
+		w := chg.wNew
+		switch {
+		case bd[chg.u]+w < bd[chg.v]:
+			rs.seeds = append(rs.seeds, graph.Seed{Node: chg.v, Dist: bd[chg.u] + w})
+		case bd[chg.v]+w < bd[chg.u]:
+			rs.seeds = append(rs.seeds, graph.Seed{Node: chg.u, Dist: bd[chg.v] + w})
+		default:
+			return // neither endpoint improves through e
 		}
-		if !isInf(lo) && lo <= bd*(1+refreshTol) {
-			s.rebuildBorderDist()
-			bdRebuilt = true
-			break
-		}
+		s.bsearch.RunSeeded(rs.seeds, graph.Options{Expand: func(n graph.NodeID, d float64) bool {
+			if d >= bd[n] {
+				return false
+			}
+			s.markAffected(n)
+			bd[n] = d
+			return true
+		}})
+		return
 	}
 
-	// btable filter: a row is stale only if some arc's old optimum could
-	// have crossed e. Absent arcs cannot be affected — an increase never
-	// creates connectivity.
-	for i, a := range s.borders {
-		la := s.localNode[a]
-		dua, dva := du[la], dv[la]
-		if isInf(dua) && isInf(dva) {
-			continue // a could not reach e at all
+	// Collect the affected set: the nodes hanging from e over tight edges.
+	for _, o := range [2][2]graph.NodeID{{chg.u, chg.v}, {chg.v, chg.u}} {
+		x, y := o[0], o[1]
+		if !isInf(bd[y]) && !rs.mark[y] && bd[x]+chg.wOld <= bd[y]*(1+refreshTol) {
+			s.markAffected(y)
 		}
-		for _, arc := range s.btable[a] {
-			lb := s.localNode[arc.To]
-			bound := dua + wOld + dv[lb]
-			if alt := dva + wOld + du[lb]; alt < bound {
-				bound = alt
+	}
+	if len(rs.nodes) == 0 {
+		return // e was on no node's nearest-border path
+	}
+	g := s.F.Graph()
+	for k := 0; k < len(rs.nodes); k++ {
+		p := rs.nodes[k]
+		for _, h := range g.Neighbors(p) {
+			q := h.To
+			// Borders (bd 0) anchor the forest and never move.
+			if rs.mark[q] || bd[q] == 0 || isInf(bd[q]) {
+				continue
 			}
-			if bound <= arc.Dist*(1+refreshTol) {
-				s.refreshBTableRow(i, s.localBorders)
-				stale = append(stale, i)
-				break
+			if bd[p]+g.Weight(h.Edge) <= bd[q]*(1+refreshTol) {
+				s.markAffected(q)
 			}
 		}
 	}
-	return stale, bdRebuilt
+	// Reseed each affected node from its unaffected neighbours, whose
+	// distances the increase cannot have changed, then settle the set
+	// with a Dijkstra confined to it.
+	for _, p := range rs.nodes {
+		best := inf
+		for _, h := range g.Neighbors(p) {
+			if !rs.mark[h.To] {
+				best = min(best, bd[h.To]+g.Weight(h.Edge))
+			}
+		}
+		bd[p] = best
+		if !isInf(best) {
+			rs.seeds = append(rs.seeds, graph.Seed{Node: p, Dist: best})
+		}
+	}
+	s.bsearch.RunSeeded(rs.seeds, graph.Options{
+		Filter: func(e graph.EdgeID) bool {
+			ed := g.Edge(e)
+			return rs.mark[ed.U] && rs.mark[ed.V]
+		},
+		OnSettle: func(n graph.NodeID, d float64) bool {
+			bd[n] = d
+			return true
+		},
+	})
+}
+
+// markAffected adds n to the repair's touched set, remembering its value.
+func (s *Shard) markAffected(n graph.NodeID) {
+	rs := &s.repair
+	rs.mark[n] = true
+	rs.nodes = append(rs.nodes, n)
+	rs.old = append(rs.old, s.borderDist[n])
 }

@@ -1,13 +1,16 @@
 package shard
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"road/internal/core"
 	"road/internal/graph"
+	"road/internal/rnet"
 	"road/internal/snapshot"
 )
 
@@ -141,18 +144,200 @@ func TestFilterRefreshExact(t *testing.T) {
 			assertDerivedEqual(t, "final", s, bt, bd)
 		}
 	}
+	t.Run("CA-K4", testFilterRefreshCA)
+}
+
+// repairOp applies one op to a full local shard the way Router.ApplyOp
+// does for its shard-side half — framework and identity maps, re-warm,
+// incremental repair — and reports whether the btable skip applied.
+func repairOp(t *testing.T, s *Shard, op snapshot.Op) (skipped bool) {
+	t.Helper()
+	res, err := s.applyLocal(op)
+	if err != nil {
+		t.Fatalf("shard %d: %v: %v", s.ID, op, err)
+	}
+	s.F.WarmTrees()
+	skipped = s.btableKept(res.chg)
+	if err := s.maintainDerived(res.chg); err != nil {
+		t.Fatal(err)
+	}
+	return skipped
+}
+
+// checkAgainstRebuild asserts s's maintained derived state equals a
+// rebuild, then puts the maintained state back so later repairs build on
+// their own output.
+func checkAgainstRebuild(t *testing.T, label string, s *Shard) {
+	t.Helper()
+	bt, bd := snapshotDerived(s)
+	s.refreshDerived(true)
+	assertDerivedEqual(t, label, s, bt, bd)
+	s.btable, s.borderDist = bt, bd
+}
+
+// testFilterRefreshCA is TestFilterRefreshExact's CA row: CA split four
+// ways under the benchmark writers' network mix — set-distance ×1.2 and
+// back, close/reopen pairs — checked against a rebuild after every op.
+// The stream must take both the btable skip and the full repair, and
+// touch at least one leaf Rnet that holds a shard border in its interior
+// (where the skip is barred).
+func testFilterRefreshCA(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CA network")
+	}
+	r, _, _, _ := caRouter(t)
+	rng := rand.New(rand.NewSource(40))
+	pairs := 200
+	if raceEnabled {
+		pairs = 20
+	}
+	var skipped, repaired, interior int
+	for i := 0; i < pairs; i++ {
+		s := r.shards[rng.Intn(len(r.shards))]
+		g := s.F.Graph()
+		le := graph.EdgeID(rng.Intn(g.NumEdges()))
+		if g.Edge(le).Removed {
+			continue
+		}
+		ops := [2]snapshot.Op{{Kind: snapshot.OpClose, Edge: le}, {Kind: snapshot.OpReopen, Edge: le}}
+		if rng.Intn(100) < 85 {
+			w := g.Weight(le)
+			ops = [2]snapshot.Op{{Kind: snapshot.OpSetDistance, Edge: le, Value: w * 1.2}, {Kind: snapshot.OpSetDistance, Edge: le, Value: w}}
+			if leaf := s.F.Hierarchy().LeafOf(le); leaf != rnet.NoRnet && s.interiorLeaf[leaf] {
+				interior++
+			}
+		}
+		for _, op := range ops {
+			if repairOp(t, s, op) {
+				skipped++
+			} else if op.Kind == snapshot.OpSetDistance {
+				repaired++
+			}
+			checkAgainstRebuild(t, "CA", s)
+		}
+	}
+	t.Logf("set-distance ops: %d skipped the btable repair, %d ran it; %d pairs in a leaf with an interior border", skipped, repaired, interior)
+	if skipped == 0 || repaired == 0 || interior == 0 {
+		t.Fatalf("stream missed a path: %d skipped, %d repaired, %d interior-border pairs", skipped, repaired, interior)
+	}
+}
+
+// TestInteriorBorderBarsSkip: a re-weight after which no shortcut set
+// changed can still move btable when a shard border sits inside the
+// touched edge's leaf Rnet, because distances to an interior node are not
+// distances in the leaf's overlay. Each witness — the leaf's shortcuts
+// kept, the rebuilt btable moved — must be repaired exactly; skipping on
+// the shortcut verdict alone would leave its row stale.
+func TestInteriorBorderBarsSkip(t *testing.T) {
+	_, r, _ := buildPair(t, 8, 260, 40, 4)
+	witnesses := 0
+	for _, s := range r.shards {
+		h, g := s.F.Hierarchy(), s.F.Graph()
+		for _, b := range s.localBorders {
+			for _, half := range g.Neighbors(b) {
+				leaf := h.LeafOf(half.Edge)
+				if leaf == rnet.NoRnet || h.IsBorder(leaf, b) {
+					continue
+				}
+				before, _ := snapshotDerived(s)
+				w := g.Weight(half.Edge)
+				res, err := s.applyLocal(snapshot.Op{Kind: snapshot.OpSetDistance, Edge: half.Edge, Value: w * 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.F.WarmTrees()
+				if err := s.maintainDerived(res.chg); err != nil {
+					t.Fatal(err)
+				}
+				bt, bd := snapshotDerived(s)
+				s.refreshDerived(true)
+				if res.chg.overlayKept && btableMoved(before, s.btable) {
+					witnesses++
+				}
+				assertDerivedEqual(t, "interior border", s, bt, bd)
+				repairOp(t, s, snapshot.Op{Kind: snapshot.OpSetDistance, Edge: half.Edge, Value: w})
+				checkAgainstRebuild(t, "interior border restored", s)
+			}
+		}
+	}
+	if witnesses == 0 {
+		t.Fatal("no re-weight kept every shortcut set yet moved btable: the case is not exercised")
+	}
+}
+
+// btableMoved reports whether two border tables differ beyond the
+// tolerance of differently associated sums.
+func btableMoved(a, b map[graph.NodeID][]BorderArc) bool {
+	for border, ra := range a {
+		rb := b[border]
+		if len(ra) != len(rb) {
+			return true
+		}
+		for i := range ra {
+			if ra[i].To != rb[i].To || math.Abs(ra[i].Dist-rb[i].Dist) > 1e-9*math.Max(1, ra[i].Dist) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestRepairAllocs pins the incremental repair — alone, not the framework
+// apply — of warm set-distance restore pairs at a constant number of
+// allocations that does not grow with the shard: the border searches,
+// the border-table splice and the borderDist update all run in reused
+// scratch.
+func TestRepairAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the pin only holds on plain builds")
+	}
+	for _, nodes := range []int{260, 2400} {
+		_, r, _ := buildPair(t, 8, nodes, 40, 4)
+		s := r.shards[0]
+		g := s.F.Graph()
+		rng := rand.New(rand.NewSource(3))
+		edges := make([]graph.EdgeID, 20)
+		for i := range edges {
+			edges[i] = graph.EdgeID(rng.Intn(g.NumEdges()))
+		}
+		var mallocs uint64
+		var before, after runtime.MemStats
+		for pass := 0; pass < 2; pass++ { // the first pass warms the scratch
+			mallocs = 0
+			for _, le := range edges {
+				w := g.Weight(le)
+				for _, v := range [2]float64{w * 1.2, w} {
+					res, err := s.applyLocal(snapshot.Op{Kind: snapshot.OpSetDistance, Edge: le, Value: v})
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.F.WarmTrees()
+					runtime.ReadMemStats(&before)
+					err = s.maintainDerived(res.chg)
+					runtime.ReadMemStats(&after)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mallocs += after.Mallocs - before.Mallocs
+				}
+			}
+		}
+		if mallocs != 0 {
+			t.Fatalf("%d-node network: %d warm restore pairs' repairs allocated %d times; want 0", nodes, len(edges), mallocs)
+		}
+	}
 }
 
 // TestMirrorDerivedUpdateExact is TestFilterRefreshExact for the other
-// consumer of the repair: a router-side mirror that applies the
-// DerivedUpdate recipes a shard host emits — the decrease arithmetic and
-// the increase case's recomputed rows — must hold, after every mutation,
-// the btable and borderDist a from-scratch rebuild of the host shard
+// consumer of the repair: a router-side mirror that patches its state
+// with the outcomes a shard host ships — changed btable rows replaced
+// whole, changed borderDist cells — must hold, after every mutation, the
+// btable and borderDist a from-scratch rebuild of the host shard
 // produces.
 func TestMirrorDerivedUpdateExact(t *testing.T) {
 	_, r, _ := buildPair(t, 8, 260, 40, 4)
 	rng := rand.New(rand.NewSource(56))
-	kinds := map[string]int{}
+	var withRows, withCells int
 	for _, s := range r.shards {
 		bt, bd := snapshotDerived(s)
 		mirror := &Shard{ID: s.ID, borders: s.borders, localNode: s.localNode, btable: bt, borderDist: bd}
@@ -169,10 +354,17 @@ func TestMirrorDerivedUpdateExact(t *testing.T) {
 			if err != nil {
 				continue // a rejected op changes nothing on either side
 			}
-			if rep.Derived != nil {
-				kinds[rep.Derived.Kind]++
+			if u := rep.Derived; u != nil {
+				if len(u.Rows) > 0 {
+					withRows++
+				}
+				if len(u.Cells) > 0 {
+					withCells++
+				}
 			}
-			mirror.applyDerivedUpdate(rep.Derived)
+			if err := mirror.applyDerivedUpdate(rep.Derived); err != nil {
+				t.Fatal(err)
+			}
 			hbt, hbd := snapshotDerived(s)
 			s.refreshDerived(true)
 			assertDerivedEqual(t, "mirror", s, mirror.btable, mirror.borderDist)
@@ -180,8 +372,60 @@ func TestMirrorDerivedUpdateExact(t *testing.T) {
 			s.btable, s.borderDist = hbt, hbd
 		}
 	}
-	if kinds[DerivedDecrease] == 0 || kinds[DerivedRows] == 0 {
-		t.Fatalf("mutation stream did not exercise both recipes: %v", kinds)
+	if withRows == 0 || withCells == 0 {
+		t.Fatalf("mutation stream did not exercise both parts of the outcome: %d updates with rows, %d with cells", withRows, withCells)
+	}
+}
+
+// staleHost is a RemoteShard over an in-process shard whose apply replies
+// carry a derived-state update of the given kind, as a host from another
+// release would send.
+type staleHost struct {
+	s    *Shard
+	kind string
+}
+
+func (h *staleHost) NewSearcher() Searcher { return h.s.NewLocalSearcher() }
+func (h *staleHost) Host() string          { return "stale" }
+
+func (h *staleHost) Apply(op snapshot.Op) (ApplyReply, error) {
+	rep, err := h.s.HostApply(op)
+	rep.Derived = &DerivedUpdate{Kind: h.kind, Cells: []BorderCell{{Node: 0, Dist: 1}}}
+	return rep, err
+}
+
+func (h *staleHost) Object(lo graph.ObjectID) (graph.Object, bool, error) {
+	o, ok := h.s.F.Objects().Get(lo)
+	return o, ok, nil
+}
+
+// TestMirrorRejectsUnknownRecipe: a mirror that receives a derived-state
+// update it cannot read — here an older host's "decrease" recipe — fails
+// the op with ErrIntegrity and leaves its state untouched, instead of
+// skipping the update and serving from a stale mirror.
+func TestMirrorRejectsUnknownRecipe(t *testing.T) {
+	_, local, _ := buildPair(t, 8, 260, 40, 4)
+	states := make([]*ShardState, len(local.shards))
+	remotes := make([]RemoteShard, len(local.shards))
+	m := local.Manifest()
+	for i, s := range local.shards {
+		st := s.ExportState()
+		st.Shards, st.Seed, st.NumNodes, st.NextObj, st.Isolated = m.Shards, m.Seed, m.NumNodes, m.NextObj, m.Isolated
+		states[i] = st
+		remotes[i] = &staleHost{s: s, kind: "decrease"}
+	}
+	r, err := AssembleRemote(states, remotes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := r.shards[0]
+	before := mirror.borderDist[0]
+	err = r.ApplyOp(0, snapshot.Op{Kind: snapshot.OpSetDistance, Edge: 0, Value: 7}, true)
+	if !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("mirror applied an unreadable recipe: err = %v, want ErrIntegrity", err)
+	}
+	if mirror.borderDist[0] != before {
+		t.Fatalf("rejected update still patched the mirror: borderDist[0] %g -> %g", before, mirror.borderDist[0])
 	}
 }
 

@@ -168,25 +168,25 @@ func decLegResp(r *shard.LegResp) {
 	decDists(r.Dists)
 }
 
-// encDerived / decDerived translate a DerivedUpdate's distance arrays
-// (endpoint distances and the nearest-border array may hold +Inf for
-// unreachable nodes; border-table arcs are finite by construction).
+// encDerived / decDerived translate a DerivedUpdate's borderDist cells
+// (a node may reach no border: +Inf). Border-table arcs are finite by
+// construction.
 func encDerived(u *shard.DerivedUpdate) {
 	if u == nil {
 		return
 	}
-	encDists(u.DU)
-	encDists(u.DV)
-	encDists(u.BorderDist)
+	for i := range u.Cells {
+		u.Cells[i].Dist = encDist(u.Cells[i].Dist)
+	}
 }
 
 func decDerived(u *shard.DerivedUpdate) {
 	if u == nil {
 		return
 	}
-	decDists(u.DU)
-	decDists(u.DV)
-	decDists(u.BorderDist)
+	for i := range u.Cells {
+		u.Cells[i].Dist = decDist(u.Cells[i].Dist)
+	}
 }
 
 // encState / decState translate an exported ShardState's nearest-border

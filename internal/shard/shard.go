@@ -83,10 +83,15 @@ type Shard struct {
 	// targets of every border Dijkstra and of the head-borders route leg.
 	localBorders []graph.NodeID
 
-	// watch marks the borders (in local IDs) for the home-shard search;
-	// rebuilt after topology mutations, which can move nodes between the
-	// shard's internal Rnets.
+	// watch marks the borders (in local IDs) for the home-shard search
+	// and the derived-state repair; rebuilt after topology mutations,
+	// which can move nodes between the shard's internal Rnets.
 	watch *core.WatchSet
+	// interiorLeaf[r] marks the leaf Rnets that hold a shard border in
+	// their interior (a node of r that is not one of r's borders); a
+	// re-weight inside such a leaf never skips the btable repair
+	// (maintain.go). Rebuilt with watch.
+	interiorLeaf []bool
 
 	// btable holds, per border (global ID), the within-shard shortest
 	// distances to the shard's other borders — the arcs of the Router's
@@ -100,18 +105,15 @@ type Shard struct {
 	// lookup instead of a watched search.
 	borderDist []float64
 
-	// bsearch is the Dijkstra workspace btable rebuilds and incremental
-	// refreshes run on. It is used only on the Router's mutation path
-	// (single-threaded under the router's mutation lock, with this
-	// shard's readers excluded by its write lock), never by query
-	// sessions.
+	// bsearch is the Dijkstra workspace whole-table rebuilds run on. It
+	// is used only on the Router's mutation path (single-threaded under
+	// the router's mutation lock, with this shard's readers excluded by
+	// its write lock), never by query sessions.
 	bsearch *graph.Search
 
-	// du, dv and rowScratch are the filter-and-refresh scratch buffers
-	// (maintain.go): distances from the touched edge's endpoints, and
-	// the row under reassembly. Same locking discipline as bsearch.
-	du, dv     []float64
-	rowScratch []BorderArc
+	// repair is the incremental repair's workspace (maintain.go). Same
+	// locking discipline as bsearch.
+	repair repairScratch
 
 	// Load counters (read path, hence atomic): queries whose query node
 	// lives in this shard, cross-shard expansions entering it, home
@@ -281,7 +283,7 @@ func (s *Shard) indexBorders() {
 // are excluded: query sessions consult all three.
 func (s *Shard) refreshDerived(topology bool) {
 	if topology || s.watch == nil {
-		s.watch = s.F.NewWatchSet(s.localBorders)
+		s.rewatch()
 	}
 	s.rebuildBTable()
 	s.rebuildBorderDist()
@@ -313,7 +315,7 @@ func (s *Shard) rebuildBorderDist() {
 // rebuildBTable recomputes the within-shard shortest distances between
 // every pair of the shard's border nodes by one Dijkstra per border over
 // the shard's live local graph. The incremental path (maintain.go)
-// instead refreshes only the rows a mutation could have changed.
+// instead repairs only the rows a mutation could have changed.
 func (s *Shard) rebuildBTable() {
 	s.btable = make(map[graph.NodeID][]BorderArc, len(s.borders))
 	if len(s.borders) < 2 {

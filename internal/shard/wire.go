@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+
 	"road/internal/graph"
 	"road/internal/snapshot"
 )
@@ -30,7 +32,7 @@ type RemoteShard interface {
 
 // ApplyReply is the host's answer to one applied op: the host-assigned
 // local IDs and side effects the router's mirror must record, plus the
-// derived-state repair recipe and the freshness header the router caches.
+// derived-state repair outcome and the freshness header the router caches.
 type ApplyReply struct {
 	// LocalEdge is the host-assigned local edge ID (OpAddRoad).
 	LocalEdge graph.EdgeID `json:"local_edge,omitempty"`
@@ -39,8 +41,9 @@ type ApplyReply struct {
 	// Doomed lists the GLOBAL IDs of objects dropped with a closed edge
 	// (OpClose): the mirror has no object→edge association of its own.
 	Doomed []graph.ObjectID `json:"doomed,omitempty"`
-	// Derived repairs the mirror's btable/borderDist after a network
-	// mutation; nil for object churn (and borderless shards).
+	// Derived is the repair outcome the mirror patches its btable and
+	// borderDist with after a network mutation; nil when the repair
+	// changed nothing (always for object churn and borderless shards).
 	Derived *DerivedUpdate `json:"derived,omitempty"`
 
 	Epoch        uint64 `json:"epoch"`
@@ -49,33 +52,22 @@ type ApplyReply struct {
 	JournalBytes int64  `json:"journal_bytes"`
 }
 
-// DerivedUpdate kinds.
-const (
-	// DerivedDecrease ships the two endpoint-distance arrays of a weight
-	// decrease: the mirror repairs every btable arc and borderDist entry
-	// with the same exact arithmetic the host ran (§5.2 decrease case) —
-	// no recomputation, and the host computed the arrays anyway.
-	DerivedDecrease = "decrease"
-	// DerivedRows ships recomputed border-table rows (weight increase:
-	// only the filtered-stale rows), plus the whole nearest-border array
-	// when it was rebuilt.
-	DerivedRows = "rows"
-)
+// DerivedPatch is the only DerivedUpdate kind: the repair's outcome. A
+// mirror rejects any other kind (an older host's recipe, say) with
+// ErrIntegrity rather than skip it and serve from a stale mirror.
+const DerivedPatch = "patch"
 
-// DerivedUpdate is the wire form of one incremental border-table repair,
-// mirroring maintain.go's filter-and-refresh outcomes. Distances may be
-// +Inf (unreachable); the wire layer encodes +Inf as -1.
+// DerivedUpdate is the wire form of one incremental derived-state repair
+// (maintain.go): its OUTCOME, not a recipe. Rows are the btable rows the
+// repair changed, to replace whole; Cells the borderDist entries it
+// changed, as sparse (local node, distance) pairs. The mirror stores both
+// as given and runs no arithmetic, and a typical mutation ships a handful
+// of cells and no rows. Cell distances may be +Inf (no border reachable);
+// the wire layer encodes +Inf as -1. Arcs are finite by construction.
 type DerivedUpdate struct {
-	Kind string `json:"kind"`
-	// W, DU, DV: the decrease recipe — new edge weight and the two
-	// endpoint-distance arrays (indexed by local node).
-	W  float64   `json:"w,omitempty"`
-	DU []float64 `json:"du,omitempty"`
-	DV []float64 `json:"dv,omitempty"`
-	// Rows: recomputed border-table rows (global border IDs).
-	Rows []BorderRow `json:"rows,omitempty"`
-	// BorderDist, when non-nil, replaces the nearest-border array.
-	BorderDist []float64 `json:"border_dist,omitempty"`
+	Kind  string       `json:"kind"`
+	Rows  []BorderRow  `json:"rows,omitempty"`
+	Cells []BorderCell `json:"cells,omitempty"`
 }
 
 // BorderRow is one border's recomputed distance-table row.
@@ -84,24 +76,39 @@ type BorderRow struct {
 	Arcs   []BorderArc  `json:"arcs"`
 }
 
-// applyDerivedUpdate repairs a mirror shard's derived routing state from
-// the host's recipe. Must run while readers of this shard are excluded
-// (the mutation path's write lock, like maintainDerived).
-func (s *Shard) applyDerivedUpdate(u *DerivedUpdate) {
+// BorderCell is one changed nearest-border distance: borderDist[Node].
+type BorderCell struct {
+	Node graph.NodeID `json:"n"`
+	Dist float64      `json:"d"`
+}
+
+// applyDerivedUpdate patches a mirror shard's derived routing state with
+// a host's repair outcome. It validates the whole update first: a kind
+// the mirror cannot read, or a cell outside the shard, is an ErrIntegrity
+// error and leaves the mirror untouched. Must run while readers of this
+// shard are excluded (the mutation path's write lock, like
+// maintainDerived).
+func (s *Shard) applyDerivedUpdate(u *DerivedUpdate) error {
 	if u == nil {
-		return
+		return nil
 	}
-	switch u.Kind {
-	case DerivedDecrease:
-		s.applyDecrease(u.DU, u.DV, u.W)
-	case DerivedRows:
-		for _, row := range u.Rows {
-			s.btable[row.Border] = row.Arcs
-		}
-		if u.BorderDist != nil {
-			s.borderDist = u.BorderDist
+	if u.Kind != DerivedPatch {
+		return fmt.Errorf("%w: shard %d: host sent a %q derived-state update, this router applies only %q (upgrade hosts and routers together)",
+			ErrIntegrity, s.ID, u.Kind, DerivedPatch)
+	}
+	for _, c := range u.Cells {
+		if c.Node < 0 || int(c.Node) >= len(s.borderDist) {
+			return fmt.Errorf("%w: shard %d: derived-state cell for node %d outside the shard (%d nodes)",
+				ErrIntegrity, s.ID, c.Node, len(s.borderDist))
 		}
 	}
+	for _, row := range u.Rows {
+		s.btable[row.Border] = row.Arcs
+	}
+	for _, c := range u.Cells {
+		s.borderDist[c.Node] = c.Dist
+	}
+	return nil
 }
 
 // RemoteEpoch, RemoteSeq, RemoteJournalBytes expose the freshness header
