@@ -531,12 +531,13 @@ func (f *Framework) stampChain(ws *queryWorkspace, e graph.EdgeID) {
 // advance one entry — but with the explorable Rnets stamped into the
 // verdict scratch up front, so the per-entry test is one compare. The
 // caller stamps exactly the Rnets that can hold the goal: the ancestor
-// chain of an object's edge, the chains of a node's incident edges (the
-// NewWatchSet rule), or a watch set's chains. Every other Rnet is bypassed
-// through shortcuts, which is exact (see pathTo). It returns the end node
-// reached and the distance including its offset — NoNode and +Inf when no
-// seed reaches the goal, and always for a watch goal, whose answers are
-// the settled link distances.
+// chain of an object's edge, the Rnets a node is interior to on the
+// chains of its incident edges (the NewWatchSet rule), or a watch set's
+// chains. Every other Rnet is bypassed through shortcuts, which is exact
+// (see pathTo). It returns the end node reached and the distance
+// including its offset — NoNode and +Inf when no seed reaches the goal,
+// and always for a watch goal, whose answers are the settled link
+// distances.
 func (f *Framework) route(c *csrIndex, seeds []Seed, goal *routeGoal, ws *queryWorkspace, lim Limits) (graph.NodeID, float64, QueryStats, error) {
 	stats := QueryStats{ShardsSearched: 1}
 	for _, sd := range seeds {
@@ -682,8 +683,10 @@ func (f *Framework) routeToObject(dst []graph.NodeID, seeds []Seed, target graph
 	return f.routeTo(dst, c, seeds, &goal, ws, lim)
 }
 
-// routeToNode routes from seeds to node t. The explorable Rnets are the
-// chains of t's incident edges — the Rnets a watch set over t descends.
+// routeToNode routes from seeds to node t. The explorable Rnets are those
+// on the chains of t's incident edges that t is interior to — the Rnets a
+// watch set over t descends (NewWatchSet's rule). An Rnet t borders is
+// bypassed: its shortcuts end at t.
 func (f *Framework) routeToNode(dst []graph.NodeID, seeds []Seed, t graph.NodeID, ws *queryWorkspace, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
 	if !f.h.Config().StorePaths {
 		return dst, 0, QueryStats{ShardsSearched: 1}, fmt.Errorf("core: framework built without StorePaths: %w", apierr.ErrPathsNotStored)
@@ -693,7 +696,15 @@ func (f *Framework) routeToNode(dst []graph.NodeID, seeds []Seed, t graph.NodeID
 	}
 	c := f.beginRoute(ws)
 	for _, half := range f.g.Neighbors(t) {
-		f.stampChain(ws, half.Edge)
+		for r := f.h.LeafOf(half.Edge); r != rnet.NoRnet; r = f.h.Rnet(r).Parent {
+			if f.h.IsBorder(r, t) {
+				continue
+			}
+			if ws.verdictEpoch[r] == ws.epoch {
+				break // ancestors already stamped through a sibling
+			}
+			ws.verdictEpoch[r] = ws.epoch
+		}
 	}
 	goal := routeGoal{ends: [2]graph.NodeID{t, t}, cap: math.Inf(1)}
 	return f.routeTo(dst, c, seeds, &goal, ws, lim)

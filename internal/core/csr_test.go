@@ -640,12 +640,14 @@ func TestCSRTypedErrorsAgree(t *testing.T) {
 }
 
 // TestCSRWatchedSeededAgree drives the sharding router's primitive —
-// multi-seed watched searches — through both paths.
+// multi-seed watched searches — through both paths. The watched nodes
+// include some that border a leaf Rnet inside its parent, which the watch
+// set reaches through the leaf's shortcuts rather than by descending it.
 func TestCSRWatchedSeededAgree(t *testing.T) {
 	f, g, _ := fixture(t, 500, 650, 90, 11, defaultCfg())
 	rng := rand.New(rand.NewSource(11))
 	csr, ref := csrAndRefSessions(f)
-	watched := dataset.RandomNodes(g, 24, 3)
+	watched := append(dataset.RandomNodes(g, 24, 3), leafBordersInsideParent(f.Hierarchy(), g, 4)...)
 	watch := f.NewWatchSet(watched)
 	for i := 0; i < 20; i++ {
 		seeds := []Seed{

@@ -51,6 +51,13 @@ type Framework struct {
 
 // Build constructs the ROAD framework over g and objects.
 func Build(g *graph.Graph, objects *graph.ObjectSet, cfg Config) (*Framework, error) {
+	return BuildPinned(g, objects, cfg, nil)
+}
+
+// BuildPinned is Build over a hierarchy with the given nodes pinned
+// (rnet.BuildPinned): each is a border of every Rnet holding one of its
+// edges, so searches reach it through shortcuts without descending.
+func BuildPinned(g *graph.Graph, objects *graph.ObjectSet, cfg Config, pinned []graph.NodeID) (*Framework, error) {
 	start := time.Now()
 	rcfg := cfg.Rnet
 	if rcfg.Fanout == 0 && rcfg.Levels == 0 {
@@ -65,7 +72,7 @@ func Build(g *graph.Graph, objects *graph.ObjectSet, cfg Config) (*Framework, er
 			return 1 + 4*float64(len(objects.OnEdge(e)))
 		}
 	}
-	h, err := rnet.Build(g, rcfg)
+	h, err := rnet.BuildPinned(g, rcfg, pinned)
 	if err != nil {
 		return nil, fmt.Errorf("core: building hierarchy: %w", err)
 	}
@@ -179,6 +186,16 @@ func (f *Framework) EnableWaypoints() bool {
 	}
 	f.WarmTrees()
 	return true
+}
+
+// PinBorders pins nodes in the hierarchy (rnet.Hierarchy.Pin) and
+// re-flattens the CSR slabs of every node whose view changed. Answers do
+// not change; searches that must reach a pinned node walk the shortcut
+// overlay to it instead of descending. Nodes already pinned cost nothing.
+// Like a mutation, it must run while readers are excluded.
+func (f *Framework) PinBorders(nodes []graph.NodeID) {
+	f.h.Pin(nodes)
+	f.WarmTrees()
 }
 
 // --- Object maintenance (§5.1) ---

@@ -247,3 +247,99 @@ func TestPathToObjectDensityInvariance(t *testing.T) {
 		t.Fatalf("no Rnet bypassed (%d) or node settled (%d); test vacuous", bypassed, popped)
 	}
 }
+
+// leafBordersInsideParent returns up to max nodes that border the leaf
+// Rnet of one of their edges while interior to that leaf's parent: the
+// nodes where the node-goal descent rule marks the parent and not the
+// leaf.
+func leafBordersInsideParent(h *rnet.Hierarchy, g *graph.Graph, max int) []graph.NodeID {
+	var out []graph.NodeID
+	for n := graph.NodeID(0); int(n) < g.NumNodes() && len(out) < max; n++ {
+		for _, half := range g.Neighbors(n) {
+			leaf := h.LeafOf(half.Edge)
+			if leaf == rnet.NoRnet {
+				continue
+			}
+			if p := h.Rnet(leaf).Parent; p != rnet.NoRnet && h.IsBorder(leaf, n) && !h.IsBorder(p, n) {
+				out = append(out, n)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestNodeGoalsDescendOnlyInteriorRnets holds the one descent rule of node
+// goals — a watch set and RouteToNode descend, on the chains of the node's
+// edges, only the Rnets the node is interior to — at nodes where the rule
+// bites: each borders the leaf of one of its edges but is interior to the
+// leaf's parent, so the watch set marks the parent and not the leaf, and
+// the search reaches the node through the leaf's shortcuts. A few random
+// nodes, mostly interior to their leaves, ride along. Distances and routes
+// must equal a Dijkstra oracle.
+func TestNodeGoalsDescendOnlyInteriorRnets(t *testing.T) {
+	f, g, _ := pathFixture(t, 5)
+	h := f.Hierarchy()
+	goals := leafBordersInsideParent(h, g, 8)
+	if len(goals) == 0 {
+		t.Fatal("fixture has no node bordering a leaf inside its parent")
+	}
+	goals = append(goals, dataset.RandomNodes(g, 4, 5)...)
+	sess := f.NewSession()
+	oracle := graph.NewSearch(g)
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range goals {
+		w := f.NewWatchSet([]graph.NodeID{n})
+		for _, half := range g.Neighbors(n) {
+			for r := h.LeafOf(half.Edge); r != rnet.NoRnet; r = h.Rnet(r).Parent {
+				if got, want := w.rnets[r], !h.IsBorder(r, n); got != want {
+					t.Fatalf("node %d: level-%d Rnet %d marked %v, want %v (marked iff the node is interior to it)", n, h.Rnet(r).Level, r, got, want)
+				}
+			}
+		}
+		for i := 0; i < 10; i++ {
+			src := graph.NodeID(rng.Intn(g.NumNodes()))
+			seeds := []Seed{{Node: src, Dist: rng.Float64()}}
+			oracle.RunSeeded(seeds, graph.Options{})
+			want := oracle.Dist(n)
+			label := fmt.Sprintf("%d->%d", src, n)
+			d, _, err := sess.WatchedDistances(nil, seeds, w, 0, Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameDist(d[0], want) {
+				t.Fatalf("%s: WatchedDistances %v, Dijkstra %v", label, d[0], want)
+			}
+			path, dist, _, err := sess.RouteToNode(nil, seeds, n, Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameDist(dist, want) {
+				t.Fatalf("%s: RouteToNode %v, Dijkstra %v", label, dist, want)
+			}
+			if math.IsInf(want, 1) {
+				continue
+			}
+			walked := seeds[0].Dist
+			for j := 1; j < len(path); j++ {
+				e := g.EdgeBetween(path[j-1], path[j])
+				if e == graph.NoEdge {
+					t.Fatalf("%s: hop %d->%d is not an edge", label, path[j-1], path[j])
+				}
+				walked += g.Weight(e)
+			}
+			if path[0] != src || path[len(path)-1] != n || !sameDist(walked, dist) {
+				t.Fatalf("%s: route %v walks %v, reported %v", label, path, walked, dist)
+			}
+		}
+	}
+}
+
+// sameDist compares distances up to the drift of differently associated
+// sums; infinities compare equal.
+func sameDist(a, b float64) bool {
+	if math.IsInf(a, 1) || math.IsInf(b, 1) {
+		return math.IsInf(a, 1) && math.IsInf(b, 1)
+	}
+	return math.Abs(a-b) <= 1e-9*math.Max(1, b)
+}

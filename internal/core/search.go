@@ -99,8 +99,14 @@ type Seed = graph.Seed
 // the search into neighbouring shards. Because the ROAD traversal bypasses
 // object-free Rnets via shortcuts, a watched node buried inside such an
 // Rnet would normally never be settled; the set therefore also records
-// every Rnet containing a watched node, and the search descends into those
-// instead of bypassing them. A WatchSet is immutable after construction
+// every Rnet a watched node is interior to (holds its edges without having
+// it as a border), and the search descends into those instead of
+// bypassing them. An Rnet the node borders needs no descent: its
+// shortcuts end at the node (Lemma 2), so bypassing it settles the node
+// at its exact distance. A shard's borders are pinned (rnet.Hierarchy.Pin)
+// and so border every Rnet holding their edges: their watch set marks
+// nothing, and a watched search walks only the shortcut overlay.
+// A WatchSet is immutable after construction
 // and safe to share across concurrent sessions; it must be rebuilt after
 // topology mutations (edge additions, closures, reopenings), which can
 // move nodes between Rnets.
@@ -134,13 +140,12 @@ func (f *Framework) NewWatchSet(nodes []graph.NodeID) *WatchSet {
 		w.nodes[n] = true
 		w.distinct++
 		for _, half := range f.g.Neighbors(n) {
-			leaf := f.h.LeafOf(half.Edge)
-			if leaf == rnet.NoRnet {
-				continue
-			}
-			for r := leaf; r != rnet.NoRnet; r = f.h.Rnet(r).Parent {
+			for r := f.h.LeafOf(half.Edge); r != rnet.NoRnet; r = f.h.Rnet(r).Parent {
+				if f.h.IsBorder(r, n) {
+					continue // reached through r's shortcuts
+				}
 				if w.rnets[r] {
-					break // ancestors already marked via a sibling
+					break // ancestors already marked: a node interior to r is interior to them
 				}
 				w.rnets[r] = true
 				w.chain = append(w.chain, r)

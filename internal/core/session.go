@@ -145,7 +145,7 @@ func (s *Session) RouteToNode(dst []graph.NodeID, seeds []Seed, target graph.Nod
 // WatchedDistances appends to dst the exact distance from seeds to every
 // node of watch, in the order the set was built from (+Inf for a node no
 // seed reaches, or reaches only beyond cap). The search descends only the
-// Rnets that hold a watched node, collects no objects, and stops once
+// Rnets a watched node is interior to, collects no objects, and stops once
 // every watched node is settled or the frontier passes cap (cap ≤ 0: no
 // cap). The sharding router measures a query node's distances to its home
 // shard's borders with it.

@@ -7,6 +7,13 @@
 // node's view of the hierarchy for the traversal algorithm, and
 // incremental maintenance (§5.2) keeps shortcuts correct across edge
 // re-weights, additions and deletions using the filter-and-refresh scheme.
+//
+// Pinned nodes extend Definition 1: a pinned node is a border of every
+// Rnet holding one of its edges, at every level, whether or not its edges
+// span two Rnets. A caller pins the nodes its searches must reach without
+// descending — a shard pins its boundary nodes — so the shortcuts of every
+// enclosing Rnet end at them (Lemma 2). Pinning changes only which nodes
+// are borders; distances and answers stay those of the plain hierarchy.
 package rnet
 
 import (
@@ -112,6 +119,12 @@ type Hierarchy struct {
 	isBorder      []map[graph.NodeID]bool
 	borderRnetsOf [][]RnetID
 
+	// pinned marks the pinned nodes (see the package doc); indexed by
+	// node, shorter than the node count when the last nodes are unpinned.
+	// Topology maintenance re-derives border status with it, so a pinned
+	// node stays pinned.
+	pinned []bool
+
 	// ws is the reusable Dijkstra workspace for shortcut computation,
 	// recreated when the graph gains nodes.
 	ws      *graph.Search
@@ -198,6 +211,14 @@ func (h *Hierarchy) DrainDirty() (nodes []graph.NodeID, all bool) {
 
 // Build constructs the Rnet hierarchy for g.
 func Build(g *graph.Graph, cfg Config) (*Hierarchy, error) {
+	return BuildPinned(g, cfg, nil)
+}
+
+// BuildPinned constructs the Rnet hierarchy for g with the given nodes
+// pinned from the start, so every shortcut set is computed once over the
+// final border sets. Partitioning ignores the pins: the result equals
+// Build followed by Pin.
+func BuildPinned(g *graph.Graph, cfg Config, pinned []graph.NodeID) (*Hierarchy, error) {
 	if cfg.Fanout < 2 || cfg.Fanout&(cfg.Fanout-1) != 0 {
 		return nil, fmt.Errorf("rnet: fanout must be a power of two ≥ 2, got %d", cfg.Fanout)
 	}
@@ -207,6 +228,9 @@ func Build(g *graph.Graph, cfg Config) (*Hierarchy, error) {
 	h := &Hierarchy{g: g, cfg: cfg}
 	if err := h.partition(); err != nil {
 		return nil, err
+	}
+	for _, n := range pinned {
+		h.setPinned(n)
 	}
 	h.originLeaf = append([]RnetID(nil), h.leafOf...)
 	h.computeBorders()
@@ -269,6 +293,20 @@ func (h *Hierarchy) AncestorChain(r RnetID) []RnetID {
 		r = h.rnets[r].Parent
 	}
 	return out
+}
+
+// isPinned reports whether n is pinned: a border of every Rnet holding
+// one of its edges.
+func (h *Hierarchy) isPinned(n graph.NodeID) bool {
+	return int(n) < len(h.pinned) && h.pinned[n]
+}
+
+// setPinned marks n pinned without touching border state.
+func (h *Hierarchy) setPinned(n graph.NodeID) {
+	if int(n) >= len(h.pinned) {
+		h.pinned = append(h.pinned, make([]bool, int(n)+1-len(h.pinned))...)
+	}
+	h.pinned[n] = true
 }
 
 // IsBorder reports whether n is a border node of Rnet r.
@@ -385,7 +423,8 @@ func (h *Hierarchy) partition() error {
 
 // computeBorders derives border sets for every Rnet at every level: node n
 // is a border of level-i Rnet R exactly when n has incident edges both
-// inside and outside R (Definition 1).
+// inside and outside R (Definition 1), or has an edge inside R and is
+// pinned.
 func (h *Hierarchy) computeBorders() {
 	h.isBorder = make([]map[graph.NodeID]bool, len(h.rnets))
 	for i := range h.isBorder {
@@ -406,9 +445,13 @@ func (h *Hierarchy) recomputeNodeBorders(n graph.NodeID) {
 		delete(h.isBorder[r], n)
 	}
 	h.borderRnetsOf[n] = h.borderRnetsOf[n][:0]
+	need := 2 // Rnets holding n's edges at a level, for n to border them
+	if h.isPinned(n) {
+		need = 1
+	}
 	for level := 1; level <= h.cfg.Levels; level++ {
 		rnets := h.nodeRnetsAt(n, level)
-		if len(rnets) > 1 {
+		if len(rnets) >= need {
 			for _, r := range rnets {
 				h.isBorder[r][n] = true
 				h.borderRnetsOf[n] = append(h.borderRnetsOf[n], r)

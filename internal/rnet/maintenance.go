@@ -3,6 +3,8 @@ package rnet
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"road/internal/graph"
 )
@@ -186,6 +188,69 @@ func (h *Hierarchy) refreshChains(dirty []RnetID) UpdateResult {
 		}
 	}
 	return res
+}
+
+// Pin marks nodes pinned (see the package doc): each becomes a border of
+// every Rnet holding one of its edges, at every level. The shortcut sets
+// of the Rnets whose border set grew are recomputed, leaf level first, and
+// their borders logged dirty for the derived indexes. Nodes already
+// pinned, and Rnets already bordered by their pinned nodes, cost nothing:
+// pinning a hierarchy whose stored border lists already include the pins
+// (one restored from a snapshot taken after the pin) recomputes nothing.
+func (h *Hierarchy) Pin(nodes []graph.NodeID) UpdateResult {
+	h.ensureNodeCapacity()
+	grown := make(map[RnetID]bool)
+	for _, n := range nodes {
+		if h.isPinned(n) {
+			continue
+		}
+		h.setPinned(n)
+		before := h.borderMemberships(n)
+		h.recomputeNodeBorders(n)
+		if len(h.borderRnetsOf[n]) == len(before) {
+			continue // pinning only adds memberships: none added
+		}
+		for _, r := range h.borderRnetsOf[n] {
+			if !before[r] {
+				grown[r] = true
+			}
+		}
+		h.InvalidateTree(n)
+	}
+	if len(grown) == 0 {
+		return UpdateResult{}
+	}
+	list := make([]RnetID, 0, len(grown))
+	for r := range grown {
+		list = append(list, r)
+	}
+	sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+	for _, r := range list {
+		h.rebuildBorderList(r)
+		h.markBordersDirty(r)
+	}
+	return h.refreshChains(list)
+}
+
+// CheckFresh compares the hierarchy with a fresh derivation over the same
+// partition and pins: every Rnet's border set (Definition 1, extended by
+// the pins) and shortcut distances must equal what computing them anew
+// from the current graph gives. It is the referee of incremental
+// maintenance and of pinning, costs one build's shortcut computation, and
+// changes nothing.
+func (h *Hierarchy) CheckFresh() error {
+	fresh := &Hierarchy{g: h.g, cfg: h.cfg, rnets: slices.Clone(h.rnets), levels: h.levels, leafOf: h.leafOf, pinned: h.pinned}
+	fresh.computeBorders()
+	fresh.computeAllShortcuts()
+	for r := range h.rnets {
+		if got, want := h.rnets[r].Borders, fresh.rnets[r].Borders; !slices.Equal(got, want) {
+			return fmt.Errorf("rnet: Rnet %d borders %v, fresh derivation %v", r, got, want)
+		}
+		if !shortcutSetsEqual(h.shortcuts[r], fresh.shortcuts[r]) {
+			return fmt.Errorf("rnet: Rnet %d shortcut set differs from a fresh derivation", r)
+		}
+	}
+	return nil
 }
 
 // AddEdge inserts a new road segment between existing nodes u and v

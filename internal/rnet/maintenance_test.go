@@ -3,6 +3,7 @@ package rnet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"road/internal/graph"
@@ -10,9 +11,10 @@ import (
 
 // verifyInvariants checks, after any sequence of maintenance operations,
 // that the hierarchy still satisfies its defining properties: borders match
-// Definition 1, leaf edge sets partition the live edges, and every stored
-// shortcut distance equals the within-Rnet shortest-path oracle with full
-// pair coverage (tests use PruneMaxBorders=0 so coverage is total).
+// Definition 1 (a pinned node borders every Rnet holding its edges), leaf
+// edge sets partition the live edges, and every stored shortcut distance
+// equals the within-Rnet shortest-path oracle with full pair coverage
+// (tests use PruneMaxBorders=0 so coverage is total).
 func verifyInvariants(t *testing.T, h *Hierarchy) {
 	t.Helper()
 	g := h.Graph()
@@ -34,7 +36,7 @@ func verifyInvariants(t *testing.T, h *Hierarchy) {
 		t.Fatalf("leaves cover %d edges, live count %d", len(seen), g.CountActiveEdges())
 	}
 
-	// Borders match Definition 1 at every level.
+	// Borders match Definition 1, extended by the pins, at every level.
 	for level := 1; level <= h.Levels(); level++ {
 		inout := make(map[graph.NodeID][2]bool) // per Rnet below
 		for _, id := range h.AtLevel(level) {
@@ -63,7 +65,7 @@ func verifyInvariants(t *testing.T, h *Hierarchy) {
 				}
 			}
 			for n, v := range inout {
-				want := v[0] && v[1]
+				want := v[0] && (v[1] || h.isPinned(n))
 				if got := h.IsBorder(id, n); got != want {
 					t.Fatalf("level %d Rnet %d node %d: IsBorder=%v want %v", level, id, n, got, want)
 				}
@@ -534,5 +536,78 @@ func TestWaypointsFollowMaintenance(t *testing.T) {
 			}
 		}
 		check(op)
+	}
+}
+
+// TestPinMatchesPinnedBuild: pinning a built hierarchy recomputes exactly
+// what building it with the pins would have computed, a second pin of the
+// same nodes recomputes nothing, and topology maintenance keeps pinned
+// nodes pinned — every step checked against the shortcut oracle and a
+// fresh derivation.
+func TestPinMatchesPinnedBuild(t *testing.T) {
+	cfg := Config{Fanout: 2, Levels: 3, KLPasses: -1, PruneMaxBorders: 0}
+	g := testNetwork(t, 250, 290, 33)
+	rng := rand.New(rand.NewSource(33))
+	var pins []graph.NodeID
+	for len(pins) < 25 {
+		pins = append(pins, graph.NodeID(rng.Intn(g.NumNodes())))
+	}
+	want, err := BuildPinned(g.Clone(), cfg, pins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := build(t, g, cfg)
+	before := h.BorderCount()
+	gen := h.TopoGen()
+	res := h.Pin(pins)
+	if len(res.RecomputedRnets) == 0 || h.BorderCount() <= before || h.TopoGen() == gen {
+		t.Fatalf("pin recomputed %d Rnets, borders %d -> %d, generation %d -> %d", len(res.RecomputedRnets), before, h.BorderCount(), gen, h.TopoGen())
+	}
+	for r := 0; r < h.NumRnets(); r++ {
+		id := RnetID(r)
+		if !slices.Equal(h.Rnet(id).Borders, want.Rnet(id).Borders) {
+			t.Fatalf("Rnet %d: pinned borders %v, pinned build %v", r, h.Rnet(id).Borders, want.Rnet(id).Borders)
+		}
+		if !shortcutSetsEqual(h.shortcuts[r], want.shortcuts[r]) {
+			t.Fatalf("Rnet %d: pinned shortcuts differ from the pinned build's", r)
+		}
+	}
+	for _, n := range pins {
+		for _, half := range g.Neighbors(n) {
+			for r := h.LeafOf(half.Edge); r != NoRnet; r = h.Rnet(r).Parent {
+				if !h.IsBorder(r, n) {
+					t.Fatalf("pinned node %d interior to level-%d Rnet %d", n, h.Rnet(r).Level, r)
+				}
+			}
+		}
+	}
+	verifyInvariants(t, h)
+	if res := h.Pin(pins); len(res.RecomputedRnets) != 0 {
+		t.Fatalf("second pin recomputed %v", res.RecomputedRnets)
+	}
+
+	// Close, reopen and add roads at the pins.
+	for _, n := range pins[:10] {
+		nb := g.Neighbors(n)
+		if len(nb) == 0 {
+			continue
+		}
+		e := nb[0].Edge
+		if _, err := h.DeleteEdge(e); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.RestoreEdge(e); err != nil {
+			t.Fatal(err)
+		}
+		v := graph.NodeID(rng.Intn(g.NumNodes()))
+		if v != n {
+			if _, _, err := h.AddEdge(n, v, 0.5+rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	verifyInvariants(t, h)
+	if err := h.CheckFresh(); err != nil {
+		t.Fatal(err)
 	}
 }

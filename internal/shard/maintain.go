@@ -5,7 +5,6 @@ import (
 
 	"road/internal/core"
 	"road/internal/graph"
-	"road/internal/rnet"
 )
 
 // Incremental derived-state maintenance (the paper's §5.2 filter-and-
@@ -47,11 +46,12 @@ import (
 //     seeded at its border.
 //
 //   - SKIP. A re-weight after which the hierarchy changed no shortcut
-//     set, on an edge whose leaf Rnet holds no shard border in its
-//     interior, cannot change btable: distances between nodes outside a
-//     leaf's interior are distances in that leaf's overlay (every edge
-//     outside the leaf plus the leaf's shortcuts), and the overlay did
-//     not change. Topology mutations never skip.
+//     set cannot change btable. Every shard border is a pinned border of
+//     every Rnet holding its edges (setBorders), so none lies in the
+//     interior of the touched edge's leaf Rnet; distances between nodes
+//     outside a leaf's interior are distances in that leaf's overlay
+//     (every edge outside the leaf plus the leaf's shortcuts), and the
+//     overlay did not change. Topology mutations never skip.
 //
 // borderDist is the classic dynamic single-source update (a virtual
 // source joined to every border), repaired over the plain local graph:
@@ -91,7 +91,8 @@ type netChange struct {
 	topology bool
 	// overlayKept marks a re-weight after which the hierarchy changed no
 	// shortcut set (its leaf filter proved none affected, or the refresh
-	// recomputed identical sets): the precondition of the btable skip.
+	// recomputed identical sets); btable then cannot have changed, and
+	// its repair is skipped.
 	overlayKept bool
 }
 
@@ -134,13 +135,13 @@ func (s *Shard) maintainDerived(chg netChange) error {
 	rs.rows = rs.rows[:0]
 	rs.nodes, rs.old = rs.nodes[:0], rs.old[:0]
 	if chg.topology || s.watch == nil {
-		s.rewatch()
+		s.watch = s.F.NewWatchSet(s.localBorders)
 	}
 	if len(s.borders) == 0 {
 		return nil // no borders: btable empty, borderDist all +Inf, nothing derived from the network
 	}
 	s.repairBorderDist(chg)
-	if len(s.borders) < 2 || s.btableKept(chg) {
+	if len(s.borders) < 2 || chg.overlayKept {
 		return nil
 	}
 	return s.repairBTable(chg)
@@ -165,37 +166,6 @@ func (s *Shard) derivedUpdate() *DerivedUpdate {
 		return nil
 	}
 	return u
-}
-
-// rewatch rebuilds the border watch set and the interiorLeaf marks the
-// btable skip consults: a leaf Rnet is marked when some shard border is
-// one of its nodes without being one of its borders.
-func (s *Shard) rewatch() {
-	s.watch = s.F.NewWatchSet(s.localBorders)
-	h := s.F.Hierarchy()
-	if len(s.interiorLeaf) != h.NumRnets() {
-		s.interiorLeaf = make([]bool, h.NumRnets())
-	} else {
-		clear(s.interiorLeaf)
-	}
-	g := s.F.Graph()
-	for _, b := range s.localBorders {
-		for _, half := range g.Neighbors(b) {
-			if leaf := h.LeafOf(half.Edge); leaf != rnet.NoRnet && !h.IsBorder(leaf, b) {
-				s.interiorLeaf[leaf] = true
-			}
-		}
-	}
-}
-
-// btableKept reports whether chg provably left btable unchanged (the
-// skip rule in the header comment).
-func (s *Shard) btableKept(chg netChange) bool {
-	if !chg.overlayKept {
-		return false
-	}
-	leaf := s.F.Hierarchy().LeafOf(chg.edge)
-	return leaf != rnet.NoRnet && !s.interiorLeaf[leaf]
 }
 
 // borderDists returns, in dst's storage, the distance from local node

@@ -10,7 +10,6 @@ import (
 
 	"road/internal/core"
 	"road/internal/graph"
-	"road/internal/rnet"
 	"road/internal/snapshot"
 )
 
@@ -157,7 +156,7 @@ func repairOp(t *testing.T, s *Shard, op snapshot.Op) (skipped bool) {
 		t.Fatalf("shard %d: %v: %v", s.ID, op, err)
 	}
 	s.F.WarmTrees()
-	skipped = s.btableKept(res.chg)
+	skipped = res.chg.overlayKept
 	if err := s.maintainDerived(res.chg); err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +177,7 @@ func checkAgainstRebuild(t *testing.T, label string, s *Shard) {
 // testFilterRefreshCA is TestFilterRefreshExact's CA row: CA split four
 // ways under the benchmark writers' network mix — set-distance ×1.2 and
 // back, close/reopen pairs — checked against a rebuild after every op.
-// The stream must take both the btable skip and the full repair, and
-// touch at least one leaf Rnet that holds a shard border in its interior
-// (where the skip is barred).
+// The stream must take both the btable skip and the full repair.
 func testFilterRefreshCA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the CA network")
@@ -191,7 +188,7 @@ func testFilterRefreshCA(t *testing.T) {
 	if raceEnabled {
 		pairs = 20
 	}
-	var skipped, repaired, interior int
+	var skipped, repaired int
 	for i := 0; i < pairs; i++ {
 		s := r.shards[rng.Intn(len(r.shards))]
 		g := s.F.Graph()
@@ -203,9 +200,6 @@ func testFilterRefreshCA(t *testing.T) {
 		if rng.Intn(100) < 85 {
 			w := g.Weight(le)
 			ops = [2]snapshot.Op{{Kind: snapshot.OpSetDistance, Edge: le, Value: w * 1.2}, {Kind: snapshot.OpSetDistance, Edge: le, Value: w}}
-			if leaf := s.F.Hierarchy().LeafOf(le); leaf != rnet.NoRnet && s.interiorLeaf[leaf] {
-				interior++
-			}
 		}
 		for _, op := range ops {
 			if repairOp(t, s, op) {
@@ -216,70 +210,10 @@ func testFilterRefreshCA(t *testing.T) {
 			checkAgainstRebuild(t, "CA", s)
 		}
 	}
-	t.Logf("set-distance ops: %d skipped the btable repair, %d ran it; %d pairs in a leaf with an interior border", skipped, repaired, interior)
-	if skipped == 0 || repaired == 0 || interior == 0 {
-		t.Fatalf("stream missed a path: %d skipped, %d repaired, %d interior-border pairs", skipped, repaired, interior)
+	t.Logf("set-distance ops: %d skipped the btable repair, %d ran it", skipped, repaired)
+	if skipped == 0 || repaired == 0 {
+		t.Fatalf("stream missed a path: %d skipped, %d repaired", skipped, repaired)
 	}
-}
-
-// TestInteriorBorderBarsSkip: a re-weight after which no shortcut set
-// changed can still move btable when a shard border sits inside the
-// touched edge's leaf Rnet, because distances to an interior node are not
-// distances in the leaf's overlay. Each witness — the leaf's shortcuts
-// kept, the rebuilt btable moved — must be repaired exactly; skipping on
-// the shortcut verdict alone would leave its row stale.
-func TestInteriorBorderBarsSkip(t *testing.T) {
-	_, r, _ := buildPair(t, 8, 260, 40, 4)
-	witnesses := 0
-	for _, s := range r.shards {
-		h, g := s.F.Hierarchy(), s.F.Graph()
-		for _, b := range s.localBorders {
-			for _, half := range g.Neighbors(b) {
-				leaf := h.LeafOf(half.Edge)
-				if leaf == rnet.NoRnet || h.IsBorder(leaf, b) {
-					continue
-				}
-				before, _ := snapshotDerived(s)
-				w := g.Weight(half.Edge)
-				res, err := s.applyLocal(snapshot.Op{Kind: snapshot.OpSetDistance, Edge: half.Edge, Value: w * 3})
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.F.WarmTrees()
-				if err := s.maintainDerived(res.chg); err != nil {
-					t.Fatal(err)
-				}
-				bt, bd := snapshotDerived(s)
-				s.refreshDerived(true)
-				if res.chg.overlayKept && btableMoved(before, s.btable) {
-					witnesses++
-				}
-				assertDerivedEqual(t, "interior border", s, bt, bd)
-				repairOp(t, s, snapshot.Op{Kind: snapshot.OpSetDistance, Edge: half.Edge, Value: w})
-				checkAgainstRebuild(t, "interior border restored", s)
-			}
-		}
-	}
-	if witnesses == 0 {
-		t.Fatal("no re-weight kept every shortcut set yet moved btable: the case is not exercised")
-	}
-}
-
-// btableMoved reports whether two border tables differ beyond the
-// tolerance of differently associated sums.
-func btableMoved(a, b map[graph.NodeID][]BorderArc) bool {
-	for border, ra := range a {
-		rb := b[border]
-		if len(ra) != len(rb) {
-			return true
-		}
-		for i := range ra {
-			if ra[i].To != rb[i].To || math.Abs(ra[i].Dist-rb[i].Dist) > 1e-9*math.Max(1, ra[i].Dist) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // TestRepairAllocs pins the incremental repair — alone, not the framework

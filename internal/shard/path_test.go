@@ -13,8 +13,11 @@ import (
 
 // TestShardedPathPopsRideTheIndex pins the mechanism of a sharded route:
 // every leg is a route search on its shard's index, descending only the
-// Rnets that can hold its goal, so on CA split four ways the median route
-// settles at most 2,500 nodes. Per-leg plain Dijkstra settled ≈ 11,300.
+// Rnets that can hold its goal — and none for a shard border, which is a
+// pinned border of every Rnet holding its edges — so on CA split four
+// ways the median route settles at most 341 nodes (its median, 273, plus
+// 25%). Per-leg plain Dijkstra settled ≈ 11,300; descending every
+// border's chains, ≈ 1,290.
 func TestShardedPathPopsRideTheIndex(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the CA network")
@@ -38,8 +41,41 @@ func TestShardedPathPopsRideTheIndex(t *testing.T) {
 	slices.Sort(pops)
 	median := pops[len(pops)/2]
 	t.Logf("%d CA routes over 4 shards: median %d pops, max %d", len(pops), median, pops[len(pops)-1])
-	if median > 2500 {
-		t.Fatalf("median sharded route settles %d nodes; want ≤ 2,500", median)
+	if median > 341 {
+		t.Fatalf("median sharded route settles %d nodes; want ≤ 341", median)
+	}
+}
+
+// TestBorderSearchWalksTheOverlay pins the pinned-border mechanism at its
+// source: a watched search from a node to every border of its shard — the
+// route's head-borders leg and the btable repair's endpoint search —
+// descends no Rnet for the borders, so on CA split four ways the median
+// call settles at most 150 nodes. Descending every border's chains
+// settled ≈ 515.
+func TestBorderSearchWalksTheOverlay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CA network")
+	}
+	r, _, _, nodes := caRouter(t)
+	var pops []int
+	for _, from := range nodes[:200] {
+		sh := r.shards[r.HomeOf(from)]
+		ln, _ := sh.LocalNode(from)
+		sess := sh.F.NewSession()
+		d, stats, err := sess.WatchedDistances(nil, []core.Seed{{Node: ln}}, sh.watch, 0, core.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d) != len(sh.borders) {
+			t.Fatalf("%d distances for %d borders", len(d), len(sh.borders))
+		}
+		pops = append(pops, stats.NodesPopped)
+	}
+	slices.Sort(pops)
+	median := pops[len(pops)/2]
+	t.Logf("200 CA border searches over 4 shards: median %d pops, max %d", median, pops[len(pops)-1])
+	if median > 150 {
+		t.Fatalf("median border search settles %d nodes; want ≤ 150", median)
 	}
 }
 

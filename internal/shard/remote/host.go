@@ -280,6 +280,15 @@ func (h *Host) Handler() http.Handler { return h.mux }
 // ShardIDs returns the shard IDs this host serves (sorted).
 func (h *Host) ShardIDs() []int { return append([]int(nil), h.ids...) }
 
+// Shard returns the local shard the host serves under id (nil if it owns
+// no such shard), for inspection while no request is in flight.
+func (h *Host) Shard(id int) *shard.Shard {
+	if hs := h.shards[id]; hs != nil {
+		return hs.s
+	}
+	return nil
+}
+
 // Close closes the host's journals. Callers stop the HTTP server first.
 func (h *Host) Close() error { return h.closeJournals() }
 

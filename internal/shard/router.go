@@ -146,9 +146,10 @@ func Build(g *graph.Graph, objects *graph.ObjectSet, opt Options) (*Router, erro
 	for i := range r.edgeShard {
 		r.edgeShard[i] = -1
 	}
+	border := splitBorders(g, parts)
 	for id, part := range parts {
 		sort.Slice(part, func(i, j int) bool { return part[i] < part[j] })
-		s, err := newShard(id, g, objects, part, opt.Core)
+		s, err := newShard(id, g, objects, part, border, opt.Core)
 		if err != nil {
 			return nil, err
 		}
@@ -162,6 +163,29 @@ func Build(g *graph.Graph, objects *graph.ObjectSet, opt Options) (*Router, erro
 	}
 	r.wireTopology()
 	return r, nil
+}
+
+// splitBorders marks the nodes incident to edges of two or more parts:
+// the shard borders the split creates, known before any shard is built so
+// each shard's hierarchy is built with them pinned.
+func splitBorders(g *graph.Graph, parts [][]graph.EdgeID) []bool {
+	owner := make([]int, g.NumNodes()) // part+1 of the first edge seen, 0 for none
+	border := make([]bool, g.NumNodes())
+	for i, part := range parts {
+		for _, e := range part {
+			ed := g.Edge(e)
+			for _, n := range [2]graph.NodeID{ed.U, ed.V} {
+				switch owner[n] {
+				case 0:
+					owner[n] = i + 1
+				case i + 1:
+				default:
+					border[n] = true
+				}
+			}
+		}
+	}
+	return border
 }
 
 // computeShardsOf rebuilds the global-node → shards index from the

@@ -85,13 +85,10 @@ type Shard struct {
 
 	// watch marks the borders (in local IDs) for the home-shard search
 	// and the derived-state repair; rebuilt after topology mutations,
-	// which can move nodes between the shard's internal Rnets.
+	// which can move nodes between the shard's internal Rnets. The
+	// borders are pinned in the shard's hierarchy (setBorders), so the
+	// set marks no Rnet to descend.
 	watch *core.WatchSet
-	// interiorLeaf[r] marks the leaf Rnets that hold a shard border in
-	// their interior (a node of r that is not one of r's borders); a
-	// re-weight inside such a leaf never skips the btable repair
-	// (maintain.go). Rebuilt with watch.
-	interiorLeaf []bool
 
 	// btable holds, per border (global ID), the within-shard shortest
 	// distances to the shard's other borders — the arcs of the Router's
@@ -194,8 +191,10 @@ func (s *Shard) newSearcher() Searcher {
 
 // newShard assembles one shard from its slice of the global network.
 // edges must be the shard's global edge IDs sorted ascending; objects is
-// the global object set (only objects on the shard's edges are adopted).
-func newShard(id ID, g *graph.Graph, objects *graph.ObjectSet, edges []graph.EdgeID, cfg core.Config) (*Shard, error) {
+// the global object set (only objects on the shard's edges are adopted);
+// border marks the global nodes that are shard borders, which the shard's
+// hierarchy is built with pinned.
+func newShard(id ID, g *graph.Graph, objects *graph.ObjectSet, edges []graph.EdgeID, border []bool, cfg core.Config) (*Shard, error) {
 	s := &Shard{
 		ID:        id,
 		localNode: make(map[graph.NodeID]graph.NodeID),
@@ -218,9 +217,13 @@ func newShard(id ID, g *graph.Graph, objects *graph.ObjectSet, edges []graph.Edg
 	sort.Slice(s.globalNode, func(i, j int) bool { return s.globalNode[i] < s.globalNode[j] })
 
 	lg := graph.New(len(s.globalNode), len(edges))
+	var pinned []graph.NodeID
 	for li, gn := range s.globalNode {
 		lg.AddNode(g.Coord(gn))
 		s.localNode[gn] = graph.NodeID(li)
+		if border[gn] {
+			pinned = append(pinned, graph.NodeID(li))
+		}
 	}
 	s.globalEdge = make([]graph.EdgeID, 0, len(edges))
 	lset := graph.NewObjectSet(lg)
@@ -243,7 +246,7 @@ func newShard(id ID, g *graph.Graph, objects *graph.ObjectSet, edges []graph.Edg
 		}
 	}
 
-	f, err := core.Build(lg, lset, cfg)
+	f, err := core.BuildPinned(lg, lset, cfg, pinned)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", id, err)
 	}
@@ -261,11 +264,13 @@ func (s *Shard) setGlobalObj(lo, gid graph.ObjectID) {
 	s.globalObj[lo] = gid
 }
 
-// setBorders installs the shard's border set (global IDs, sorted) and
-// builds the derived watch set and border distance table.
+// setBorders installs the shard's border set (global IDs, sorted), pins
+// it in the shard's hierarchy, and builds the derived watch set and
+// border distance table.
 func (s *Shard) setBorders(borders []graph.NodeID) {
 	s.borders = borders
 	s.indexBorders()
+	s.F.PinBorders(s.localBorders)
 	s.refreshDerived(true)
 }
 
@@ -283,7 +288,7 @@ func (s *Shard) indexBorders() {
 // are excluded: query sessions consult all three.
 func (s *Shard) refreshDerived(topology bool) {
 	if topology || s.watch == nil {
-		s.rewatch()
+		s.watch = s.F.NewWatchSet(s.localBorders)
 	}
 	s.rebuildBTable()
 	s.rebuildBorderDist()

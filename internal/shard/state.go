@@ -429,6 +429,7 @@ func AssembleHostShards(m *Manifest, frameworks map[ID]*core.Framework, idents m
 			}
 		}
 		s.indexBorders()
+		f.PinBorders(s.localBorders) // before replay: a pre-pin set is upgraded here
 		for li, ge := range sm.GlobalEdge {
 			s.localEdge[ge] = graph.EdgeID(li)
 		}

@@ -209,7 +209,7 @@ func TestJournalWriteAhead(t *testing.T) {
 // the same ID on all three: a deleted object's ID stays consumed.
 //
 // The RemoteDB row is skipped: a restarted fleet still re-derives the
-// next ID from the live objects (ROADMAP item E, row zero), and the fix
+// next ID from the live objects (ROADMAP item H(a)), and the fix
 // cannot land before benchmark/run.go stops predicting that reuse — its
 // ca_fleet writer stream expects exactly the IDs this row forbids.
 func TestRestartEquivalenceAcrossStores(t *testing.T) {
@@ -261,7 +261,7 @@ func TestRestartEquivalenceAcrossStores(t *testing.T) {
 			return boot(), func() Store { sdb.CloseJournals(); return boot() }
 		}},
 		{"RemoteDB", func(t *testing.T) (Store, func() Store) {
-			t.Skip("fleet restart reuses consumed object IDs: ROADMAP item E, row zero")
+			t.Skip("fleet restart reuses consumed object IDs: ROADMAP item H(a)")
 			_, rdb, hosts := remoteTriple(t, seed, nodes, objects, shards)
 			return rdb, func() Store {
 				// Router and hosts all go down; the hosts come back from
