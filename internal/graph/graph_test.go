@@ -296,17 +296,6 @@ func TestDijkstraTargetsAllocs(t *testing.T) {
 	}
 }
 
-// TestDijkstraExpandPrunes: a node Expand declines is settled but passes
-// nothing on, so the line beyond it stays unreached.
-func TestDijkstraExpandPrunes(t *testing.T) {
-	g := line(10)
-	s := NewSearch(g)
-	s.Run(0, Options{Expand: func(n NodeID, _ float64) bool { return n != 3 }})
-	if s.Dist(3) != 3 || s.Reached(4) {
-		t.Fatalf("Dist(3) = %g, reached(4) = %v; want 3, false", s.Dist(3), s.Reached(4))
-	}
-}
-
 func TestDijkstraFilter(t *testing.T) {
 	// Square 0-1-2-3-0; block edge (0,1): distance to 1 must go the long way.
 	g := New(4, 4)

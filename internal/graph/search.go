@@ -143,11 +143,6 @@ type Options struct {
 	// OnSettle, when non-nil, is invoked for every settled node with its
 	// final distance. Returning false aborts the run.
 	OnSettle func(n NodeID, d float64) bool
-	// Expand, when non-nil, is asked for every settled node whether to
-	// relax its edges; false settles the node without following them.
-	// Dynamic shortest-path updates use it to propagate only
-	// improvements.
-	Expand func(n NodeID, d float64) bool
 }
 
 // Run executes Dijkstra from src with the given options. Distances and
@@ -205,9 +200,6 @@ func (s *Search) RunSeeded(seeds []Seed, opt Options) {
 			if remaining == 0 {
 				return
 			}
-		}
-		if opt.Expand != nil && !opt.Expand(n, d) {
-			continue
 		}
 		for _, h := range s.g.adj[n] {
 			if opt.Filter != nil && !opt.Filter(h.Edge) {

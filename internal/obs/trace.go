@@ -21,12 +21,15 @@ type LegName string
 const (
 	// LegSearch is the single-index (unsharded) search.
 	LegSearch LegName = "search"
-	// LegHomeFast is the sharded fast path: home-shard search under the
-	// shared read lock.
+	// LegHomeFast is the sharded fast path: the watched home-shard
+	// search under the home shard's read lock.
 	LegHomeFast LegName = "home_fast"
-	// LegHomeLocked is the escalated home re-run holding the write gate.
+	// LegHomeLocked is an escalated query's home re-run under the
+	// whole-router read view, taken only when the home shard's epoch
+	// moved since the fast path.
 	LegHomeLocked LegName = "home_locked"
-	// LegHomeWatched is the home re-run watched for epoch invalidation.
+	// LegHomeWatched is the watched search of each home shard of a query
+	// node that is itself a border (several home shards).
 	LegHomeWatched LegName = "home_watched"
 	// LegGateway is the cross-shard Dijkstra over border tables.
 	LegGateway LegName = "gateway"

@@ -156,7 +156,7 @@ func newMetrics(s *Server) *metrics {
 			"Cross-shard expansions entering this shard through its borders.",
 			shardVec(func(i shard.Info) float64 { return float64(i.RemoteEntries) }))
 		r.CollectorVec("road_shard_escalations_total", "counter",
-			"Home queries that escalated past the nearest-border fast path.",
+			"Home queries whose watched home search settled a border below the local answer, escalating to the cross-shard path.",
 			shardVec(func(i shard.Info) float64 { return float64(i.Escalations) }))
 		r.CollectorVec("road_shard_mutations_total", "counter",
 			"Mutations applied to this shard.",

@@ -168,9 +168,7 @@ func (s *Shard) HostApply(op snapshot.Op) (ApplyReply, error) {
 	}
 	rep := ApplyReply{LocalEdge: res.le, LocalObj: res.lo, Doomed: res.doomed}
 	if res.network {
-		if err := s.maintainDerived(res.chg); err != nil {
-			return ApplyReply{}, err
-		}
+		s.maintainDerived(res.chg)
 		rep.Derived = s.derivedUpdate()
 	}
 	rep.Epoch = s.F.Epoch()
@@ -185,12 +183,12 @@ func (s *Shard) ReplayApply(op snapshot.Op) error {
 	return err
 }
 
-// RefreshDerived rebuilds the shard's derived routing state and re-warms
-// its CSR slabs — the bulk counterpart of per-op maintenance, for after
-// host-side journal replay.
+// RefreshDerived re-warms the shard's CSR slabs and rebuilds its derived
+// routing state on them — the bulk counterpart of per-op maintenance,
+// for after host-side journal replay.
 func (s *Shard) RefreshDerived() {
-	s.refreshDerived(true)
 	s.F.WarmTrees()
+	s.refreshDerived(true)
 }
 
 // ApplyOp applies one journal-encoded mutation to shard id — in-process
@@ -313,14 +311,13 @@ func (r *Router) ApplyOp(id ID, op snapshot.Op, refresh bool) error {
 
 	if refresh && s.F != nil {
 		// Re-warm first: the repair's border searches read the CSR slabs.
-		// Object churn leaves the routing state intact: border tables and
-		// nearest-border distances depend only on the network, so only
-		// network mutations pay a derived-state repair — and that repair
-		// is incremental (maintain.go): it costs what the mutation
-		// changed.
+		// Object churn leaves the routing state intact: border tables
+		// depend only on the network, so only network mutations pay a
+		// derived-state repair — and that repair is incremental
+		// (maintain.go): it costs what the mutation changed.
 		s.F.WarmTrees()
 		if res.network {
-			return s.maintainDerived(res.chg)
+			s.maintainDerived(res.chg)
 		}
 	}
 	return nil

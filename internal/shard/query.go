@@ -14,8 +14,8 @@ import (
 // shard plus the gateway scratch state. Any number of Sessions may query
 // concurrently, and queries may overlap Router mutations: each query
 // synchronizes itself against them with the router's per-shard read
-// locks (home shard only on the nearest-border fast path, all shards on
-// the cross-shard path), so a mutation stalls only readers of its own
+// locks (home shard only on the fast path, all shards on the
+// cross-shard path), so a mutation stalls only readers of its own
 // shard plus cross-shard readers. One Session still serves one goroutine
 // at a time — its scratch state is not shared.
 //
@@ -201,14 +201,12 @@ func (s *Session) KNN(from graph.NodeID, k int, attr int32) ([]core.Result, core
 // candidates merged so far are returned (a valid, possibly incomplete,
 // subset) with Stats.Truncated set.
 //
-// Locking: the query first tries the nearest-border fast path under the
-// home shard's read lock alone; only when cross-shard machinery is
-// needed does it take the whole-router read view — at which point it
-// reruns the home search from scratch, because a mutation may have
-// slipped into the home shard between the two views. The nodes the
-// discarded fast attempt settled are carried into the locked phase's
-// stats, so the traversal budget caps the query's TOTAL work and
-// NodesPopped reports it.
+// Locking: a single-home query first runs its watched home search under
+// the home shard's read lock alone (homeFast); only when a border lies
+// closer than the local kth result does it take the whole-router read
+// view, where it keeps that search unless the home shard's epoch moved
+// in between (homeLocked). The budget spans both attempts, and
+// NodesPopped reports the query's total work.
 func (s *Session) KNNLimited(from graph.NodeID, k int, attr int32, lim core.Limits) ([]core.Result, core.QueryStats, error) {
 	var stats core.QueryStats
 	if k <= 0 || int(from) < 0 || int(from) >= len(s.r.shardsOf) {
@@ -218,121 +216,122 @@ func (s *Session) KNNLimited(from graph.NodeID, k int, attr int32, lim core.Limi
 	if len(homes) == 0 {
 		return nil, stats, nil // isolated intersection: nothing is reachable
 	}
-	carried := 0
-	if len(homes) == 1 {
-		s.r.shardMu[homes[0]].RLock()
-		res, st, err, final := s.knnFast(homes[0], from, k, attr, lim)
-		s.r.shardMu[homes[0]].RUnlock()
-		if final {
-			return res, st, err
-		}
-		s.r.shards[homes[0]].escalations.Add(1)
-		carried = st.NodesPopped
+	if len(homes) > 1 {
+		s.r.rlockAll()
+		defer s.r.runlockAll()
+		return s.knnSlowMulti(homes, from, k, attr, stats, lim)
 	}
+	h := homes[0]
+	run, final := s.homeFast(h, from, SearchReq{Attr: attr, K: k}, lim)
+	if final {
+		return run.resp.Results, run.stats, run.err
+	}
+	s.r.shards[h].escalations.Add(1)
 	s.r.rlockAll()
 	defer s.r.runlockAll()
-	if len(homes) == 1 {
-		return s.knnHomeLocked(homes[0], from, k, attr, lim, carried)
-	}
-	return s.knnSlowMulti(homes, from, k, attr, stats, lim)
+	return s.knnHomeLocked(h, from, k, attr, lim, run)
 }
 
-// knnFast is the nearest-border fast path, runnable under the home
-// shard's read lock alone: one home shard whose nearest border lies at
-// or beyond the local kth result — the vast majority of queries on
-// well-cut shards. The plain (unwatched) local search is then globally
-// final: any path to another shard passes a border, so every foreign
-// object is at least the nearest-border distance away — a bound that
-// depends only on this shard's network, which the held lock keeps
-// stable. final is also true on error (the partial prefix is the
-// answer); when false the caller escalates to the cross-shard path.
-func (s *Session) knnFast(h ID, from graph.NodeID, k int, attr int32, lim core.Limits) ([]core.Result, core.QueryStats, error, bool) {
-	var stats core.QueryStats
+// homeRun is a single-home query's watched home search: its response,
+// the query's stats so far, and the home shard's epoch when it ran.
+type homeRun struct {
+	resp  SearchResp
+	stats core.QueryStats
+	err   error
+	epoch uint64
+}
+
+// homeFast is the single-home fast path: one watched search from the
+// query node under the home shard's read lock alone, recording the
+// shard's epoch under the same lock. Every border it settles gets its
+// exact distance (the borders are pinned Rnet borders, reached through
+// shortcuts). It reports whether the answer is already globally final
+// (run.final), and translates a final answer to global identities
+// before the lock is released: a mutation may grow the identity maps.
+func (s *Session) homeFast(h ID, from graph.NodeID, req SearchReq, lim core.Limits) (homeRun, bool) {
+	s.r.shardMu[h].RLock()
+	defer s.r.shardMu[h].RUnlock()
 	sh := s.r.shards[h]
 	sh.homeQueries.Add(1)
-	lf := sh.localNode[from]
-	resp, err := s.searchShard(h, obs.LegHomeFast, SearchReq{Seeds: s.seed1(lf), Attr: attr, K: k}, lim, &stats)
-	res := resp.Results
-	if err != nil {
-		return translateInPlace(sh, res), stats, err, true
+	run := homeRun{epoch: sh.epoch()}
+	req.Seeds, req.Watch = s.seed1(sh.localNode[from]), true
+	run.resp, run.err = s.searchShard(h, obs.LegHomeFast, req, lim, &run.stats)
+	if !run.final(req.K) {
+		return run, false
 	}
-	if len(res) >= k && sh.borderDist[lf] >= res[k-1].Dist {
-		return translateInPlace(sh, res), stats, nil, true
+	translateInPlace(sh, run.resp.Results)
+	return run, true
+}
+
+// homeLocked brings a fast-path run into the whole-router read view: it
+// stands as it is when the home shard's epoch has not moved since, and
+// is re-run once otherwise — keeping the fast attempt's pops, so the
+// budget spans both attempts. Runs under rlockAll.
+func (s *Session) homeLocked(h ID, from graph.NodeID, req SearchReq, lim core.Limits, run homeRun) homeRun {
+	sh := s.r.shards[h]
+	if ep := sh.epoch(); ep != run.epoch {
+		run = homeRun{epoch: ep, stats: core.QueryStats{NodesPopped: run.stats.NodesPopped}}
+		req.Seeds, req.Watch = s.seed1(sh.localNode[from]), true
+		run.resp, run.err = s.searchShard(h, obs.LegHomeLocked, req, lim, &run.stats)
 	}
-	return nil, stats, nil, false
+	return run
+}
+
+// final reports whether a home run's answer is globally final: it
+// failed (the partial prefix is the answer), or it settled no watched
+// border strictly below the bound — the kth result's distance for a kNN
+// run (k > 0), +Inf for a range run, which settles only borders within
+// its radius. Any path into another shard passes a border, so no
+// foreign object can beat an answer within the bound.
+func (run *homeRun) final(k int) bool {
+	if run.err != nil {
+		return true
+	}
+	bound := inf
+	if k > 0 {
+		bound = kthOf(run.resp.Results, k)
+	}
+	for _, wd := range run.resp.Watched {
+		if wd.Dist < bound {
+			return false
+		}
+	}
+	return true
+}
+
+// kthOf is the kth result's distance, or +Inf while fewer than k.
+func kthOf(res []core.Result, k int) float64 {
+	if len(res) < k {
+		return inf
+	}
+	return res[k-1].Dist
 }
 
 // knnHomeLocked is the single-home cross-shard path, run under the
-// whole-router read view: plain home search (rerun — the fast attempt's
-// result may predate a home-shard mutation), the fast-path check again
-// (a mutation may have made it final), then the watched re-run and the
-// gateway machinery. carried is the node count the discarded fast
-// attempt settled: folded into stats up front so the budget spans both
-// phases.
-func (s *Session) knnHomeLocked(h ID, from graph.NodeID, k int, attr int32, lim core.Limits, carried int) ([]core.Result, core.QueryStats, error) {
-	var stats core.QueryStats
-	stats.NodesPopped = carried
+// whole-router read view on the fast path's run (homeLocked). The
+// gateway runs first — if no shard's entry distance beats the local kth
+// bound, the home answer is final without touching the merge machinery
+// (the usual outcome when a border is merely near).
+func (s *Session) knnHomeLocked(h ID, from graph.NodeID, k int, attr int32, lim core.Limits, run homeRun) ([]core.Result, core.QueryStats, error) {
 	sh := s.r.shards[h]
-	lf := sh.localNode[from]
-	resp, err := s.searchShard(h, obs.LegHomeLocked, SearchReq{Seeds: s.seed1(lf), Attr: attr, K: k}, lim, &stats)
-	res := resp.Results
-	if err != nil {
-		return translateInPlace(sh, res), stats, err
+	run = s.homeLocked(h, from, SearchReq{Attr: attr, K: k}, lim, run)
+	res, stats := run.resp.Results, run.stats
+	if run.final(k) {
+		return translateInPlace(sh, res), stats, run.err
 	}
-	if len(res) >= k && sh.borderDist[lf] >= res[k-1].Dist {
-		return translateInPlace(sh, res), stats, nil
-	}
-	// A border may be closer than the kth result: re-run watched and
-	// capped just above the known kth distance, purely to learn the
-	// exact border distances the gateway needs. The margin matters:
-	// the watched expansion can reach the same object over descended
-	// edges instead of shortcuts, summing to a distance one ulp above
-	// the plain search's — a strict cap could clip it mid-search. The
-	// plain result stays the authoritative local answer.
-	stopAt := 0.0
-	if len(res) >= k {
-		stopAt = res[k-1].Dist * (1 + 1e-12)
-	}
-	wresp, err := s.searchShard(h, obs.LegHomeWatched,
-		SearchReq{Seeds: s.seed1(lf), Attr: attr, K: k, Radius: stopAt, Watch: true}, lim, &stats)
-	// The watched re-run revisits the SAME home shard (its pops are
-	// real cost and stay counted); only distinct shards entered count
-	// toward ShardsSearched, so a query that never leaves its home
-	// shard reports 1.
-	stats.ShardsSearched--
-	if err != nil {
-		return translateInPlace(sh, res), stats, err
-	}
-	if len(wresp.Watched) == 0 {
-		return translateInPlace(sh, res), stats, nil
-	}
-	return s.knnSlow(sh, res, wresp.Watched, k, attr, stats, lim)
-}
-
-// knnSlow is the cross-shard continuation for a single home shard: the
-// watched home search already ran (preRes plus the watched border
-// distances). The gateway runs first — if no shard's entry distance
-// beats the local kth bound, the home answer is final without touching
-// the merge machinery (the usual outcome when a border is merely near).
-func (s *Session) knnSlow(sh *Shard, preRes []core.Result, watched []WatchDist, k int, attr int32, stats core.QueryStats, lim core.Limits) ([]core.Result, core.QueryStats, error) {
+	bound := kthOf(res, k)
 	clear(s.gdist)
-	for _, wd := range watched {
-		s.gdist[sh.globalNode[wd.Node]] = wd.Dist
-	}
-	bound := math.Inf(1)
-	if len(preRes) >= k {
-		bound = preRes[k-1].Dist
-	}
+	s.mergeWatched(sh, run.resp.Watched)
 	if err := s.gateway(bound, nil, lim); err != nil {
 		stats.Truncated = true
-		return translateInPlace(sh, preRes), stats, err
+		return translateInPlace(sh, res), stats, err
 	}
 	entries := s.entryOrder()
 	if len(entries) == 0 || entries[0].dist >= bound {
-		return translateInPlace(sh, preRes), stats, nil
+		return translateInPlace(sh, res), stats, nil
 	}
 	s.m.reset()
-	s.m.addFrom(sh, preRes)
+	s.m.addFrom(sh, res)
 	return s.knnFinish(k, attr, stats, lim)
 }
 
@@ -407,10 +406,9 @@ func (s *Session) Within(from graph.NodeID, radius float64, attr int32) ([]core.
 }
 
 // WithinLimited is Within under core.Limits; see KNNLimited for the
-// truncation contract and the two-phase locking scheme. Range queries
-// escalate more cheaply than kNN: the radius is known up front, so the
-// fast-path attempt is a single nearest-border array lookup — no search
-// is wasted when the query must go cross-shard.
+// truncation contract and the two-phase locking scheme. A single-home
+// range answer is final when the watched home search settled no border
+// at all: no path can then leave the shard within the radius.
 func (s *Session) WithinLimited(from graph.NodeID, radius float64, attr int32, lim core.Limits) ([]core.Result, core.QueryStats, error) {
 	var stats core.QueryStats
 	if int(from) < 0 || int(from) >= len(s.r.shardsOf) || !(radius >= 0) {
@@ -420,70 +418,35 @@ func (s *Session) WithinLimited(from graph.NodeID, radius float64, attr int32, l
 	if len(homes) == 0 {
 		return nil, stats, nil
 	}
-	if len(homes) == 1 {
-		s.r.shardMu[homes[0]].RLock()
-		res, st, err, final := s.withinFast(homes[0], from, radius, attr, lim)
-		s.r.shardMu[homes[0]].RUnlock()
-		if final {
-			return res, st, err
-		}
-		s.r.shards[homes[0]].escalations.Add(1)
+	if len(homes) > 1 {
+		s.r.rlockAll()
+		defer s.r.runlockAll()
+		return s.withinSlowMulti(homes, from, radius, attr, stats, lim)
 	}
+	h := homes[0]
+	run, final := s.homeFast(h, from, SearchReq{Attr: attr, Radius: radius}, lim)
+	if final {
+		return run.resp.Results, run.stats, run.err
+	}
+	s.r.shards[h].escalations.Add(1)
 	s.r.rlockAll()
 	defer s.r.runlockAll()
-	if len(homes) == 1 {
-		return s.withinHomeLocked(homes[0], from, radius, attr, lim)
-	}
-	return s.withinSlowMulti(homes, from, radius, attr, stats, lim)
-}
-
-// withinFast answers a range query under the home shard's read lock
-// alone when the shard-local nearest border lies beyond the radius — no
-// path can leave the shard within range, so the plain bounded search is
-// globally final.
-func (s *Session) withinFast(h ID, from graph.NodeID, radius float64, attr int32, lim core.Limits) ([]core.Result, core.QueryStats, error, bool) {
-	var stats core.QueryStats
-	sh := s.r.shards[h]
-	lf := sh.localNode[from]
-	if sh.borderDist[lf] <= radius {
-		return nil, stats, nil, false
-	}
-	sh.homeQueries.Add(1)
-	resp, err := s.searchShard(h, obs.LegHomeFast,
-		SearchReq{Seeds: s.seed1(lf), Attr: attr, Radius: radius}, lim, &stats)
-	return translateInPlace(sh, resp.Results), stats, err, true
+	return s.withinHomeLocked(h, from, radius, attr, lim, run)
 }
 
 // withinHomeLocked is the single-home range path under the whole-router
-// read view; the nearest-border check is retried first, since a
-// mutation between the two lock phases may have pushed the borders out
-// of range.
-func (s *Session) withinHomeLocked(h ID, from graph.NodeID, radius float64, attr int32, lim core.Limits) ([]core.Result, core.QueryStats, error) {
-	var stats core.QueryStats
+// read view, on the fast path's run (homeLocked).
+func (s *Session) withinHomeLocked(h ID, from graph.NodeID, radius float64, attr int32, lim core.Limits, run homeRun) ([]core.Result, core.QueryStats, error) {
 	sh := s.r.shards[h]
-	sh.homeQueries.Add(1)
-	lf := sh.localNode[from]
-	if sh.borderDist[lf] > radius {
-		resp, err := s.searchShard(h, obs.LegHomeLocked,
-			SearchReq{Seeds: s.seed1(lf), Attr: attr, Radius: radius}, lim, &stats)
-		return translateInPlace(sh, resp.Results), stats, err
-	}
-	resp, err := s.searchShard(h, obs.LegHomeWatched,
-		SearchReq{Seeds: s.seed1(lf), Attr: attr, Radius: radius, Watch: true}, lim, &stats)
-	res := resp.Results
-	if err != nil {
-		return translateInPlace(sh, res), stats, err
-	}
-	if len(resp.Watched) == 0 {
-		return translateInPlace(sh, res), stats, nil
+	run = s.homeLocked(h, from, SearchReq{Attr: attr, Radius: radius}, lim, run)
+	if run.final(0) {
+		return translateInPlace(sh, run.resp.Results), run.stats, run.err
 	}
 	clear(s.gdist)
-	for _, wd := range resp.Watched {
-		s.gdist[sh.globalNode[wd.Node]] = wd.Dist
-	}
+	s.mergeWatched(sh, run.resp.Watched)
 	s.m.reset()
-	s.m.addFrom(sh, res)
-	return s.withinFinish(radius, attr, stats, lim)
+	s.m.addFrom(sh, run.resp.Results)
+	return s.withinFinish(radius, attr, run.stats, lim)
 }
 
 // withinSlowMulti is the multi-home (border query node) range path.

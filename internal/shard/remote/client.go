@@ -400,7 +400,6 @@ func (c *HostClient) Apply(ctx context.Context, id int, op snapshot.Op) (shard.A
 	if err := decodeEnvelope(env, &rep); err != nil {
 		return shard.ApplyReply{}, err
 	}
-	decDerived(rep.Derived)
 	return rep, nil
 }
 
@@ -428,7 +427,6 @@ func (c *HostClient) State(ctx context.Context, id int) (*shard.ShardState, erro
 	if err := decodeEnvelope(env, st); err != nil {
 		return nil, err
 	}
-	decState(st)
 	return st, nil
 }
 

@@ -408,7 +408,6 @@ func (h *Host) handleState(w http.ResponseWriter, r *http.Request) {
 	st.JournalBytes = hs.j.Size()
 	st.Fingerprint = fmt.Sprintf("%016x", snapshot.Fingerprint(hs.s.F))
 	hs.mu.RUnlock()
-	encState(st)
 	writeEnvelope(w, st, nil, 0)
 }
 
@@ -538,7 +537,6 @@ func (h *Host) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeEnvelopeLegs(w, nil, err, compute, legs)
 		return
 	}
-	encDerived(rep.Derived)
 	writeEnvelopeLegs(w, &rep, nil, compute, legs)
 }
 

@@ -167,29 +167,3 @@ func decLegResp(r *shard.LegResp) {
 	r.Dist = decDist(r.Dist)
 	decDists(r.Dists)
 }
-
-// encDerived / decDerived translate a DerivedUpdate's borderDist cells
-// (a node may reach no border: +Inf). Border-table arcs are finite by
-// construction.
-func encDerived(u *shard.DerivedUpdate) {
-	if u == nil {
-		return
-	}
-	for i := range u.Cells {
-		u.Cells[i].Dist = encDist(u.Cells[i].Dist)
-	}
-}
-
-func decDerived(u *shard.DerivedUpdate) {
-	if u == nil {
-		return
-	}
-	for i := range u.Cells {
-		u.Cells[i].Dist = decDist(u.Cells[i].Dist)
-	}
-}
-
-// encState / decState translate an exported ShardState's nearest-border
-// array, the only per-node distance field it carries.
-func encState(st *shard.ShardState) { encDists(st.BorderDist) }
-func decState(st *shard.ShardState) { decDists(st.BorderDist) }

@@ -1,11 +1,13 @@
 package remote
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
 
 	"road/internal/apierr"
+	"road/internal/shard"
 )
 
 // TestWireErrorRoundTrip checks that every typed sentinel survives the
@@ -45,8 +47,8 @@ func TestWireErrorUnknown(t *testing.T) {
 	}
 }
 
-// TestWireDistRoundTrip checks the ±Inf translation: border-distance
-// arrays ship +Inf (unreachable border) as -1 because JSON has no Inf.
+// TestWireDistRoundTrip checks the ±Inf translation: leg distance lists
+// ship +Inf (unreachable target) as -1 because JSON has no Inf.
 func TestWireDistRoundTrip(t *testing.T) {
 	in := []float64{0, 1.5, math.Inf(1), 2.25, math.Inf(1)}
 	d := append([]float64(nil), in...)
@@ -82,5 +84,28 @@ func TestHedgeDelayBounds(t *testing.T) {
 	}
 	if d < hedgeMinDelay || d > hedgeMaxDelay {
 		t.Fatalf("hedge delay %v outside [%v, %v]", d, hedgeMinDelay, hedgeMaxDelay)
+	}
+}
+
+// TestOlderHostPayloadsDecode: a router reads an older host's exported
+// state and mutation reply, which still carry the nearest-border fields
+// (border_dist, derived cells) the router no longer has. encoding/json
+// ignores them, and everything the router does read survives.
+func TestOlderHostPayloadsDecode(t *testing.T) {
+	var st shard.ShardState
+	env := envelope{Resp: json.RawMessage(`{"id":2,"borders":[5,9],"btable":{"5":[{"To":9,"Dist":1.5}]},"border_dist":[0,-1,2.5],"epoch":4}`)}
+	if err := decodeEnvelope(env, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != 2 || len(st.Borders) != 2 || len(st.BTable[5]) != 1 || st.BTable[5][0].Dist != 1.5 || st.Epoch != 4 {
+		t.Fatalf("older host state decoded as %+v", st)
+	}
+	var rep shard.ApplyReply
+	env = envelope{Resp: json.RawMessage(`{"epoch":7,"derived":{"kind":"patch","rows":[{"border":5,"arcs":[{"To":9,"Dist":2}]}],"cells":[{"n":3,"d":-1}]}}`)}
+	if err := decodeEnvelope(env, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if u := rep.Derived; rep.Epoch != 7 || u == nil || u.Kind != shard.DerivedPatch || len(u.Rows) != 1 || u.Rows[0].Arcs[0].Dist != 2 {
+		t.Fatalf("older host reply decoded as %+v (derived %+v)", rep, rep.Derived)
 	}
 }

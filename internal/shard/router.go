@@ -585,8 +585,7 @@ func (r *Router) RefreshAll() {
 		if s.F == nil {
 			continue
 		}
-		s.refreshDerived(true)
-		s.F.WarmTrees()
+		s.RefreshDerived()
 	}
 }
 

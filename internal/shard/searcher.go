@@ -40,7 +40,7 @@ type SearchReq struct {
 	// K caps the result count (0 for range queries).
 	K int `json:"k,omitempty"`
 	// Radius bounds the expansion (0 = unbounded): the range-query radius,
-	// or a kNN re-run's stop-at cap.
+	// or a kNN entry search's stop-at cap (the current kth-best).
 	Radius float64 `json:"radius,omitempty"`
 	// Watch asks for the exact distance to every border node settled
 	// below the search's stopping distance (the gateway's seed data).

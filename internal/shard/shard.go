@@ -47,9 +47,9 @@ type BorderArc struct {
 type Shard struct {
 	ID ID
 	// F is the shard's framework — non-nil for in-process shards. A nil F
-	// marks a MIRROR of an out-of-process shard: identity maps, borders,
-	// btable and borderDist are kept here (queries and op encoding read
-	// them constantly), while all compute goes through remote.
+	// marks a MIRROR of an out-of-process shard: identity maps, borders
+	// and btable are kept here (queries and op encoding read them
+	// constantly), while all compute goes through remote.
 	F *core.Framework
 
 	// remote is the out-of-process handle backing a mirror shard.
@@ -80,7 +80,7 @@ type Shard struct {
 	// move between shards.
 	borders []graph.NodeID
 	// localBorders is borders in local IDs, in the same order: the
-	// targets of every border Dijkstra and of the head-borders route leg.
+	// targets of every border search and of the head-borders route leg.
 	localBorders []graph.NodeID
 
 	// watch marks the borders (in local IDs) for the home-shard search
@@ -95,27 +95,16 @@ type Shard struct {
 	// gateway graph. Rebuilt after any network mutation in this shard.
 	btable map[graph.NodeID][]BorderArc
 
-	// borderDist[local node] is the within-shard distance to the shard's
-	// nearest border (+Inf when no border is reachable). It is the fast
-	// path's lower bound: a query whose kth result is closer than every
-	// border cannot be improved by any other shard, proven with one array
-	// lookup instead of a watched search.
-	borderDist []float64
-
-	// bsearch is the Dijkstra workspace whole-table rebuilds run on. It
-	// is used only on the Router's mutation path (single-threaded under
-	// the router's mutation lock, with this shard's readers excluded by
-	// its write lock), never by query sessions.
-	bsearch *graph.Search
-
-	// repair is the incremental repair's workspace (maintain.go). Same
-	// locking discipline as bsearch.
+	// repair is the derived-state workspace (maintain.go): used only on
+	// the Router's mutation path (single-threaded under the router's
+	// mutation lock, with this shard's readers excluded by its write
+	// lock), never by query sessions.
 	repair repairScratch
 
 	// Load counters (read path, hence atomic): queries whose query node
 	// lives in this shard, cross-shard expansions entering it, home
-	// queries that escalated past the nearest-border fast path, and
-	// mutations applied to it.
+	// queries that escalated past the fast path (a watched border lay
+	// below the local answer), and mutations applied to it.
 	homeQueries   atomic.Uint64
 	remoteEntries atomic.Uint64
 	escalations   atomic.Uint64
@@ -251,7 +240,6 @@ func newShard(id ID, g *graph.Graph, objects *graph.ObjectSet, edges []graph.Edg
 		return nil, fmt.Errorf("shard %d: %w", id, err)
 	}
 	s.F = f
-	s.bsearch = graph.NewSearch(lg)
 	return s, nil
 }
 
@@ -282,70 +270,38 @@ func (s *Shard) indexBorders() {
 	}
 }
 
-// refreshDerived rebuilds the border distance table and per-node
-// nearest-border distances — and, when topology changed, the watch set
-// (Rnet membership of borders may have moved). Must run while readers
-// are excluded: query sessions consult all three.
+// refreshDerived rebuilds the border distance table — and, when
+// topology changed, the watch set (Rnet membership of borders may have
+// moved). Must run while readers are excluded: query sessions consult
+// both.
 func (s *Shard) refreshDerived(topology bool) {
 	if topology || s.watch == nil {
 		s.watch = s.F.NewWatchSet(s.localBorders)
 	}
 	s.rebuildBTable()
-	s.rebuildBorderDist()
-}
-
-// rebuildBorderDist recomputes every local node's distance to the
-// shard's nearest border: one multi-source Dijkstra from all borders.
-func (s *Shard) rebuildBorderDist() {
-	n := s.F.Graph().NumNodes()
-	if s.borderDist == nil {
-		s.borderDist = make([]float64, n)
-	}
-	if len(s.borders) == 0 {
-		for i := range s.borderDist {
-			s.borderDist[i] = inf
-		}
-		return
-	}
-	seeds := make([]graph.Seed, len(s.borders))
-	for i, b := range s.borders {
-		seeds[i] = graph.Seed{Node: s.localNode[b]}
-	}
-	s.bsearch.RunSeeded(seeds, graph.Options{})
-	for i := 0; i < n; i++ {
-		s.borderDist[i] = s.bsearch.Dist(graph.NodeID(i))
-	}
 }
 
 // rebuildBTable recomputes the within-shard shortest distances between
-// every pair of the shard's border nodes by one Dijkstra per border over
-// the shard's live local graph. The incremental path (maintain.go)
-// instead repairs only the rows a mutation could have changed.
+// every pair of the shard's border nodes: one border search
+// (distToBorders) from each border over the shard's CSR index. The
+// incremental path (maintain.go) instead repairs only the rows a
+// mutation could have changed.
 func (s *Shard) rebuildBTable() {
 	s.btable = make(map[graph.NodeID][]BorderArc, len(s.borders))
 	if len(s.borders) < 2 {
 		return
 	}
-	for i := range s.borders {
-		s.refreshBTableRow(i, s.localBorders)
-	}
-}
-
-// refreshBTableRow recomputes border i's btable row with one Dijkstra
-// from that border, target-pruned to targets (the shard's borders in
-// local IDs, hoisted by the caller).
-func (s *Shard) refreshBTableRow(i int, targets []graph.NodeID) {
-	s.bsearch.Run(targets[i], graph.Options{Targets: targets})
-	arcs := make([]BorderArc, 0, len(s.borders)-1)
-	for j, to := range s.borders {
-		if i == j {
-			continue
+	rs := &s.repair
+	for i, a := range s.borders {
+		rs.row = s.distToBorders(rs.row, s.localBorders[i])
+		arcs := make([]BorderArc, 0, len(s.borders)-1)
+		for j, to := range s.borders {
+			if i != j && !isInf(rs.row[j]) {
+				arcs = append(arcs, BorderArc{To: to, Dist: rs.row[j]})
+			}
 		}
-		if d := s.bsearch.Dist(targets[j]); !isInf(d) {
-			arcs = append(arcs, BorderArc{To: to, Dist: d})
-		}
+		s.btable[a] = arcs
 	}
-	s.btable[s.borders[i]] = arcs
 }
 
 func isInf(d float64) bool { return d > maxFinite }

@@ -247,7 +247,6 @@ func Reassemble(frameworks []*core.Framework, m *Manifest) (*Router, error) {
 				r.nextObj = gid + 1
 			}
 		}
-		s.bsearch = graph.NewSearch(f.Graph())
 		r.shards[i] = s
 	}
 	r.wireTopology()
@@ -266,8 +265,9 @@ func Reassemble(frameworks []*core.Framework, m *Manifest) (*Router, error) {
 
 // ShardState is one shard's complete identity and derived routing state
 // as exported by its host — everything a router needs to build (or
-// re-adopt) the shard's mirror. Distances may be +Inf; the wire layer
-// (internal/shard/remote) encodes +Inf as -1.
+// re-adopt) the shard's mirror. Its distances are all finite (border
+// table arcs exist only between connected borders), so it crosses the
+// wire as plain JSON.
 type ShardState struct {
 	ID ID `json:"id"`
 	// Deployment header, copied from the host's manifest so the router
@@ -286,9 +286,8 @@ type ShardState struct {
 	Objects    [][2]graph.ObjectID `json:"objects"`
 
 	// Derived routing state (adopted verbatim: the host maintains it).
-	Borders    []graph.NodeID               `json:"borders"`
-	BTable     map[graph.NodeID][]BorderArc `json:"btable"`
-	BorderDist []float64                    `json:"border_dist"`
+	Borders []graph.NodeID               `json:"borders"`
+	BTable  map[graph.NodeID][]BorderArc `json:"btable"`
 
 	// Freshness header: the shard's maintenance epoch, its journal
 	// sequence/size, the snapshot fingerprint, and the index size.
@@ -317,7 +316,6 @@ func (s *Shard) ExportState() *ShardState {
 		GlobalNode: append([]graph.NodeID(nil), s.globalNode...),
 		GlobalEdge: append([]graph.EdgeID(nil), s.globalEdge...),
 		Borders:    append([]graph.NodeID(nil), s.borders...),
-		BorderDist: append([]float64(nil), s.borderDist...),
 		BTable:     make(map[graph.NodeID][]BorderArc, len(s.btable)),
 		Epoch:      s.F.Epoch(),
 		IndexBytes: s.F.IndexSizeBytes(),
@@ -444,7 +442,6 @@ func AssembleHostShards(m *Manifest, frameworks map[ID]*core.Framework, idents m
 			s.setGlobalObj(lo, gid)
 			s.localObj[gid] = lo
 		}
-		s.bsearch = graph.NewSearch(lg)
 		out[id] = s
 	}
 	return out, nil
@@ -601,9 +598,7 @@ func AssembleRemote(states []*ShardState, remotes []RemoteShard) (*Router, error
 				r.nextObj = gid + 1
 			}
 		}
-		if err := s.adoptDerived(st); err != nil {
-			return nil, err
-		}
+		s.adoptDerived(st)
 		r.shards[i] = s
 	}
 	r.computeShardsOf()
@@ -630,13 +625,9 @@ func AssembleRemote(states []*ShardState, remotes []RemoteShard) (*Router, error
 
 // adoptDerived installs an exported state's derived routing state and
 // freshness header into a mirror shard.
-func (s *Shard) adoptDerived(st *ShardState) error {
-	if len(st.BorderDist) != len(st.GlobalNode) {
-		return fmt.Errorf("shard %d: border-distance array covers %d nodes, shard has %d", s.ID, len(st.BorderDist), len(st.GlobalNode))
-	}
+func (s *Shard) adoptDerived(st *ShardState) {
 	s.borders = append([]graph.NodeID(nil), st.Borders...)
 	s.indexBorders()
-	s.borderDist = append([]float64(nil), st.BorderDist...)
 	s.btable = make(map[graph.NodeID][]BorderArc, len(st.BTable))
 	for b, arcs := range st.BTable {
 		s.btable[b] = append([]BorderArc(nil), arcs...)
@@ -645,7 +636,6 @@ func (s *Shard) adoptDerived(st *ShardState) error {
 	s.rbytes.Store(st.IndexBytes)
 	s.rseq.Store(st.Seq)
 	s.rjbytes.Store(st.JournalBytes)
-	return nil
 }
 
 // Readopt reconciles a mirror shard with a recovered host's exported
@@ -760,5 +750,6 @@ func (r *Router) Readopt(id ID, st *ShardState) error {
 	if err != nil {
 		return err
 	}
-	return s.adoptDerived(st)
+	s.adoptDerived(st)
+	return nil
 }

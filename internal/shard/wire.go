@@ -10,9 +10,9 @@ import (
 // A RemoteShard is the router's handle onto one out-of-process shard: the
 // mutation/maintenance surface that complements the per-session Searcher.
 // The Shard struct it backs is a MIRROR — it keeps the identity maps,
-// borders, border distance table and nearest-border array router-side
-// (queries and op encoding read them constantly), and only compute
-// crosses the process boundary. Implementations (internal/shard/remote)
+// borders and border distance table router-side (queries and op
+// encoding read them constantly), and only compute crosses the process
+// boundary. Implementations (internal/shard/remote)
 // must return apierr-typed errors: op failures decoded from the host,
 // transport failures wrapped in apierr.ErrShardUnavailable.
 type RemoteShard interface {
@@ -41,9 +41,9 @@ type ApplyReply struct {
 	// Doomed lists the GLOBAL IDs of objects dropped with a closed edge
 	// (OpClose): the mirror has no object→edge association of its own.
 	Doomed []graph.ObjectID `json:"doomed,omitempty"`
-	// Derived is the repair outcome the mirror patches its btable and
-	// borderDist with after a network mutation; nil when the repair
-	// changed nothing (always for object churn and borderless shards).
+	// Derived is the repair outcome the mirror patches its btable with
+	// after a network mutation; nil when the repair changed nothing
+	// (always for object churn and shards with fewer than two borders).
 	Derived *DerivedUpdate `json:"derived,omitempty"`
 
 	Epoch        uint64 `json:"epoch"`
@@ -59,15 +59,11 @@ const DerivedPatch = "patch"
 
 // DerivedUpdate is the wire form of one incremental derived-state repair
 // (maintain.go): its OUTCOME, not a recipe. Rows are the btable rows the
-// repair changed, to replace whole; Cells the borderDist entries it
-// changed, as sparse (local node, distance) pairs. The mirror stores both
-// as given and runs no arithmetic, and a typical mutation ships a handful
-// of cells and no rows. Cell distances may be +Inf (no border reachable);
-// the wire layer encodes +Inf as -1. Arcs are finite by construction.
+// repair changed, to replace whole; the mirror stores them as given and
+// runs no arithmetic. Arcs are finite by construction.
 type DerivedUpdate struct {
-	Kind  string       `json:"kind"`
-	Rows  []BorderRow  `json:"rows,omitempty"`
-	Cells []BorderCell `json:"cells,omitempty"`
+	Kind string      `json:"kind"`
+	Rows []BorderRow `json:"rows,omitempty"`
 }
 
 // BorderRow is one border's recomputed distance-table row.
@@ -76,18 +72,11 @@ type BorderRow struct {
 	Arcs   []BorderArc  `json:"arcs"`
 }
 
-// BorderCell is one changed nearest-border distance: borderDist[Node].
-type BorderCell struct {
-	Node graph.NodeID `json:"n"`
-	Dist float64      `json:"d"`
-}
-
 // applyDerivedUpdate patches a mirror shard's derived routing state with
-// a host's repair outcome. It validates the whole update first: a kind
-// the mirror cannot read, or a cell outside the shard, is an ErrIntegrity
-// error and leaves the mirror untouched. Must run while readers of this
-// shard are excluded (the mutation path's write lock, like
-// maintainDerived).
+// a host's repair outcome. A kind the mirror cannot read is an
+// ErrIntegrity error and leaves the mirror untouched. Must run while
+// readers of this shard are excluded (the mutation path's write lock,
+// like maintainDerived).
 func (s *Shard) applyDerivedUpdate(u *DerivedUpdate) error {
 	if u == nil {
 		return nil
@@ -96,17 +85,8 @@ func (s *Shard) applyDerivedUpdate(u *DerivedUpdate) error {
 		return fmt.Errorf("%w: shard %d: host sent a %q derived-state update, this router applies only %q (upgrade hosts and routers together)",
 			ErrIntegrity, s.ID, u.Kind, DerivedPatch)
 	}
-	for _, c := range u.Cells {
-		if c.Node < 0 || int(c.Node) >= len(s.borderDist) {
-			return fmt.Errorf("%w: shard %d: derived-state cell for node %d outside the shard (%d nodes)",
-				ErrIntegrity, s.ID, c.Node, len(s.borderDist))
-		}
-	}
 	for _, row := range u.Rows {
 		s.btable[row.Border] = row.Arcs
-	}
-	for _, c := range u.Cells {
-		s.borderDist[c.Node] = c.Dist
 	}
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 // RemoteDB is a ROAD database whose K region shards live in other
 // processes — roadshard hosts — behind the same query router ShardedDB
 // uses in-process. The router keeps only the global mirror (identity
-// maps, border tables, nearest-border distances); all per-shard search
+// maps, border tables); all per-shard search
 // and mutation compute happens on the hosts, reached over HTTP/JSON with
 // pooled connections, per-call timeouts, bounded retries on idempotent
 // reads and hedged duplicates for straggling cross-shard expansions.
@@ -55,7 +55,7 @@ type RemoteOptions struct {
 
 // OpenRemote connects to a fleet of roadshard hosts, discovers which
 // host serves which shard, fetches every shard's exported routing state
-// (borders, border-distance table, nearest-border array, identity maps)
+// (borders, border-distance table, identity maps)
 // and assembles the mirror router. Every shard ID 0..K-1 of the
 // deployment must be served by exactly one host. Health checking starts
 // immediately; Close stops it.

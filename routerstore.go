@@ -245,9 +245,9 @@ func (db *routerStore) SetObjectAttr(id ObjectID, attr int32) error {
 }
 
 // SetRoadDistance changes a road's distance metric; the owning shard's
-// index, border distance table and nearest-border array repair
-// themselves incrementally (filter-and-refresh), and an out-of-process
-// shard's host ships the border-table repair back for the router's mirror.
+// index and border distance table repair themselves incrementally
+// (filter-and-refresh), and an out-of-process shard's host ships the
+// border-table repair back for the router's mirror.
 func (db *routerStore) SetRoadDistance(e EdgeID, dist float64) error {
 	_, err := db.applyOp(func() (shard.ID, snapshot.Op, error) {
 		return db.r.EncodeSetDistance(e, dist)
