@@ -79,8 +79,7 @@ func (s *Shard) applyLocal(op snapshot.Op) (applyResult, error) {
 		for _, lo := range doomedLocal {
 			gid := s.globalObj[lo]
 			res.doomed = append(res.doomed, gid)
-			delete(s.localObj, gid)
-			s.globalObj[lo] = -1
+			s.dropObject(gid)
 		}
 		res.network = true
 		res.chg = netChange{u: ed.U, v: ed.V, edge: op.Edge, wOld: ed.Weight, wNew: inf, topology: true}
@@ -122,8 +121,7 @@ func (s *Shard) applyLocal(op snapshot.Op) (applyResult, error) {
 		if err != nil {
 			return res, err
 		}
-		s.setGlobalObj(o.ID, op.Object)
-		s.localObj[op.Object] = o.ID
+		s.addObject(o.ID, op.Object)
 		res.lo = o.ID
 
 	case snapshot.OpDeleteObject:
@@ -134,8 +132,7 @@ func (s *Shard) applyLocal(op snapshot.Op) (applyResult, error) {
 		if err := s.F.DeleteObject(lo); err != nil {
 			return res, err
 		}
-		delete(s.localObj, op.Object)
-		s.globalObj[lo] = -1
+		s.dropObject(op.Object)
 
 	case snapshot.OpSetObjectAttr:
 		lo, ok := s.localObj[op.Object]
@@ -242,22 +239,15 @@ func (r *Router) ApplyOp(id ID, op snapshot.Op, refresh bool) error {
 		switch op.Kind {
 		case snapshot.OpClose:
 			for _, gid := range rep.Doomed {
-				if lo, ok := s.localObj[gid]; ok {
-					s.globalObj[lo] = -1
-				}
-				delete(s.localObj, gid)
+				s.dropObject(gid)
 			}
 		case snapshot.OpAddRoad:
 			s.localEdge[op.Edge] = rep.LocalEdge
 			s.globalEdge = append(s.globalEdge, op.Edge)
 		case snapshot.OpInsertObject:
-			s.setGlobalObj(rep.LocalObj, op.Object)
-			s.localObj[op.Object] = rep.LocalObj
+			s.addObject(rep.LocalObj, op.Object)
 		case snapshot.OpDeleteObject:
-			if lo, ok := s.localObj[op.Object]; ok {
-				s.globalObj[lo] = -1
-			}
-			delete(s.localObj, op.Object)
+			s.dropObject(op.Object)
 		}
 		s.repoch.Store(rep.Epoch)
 		s.rbytes.Store(rep.IndexBytes)

@@ -44,7 +44,7 @@ import (
 //
 //   - SKIP. A re-weight after which the hierarchy changed no shortcut
 //     set cannot change btable. Every shard border is a pinned border of
-//     every Rnet holding its edges (setBorders), so none lies in the
+//     every Rnet holding its edges (pinBorders), so none lies in the
 //     interior of the touched edge's leaf Rnet; distances between nodes
 //     outside a leaf's interior are distances in that leaf's overlay
 //     (every edge outside the leaf plus the leaf's shortcuts), and the

@@ -157,11 +157,14 @@ func Build(g *graph.Graph, objects *graph.ObjectSet, opt Options) (*Router, erro
 		for _, ge := range part {
 			r.edgeShard[ge] = id
 		}
-		for gid := range s.localObj {
-			r.objLoc[gid] = id
+		if err := r.locateObjects(s); err != nil {
+			return nil, err
 		}
 	}
-	r.wireTopology()
+	r.deriveBorders()
+	for _, s := range r.shards {
+		s.pinBorders()
+	}
 	return r, nil
 }
 
@@ -188,29 +191,20 @@ func splitBorders(g *graph.Graph, parts [][]graph.EdgeID) []bool {
 	return border
 }
 
-// computeShardsOf rebuilds the global-node → shards index from the
-// shards' node lists.
-func (r *Router) computeShardsOf() {
+// deriveBorders indexes the global-node → shards map and installs every
+// shard's border set, both derived from the shards' node lists.
+func (r *Router) deriveBorders() {
 	r.shardsOf = make([][]ID, r.g.NumNodes())
-	for _, s := range r.shards {
+	nodes := make([][]graph.NodeID, len(r.shards))
+	for i, s := range r.shards {
+		nodes[i] = s.globalNode
 		for _, gn := range s.globalNode {
 			r.shardsOf[gn] = append(r.shardsOf[gn], s.ID)
 		}
 	}
-}
-
-// wireTopology recomputes shardsOf and every shard's border set from the
-// shards' node lists, then refreshes per-shard derived state.
-func (r *Router) wireTopology() {
-	r.computeShardsOf()
-	for _, s := range r.shards {
-		var borders []graph.NodeID
-		for _, gn := range s.globalNode {
-			if len(r.shardsOf[gn]) > 1 {
-				borders = append(borders, gn)
-			}
-		}
-		s.setBorders(borders) // already sorted: globalNode is ascending
+	for i, b := range shardBorders(nodes) {
+		r.shards[i].borders = b
+		r.shards[i].indexBorders()
 	}
 }
 

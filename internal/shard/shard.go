@@ -22,7 +22,7 @@ package shard
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"road/internal/core"
@@ -86,7 +86,7 @@ type Shard struct {
 	// watch marks the borders (in local IDs) for the home-shard search
 	// and the derived-state repair; rebuilt after topology mutations,
 	// which can move nodes between the shard's internal Rnets. The
-	// borders are pinned in the shard's hierarchy (setBorders), so the
+	// borders are pinned in the shard's hierarchy (pinBorders), so the
 	// set marks no Rnet to descend.
 	watch *core.WatchSet
 
@@ -184,80 +184,76 @@ func (s *Shard) newSearcher() Searcher {
 // border marks the global nodes that are shard borders, which the shard's
 // hierarchy is built with pinned.
 func newShard(id ID, g *graph.Graph, objects *graph.ObjectSet, edges []graph.EdgeID, border []bool, cfg core.Config) (*Shard, error) {
-	s := &Shard{
-		ID:        id,
-		localNode: make(map[graph.NodeID]graph.NodeID),
-		localEdge: make(map[graph.EdgeID]graph.EdgeID, len(edges)),
-		localObj:  make(map[graph.ObjectID]graph.ObjectID),
-	}
-
 	// Collect the node set (sorted ascending so local IDs are stable and
-	// deterministic), then materialize the local graph.
-	nodeSet := make(map[graph.NodeID]bool)
+	// deterministic), then materialize the local graph while filling the
+	// shard's identity record.
+	nodes := make([]graph.NodeID, 0, 2*len(edges))
 	for _, e := range edges {
 		ed := g.Edge(e)
-		nodeSet[ed.U] = true
-		nodeSet[ed.V] = true
+		nodes = append(nodes, ed.U, ed.V)
 	}
-	s.globalNode = make([]graph.NodeID, 0, len(nodeSet))
-	for n := range nodeSet {
-		s.globalNode = append(s.globalNode, n)
+	slices.Sort(nodes)
+	sm := &ShardManifest{GlobalNode: slices.Compact(nodes), GlobalEdge: edges}
+	local := func(gn graph.NodeID) graph.NodeID {
+		li, _ := slices.BinarySearch(sm.GlobalNode, gn)
+		return graph.NodeID(li)
 	}
-	sort.Slice(s.globalNode, func(i, j int) bool { return s.globalNode[i] < s.globalNode[j] })
 
-	lg := graph.New(len(s.globalNode), len(edges))
+	lg := graph.New(len(sm.GlobalNode), len(edges))
 	var pinned []graph.NodeID
-	for li, gn := range s.globalNode {
+	for li, gn := range sm.GlobalNode {
 		lg.AddNode(g.Coord(gn))
-		s.localNode[gn] = graph.NodeID(li)
 		if border[gn] {
 			pinned = append(pinned, graph.NodeID(li))
 		}
 	}
-	s.globalEdge = make([]graph.EdgeID, 0, len(edges))
 	lset := graph.NewObjectSet(lg)
 	for _, ge := range edges {
 		ed := g.Edge(ge)
-		le, err := lg.AddEdge(s.localNode[ed.U], s.localNode[ed.V], ed.Weight)
+		le, err := lg.AddEdge(local(ed.U), local(ed.V), ed.Weight)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: adopting edge %d: %w", id, ge, err)
 		}
-		s.localEdge[ge] = le
-		s.globalEdge = append(s.globalEdge, ge)
 		for _, gid := range objects.OnEdge(ge) {
 			o, _ := objects.Get(gid)
 			lo, err := lset.Add(le, o.DU, o.Attr)
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: adopting object %d: %w", id, gid, err)
 			}
-			s.setGlobalObj(lo.ID, gid)
-			s.localObj[gid] = lo.ID
+			sm.Objects = append(sm.Objects, [2]graph.ObjectID{lo.ID, gid})
 		}
 	}
-
-	f, err := core.BuildPinned(lg, lset, cfg, pinned)
+	s, err := newShardIdentity(id, sm, lg)
 	if err != nil {
+		return nil, err
+	}
+	if s.F, err = core.BuildPinned(lg, lset, cfg, pinned); err != nil {
 		return nil, fmt.Errorf("shard %d: %w", id, err)
 	}
-	s.F = f
 	return s, nil
 }
 
-// setGlobalObj records the global identity of a local object, growing
-// the dense translation table as needed.
-func (s *Shard) setGlobalObj(lo, gid graph.ObjectID) {
+// addObject records a local object's global identity in both object
+// maps, growing the dense translation table as needed.
+func (s *Shard) addObject(lo, gid graph.ObjectID) {
 	for int(lo) >= len(s.globalObj) {
 		s.globalObj = append(s.globalObj, -1)
 	}
 	s.globalObj[lo] = gid
+	s.localObj[gid] = lo
 }
 
-// setBorders installs the shard's border set (global IDs, sorted), pins
-// it in the shard's hierarchy, and builds the derived watch set and
-// border distance table.
-func (s *Shard) setBorders(borders []graph.NodeID) {
-	s.borders = borders
-	s.indexBorders()
+// dropObject forgets a global object's identity, if the shard holds it.
+func (s *Shard) dropObject(gid graph.ObjectID) {
+	if lo, ok := s.localObj[gid]; ok {
+		s.globalObj[lo] = -1
+		delete(s.localObj, gid)
+	}
+}
+
+// pinBorders pins the shard's border set in its hierarchy and builds the
+// derived watch set and border distance table.
+func (s *Shard) pinBorders() {
 	s.F.PinBorders(s.localBorders)
 	s.refreshDerived(true)
 }

@@ -15,7 +15,7 @@ import (
 // buildPair generates a random network with objects and returns a
 // monolithic framework plus a router over the same data (each on its own
 // graph copy, so they cannot alias).
-func buildPair(t *testing.T, seed int64, nodes, objects, shards int) (*core.Framework, *Router, *graph.Graph) {
+func buildPair(t testing.TB, seed int64, nodes, objects, shards int) (*core.Framework, *Router, *graph.Graph) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := dataset.MustGenerate(dataset.Spec{

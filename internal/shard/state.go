@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -102,155 +103,262 @@ func (r *Router) Manifest() *Manifest {
 // replays any per-shard journals afterwards via ApplyOp and finishes with
 // RefreshAll.
 func Reassemble(frameworks []*core.Framework, m *Manifest) (*Router, error) {
-	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("shard: manifest version %d not supported (this build reads %d)", m.Version, ManifestVersion)
+	if err := m.check(); err != nil {
+		return nil, err
 	}
-	if len(frameworks) != m.Shards || len(m.PerShard) != m.Shards {
-		return nil, fmt.Errorf("shard: manifest names %d shards, got %d frameworks and %d shard manifests",
-			m.Shards, len(frameworks), len(m.PerShard))
+	if len(frameworks) != m.Shards {
+		return nil, fmt.Errorf("shard: manifest names %d shards, got %d frameworks", m.Shards, len(frameworks))
+	}
+	shards := make([]*Shard, m.Shards)
+	topos := make([]localTopo, m.Shards)
+	for i, f := range frameworks {
+		s, err := newLocalShard(i, &m.PerShard[i], f)
+		if err != nil {
+			return nil, err
+		}
+		shards[i], topos[i] = s, f.Graph()
+	}
+	r, err := assembleRouter(m, shards, topos)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range r.shards {
+		s.pinBorders()
+	}
+	return r, nil
+}
+
+// check validates a manifest's header: its version and shard count.
+func (m *Manifest) check() error {
+	if m.Version != ManifestVersion {
+		return fmt.Errorf("shard: manifest version %d not supported (this build reads %d)", m.Version, ManifestVersion)
+	}
+	if len(m.PerShard) != m.Shards {
+		return fmt.Errorf("shard: manifest names %d shards but lists %d", m.Shards, len(m.PerShard))
+	}
+	return nil
+}
+
+// --- The one assembler ---
+//
+// Every router and every host shard is built from shard identity records
+// (ShardManifest: the local-to-global node, edge and object maps) the
+// same way. newShardIdentity validates one record against its shard's
+// local topology and builds the shard's translation maps; assembleRouter
+// builds a router around a full set of them.
+
+// localTopo is a shard's local node and edge view: a framework's graph,
+// or the coordinates and edge list of a host's exported state.
+type localTopo interface {
+	NumNodes() int
+	NumEdges() int
+	Coord(graph.NodeID) geom.Point
+	Edge(graph.EdgeID) graph.Edge
+}
+
+// stateTopo reads a host state's local topology.
+type stateTopo struct{ st *ShardState }
+
+func (t stateTopo) NumNodes() int { return len(t.st.Coords) }
+func (t stateTopo) NumEdges() int { return len(t.st.Edges) }
+
+func (t stateTopo) Coord(n graph.NodeID) geom.Point {
+	return geom.Point{X: t.st.Coords[n][0], Y: t.st.Coords[n][1]}
+}
+
+func (t stateTopo) Edge(e graph.EdgeID) graph.Edge {
+	se := t.st.Edges[e]
+	return graph.Edge{U: se.U, V: se.V, Weight: se.W, Removed: se.Removed}
+}
+
+// newShardIdentity validates shard id's identity record against its
+// local topology and builds the shard's translation maps. It checks what
+// one shard can: map lengths, a strictly ascending node map, local edge
+// endpoints inside the node map, and distinct non-negative object IDs.
+// Global ID ranges and cross-shard ownership are assembleRouter's.
+func newShardIdentity(id ID, sm *ShardManifest, lt localTopo) (*Shard, error) {
+	if len(sm.GlobalNode) != lt.NumNodes() || len(sm.GlobalEdge) != lt.NumEdges() {
+		return nil, fmt.Errorf("shard %d: identity maps %d nodes and %d edges, local graph has %d and %d",
+			id, len(sm.GlobalNode), len(sm.GlobalEdge), lt.NumNodes(), lt.NumEdges())
+	}
+	s := &Shard{
+		ID:         id,
+		globalNode: slices.Clone(sm.GlobalNode),
+		localNode:  make(map[graph.NodeID]graph.NodeID, len(sm.GlobalNode)),
+		globalEdge: slices.Clone(sm.GlobalEdge),
+		localEdge:  make(map[graph.EdgeID]graph.EdgeID, len(sm.GlobalEdge)),
+		localObj:   make(map[graph.ObjectID]graph.ObjectID, len(sm.Objects)),
+	}
+	for li, gn := range s.globalNode {
+		if li > 0 && gn <= s.globalNode[li-1] {
+			return nil, fmt.Errorf("%w: shard %d node map not strictly ascending at local %d", ErrIntegrity, id, li)
+		}
+		s.localNode[gn] = graph.NodeID(li)
+	}
+	numNodes := graph.NodeID(len(s.globalNode))
+	for li, ge := range s.globalEdge {
+		if ed := lt.Edge(graph.EdgeID(li)); ed.U < 0 || ed.U >= numNodes || ed.V < 0 || ed.V >= numNodes {
+			return nil, fmt.Errorf("%w: shard %d local edge %d joins nodes (%d,%d) outside its %d nodes",
+				ErrIntegrity, id, li, ed.U, ed.V, numNodes)
+		}
+		s.localEdge[ge] = graph.EdgeID(li)
+	}
+	for _, pair := range sm.Objects {
+		lo, gid := pair[0], pair[1]
+		_, dup := s.localObj[gid]
+		if lo < 0 || gid < 0 || dup || int(lo) < len(s.globalObj) && s.globalObj[lo] >= 0 {
+			return nil, fmt.Errorf("%w: shard %d object pair (local %d, global %d) negative or mapped twice", ErrIntegrity, id, lo, gid)
+		}
+		s.addObject(lo, gid)
+	}
+	return s, nil
+}
+
+// newLocalShard builds a full local shard from a framework loaded from
+// its snapshot and the identity record saved with it. A framework saved
+// without shortcut waypoints is upgraded to store them.
+func newLocalShard(id ID, sm *ShardManifest, f *core.Framework) (*Shard, error) {
+	if f.Objects().Len() != len(sm.Objects) {
+		return nil, fmt.Errorf("shard %d: identity maps %d objects, snapshot has %d", id, len(sm.Objects), f.Objects().Len())
+	}
+	for _, pair := range sm.Objects {
+		if _, ok := f.Objects().Get(pair[0]); !ok {
+			return nil, fmt.Errorf("shard %d: identity object %d (global %d) missing from snapshot", id, pair[0], pair[1])
+		}
+	}
+	s, err := newShardIdentity(id, sm, f.Graph())
+	if err != nil {
+		return nil, err
+	}
+	f.EnableWaypoints() // shard sets saved before routes rode the index
+	s.F = f
+	return s, nil
+}
+
+// assembleRouter builds a router around a deployment's full shard set:
+// it rebuilds the global graph mirror from the shards' local topology
+// (plus hdr's isolated nodes), fills edge ownership and object
+// locations, derives the object-ID watermark (hdr's floor, bumped past
+// live objects) and installs every shard's border set. Every global ID
+// must lie in hdr's ranges, every node must be placed and every edge and
+// object owned exactly once.
+func assembleRouter(hdr *Manifest, shards []*Shard, topos []localTopo) (*Router, error) {
+	// Nodes may be shared but edges may not: hdr must count at most the
+	// nodes the shards place and exactly the edges they own, so distinct
+	// in-range edge IDs leave none unowned. Checked first, the counts also
+	// cannot size the mirror from a corrupt header.
+	placed, owned := len(hdr.Isolated), 0
+	for _, s := range shards {
+		placed, owned = placed+len(s.globalNode), owned+len(s.globalEdge)
+	}
+	if hdr.NumNodes < 0 || hdr.NumNodes > placed || hdr.NumEdges != owned {
+		return nil, fmt.Errorf("shard: header counts %d nodes and %d edges, shards place %d and own %d",
+			hdr.NumNodes, hdr.NumEdges, placed, owned)
 	}
 
-	// Rebuild the global mirror: coordinates from the shards (plus the
-	// isolated list), then every edge at its exact global ID.
-	coords := make([]geom.Point, m.NumNodes)
-	seen := make([]bool, m.NumNodes)
-	for i, f := range frameworks {
-		sm := &m.PerShard[i]
-		lg := f.Graph()
-		if len(sm.GlobalNode) != lg.NumNodes() {
-			return nil, fmt.Errorf("shard %d: manifest maps %d nodes, snapshot has %d", i, len(sm.GlobalNode), lg.NumNodes())
-		}
-		if len(sm.GlobalEdge) != lg.NumEdges() {
-			return nil, fmt.Errorf("shard %d: manifest maps %d edges, snapshot has %d", i, len(sm.GlobalEdge), lg.NumEdges())
-		}
-		for li, gn := range sm.GlobalNode {
-			if int(gn) < 0 || int(gn) >= m.NumNodes {
+	coords := make([]geom.Point, hdr.NumNodes)
+	seen := make([]bool, hdr.NumNodes)
+	for i, s := range shards {
+		for li, gn := range s.globalNode {
+			if gn < 0 || int(gn) >= hdr.NumNodes {
 				return nil, fmt.Errorf("shard %d: global node %d out of range", i, gn)
 			}
-			coords[gn] = lg.Coord(graph.NodeID(li))
+			coords[gn] = topos[i].Coord(graph.NodeID(li))
 			seen[gn] = true
 		}
 	}
-	for _, iso := range m.Isolated {
-		if int(iso.ID) < 0 || int(iso.ID) >= m.NumNodes {
+	for _, iso := range hdr.Isolated {
+		if iso.ID < 0 || int(iso.ID) >= hdr.NumNodes {
 			return nil, fmt.Errorf("shard: isolated node %d out of range", iso.ID)
 		}
 		coords[iso.ID] = geom.Point{X: iso.X, Y: iso.Y}
 		seen[iso.ID] = true
 	}
-	for n, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("shard: global node %d appears in no shard and is not listed as isolated", n)
-		}
+	if n := slices.Index(seen, false); n >= 0 {
+		return nil, fmt.Errorf("shard: global node %d appears in no shard and is not listed as isolated", n)
 	}
 
-	type edgeRec struct {
-		shard   ID
-		local   graph.EdgeID
-		u, v    graph.NodeID // global
-		weight  float64
-		removed bool
+	r := &Router{
+		shards:    shards,
+		shardMu:   make([]sync.RWMutex, len(shards)),
+		edgeShard: make([]ID, hdr.NumEdges),
+		objLoc:    make(map[graph.ObjectID]ID),
+		nextObj:   hdr.NextObj,
+		seed:      hdr.Seed,
+		klPasses:  -1,
 	}
-	edges := make([]edgeRec, m.NumEdges)
-	seenE := make([]bool, m.NumEdges)
-	for i, f := range frameworks {
-		sm := &m.PerShard[i]
-		lg := f.Graph()
-		for li, ge := range sm.GlobalEdge {
-			if int(ge) < 0 || int(ge) >= m.NumEdges {
+	edges := make([]graph.Edge, hdr.NumEdges) // global endpoints
+	seenE := make([]bool, hdr.NumEdges)
+	for i, s := range shards {
+		for li, ge := range s.globalEdge {
+			if ge < 0 || int(ge) >= hdr.NumEdges {
 				return nil, fmt.Errorf("shard %d: global edge %d out of range", i, ge)
 			}
 			if seenE[ge] {
 				return nil, fmt.Errorf("shard %d: global edge %d claimed twice", i, ge)
 			}
 			seenE[ge] = true
-			ed := lg.Edge(graph.EdgeID(li))
-			edges[ge] = edgeRec{
-				shard:   i,
-				local:   graph.EdgeID(li),
-				u:       sm.GlobalNode[ed.U],
-				v:       sm.GlobalNode[ed.V],
-				weight:  ed.Weight,
-				removed: ed.Removed,
-			}
+			ed := topos[i].Edge(graph.EdgeID(li))
+			ed.U, ed.V = s.globalNode[ed.U], s.globalNode[ed.V]
+			edges[ge] = ed
+			r.edgeShard[ge] = i
 		}
-	}
-	for e, ok := range seenE {
-		if !ok {
-			return nil, fmt.Errorf("shard: global edge %d owned by no shard", e)
+		if err := r.locateObjects(s); err != nil {
+			return nil, err
 		}
 	}
 
-	g := graph.New(m.NumNodes, m.NumEdges)
+	r.g = graph.New(hdr.NumNodes, hdr.NumEdges)
 	for _, p := range coords {
-		g.AddNode(p)
+		r.g.AddNode(p)
 	}
-	for ge, rec := range edges {
-		id, err := g.AddEdge(rec.u, rec.v, rec.weight)
-		if err != nil {
+	for ge, ed := range edges {
+		if _, err := r.g.AddEdge(ed.U, ed.V, ed.Weight); err != nil {
 			return nil, fmt.Errorf("shard: rebuilding global edge %d: %w", ge, err)
 		}
-		if int(id) != ge {
-			return nil, fmt.Errorf("shard: global edge %d rebuilt as %d", ge, id)
-		}
-		if rec.removed {
-			g.RemoveEdge(id)
+		if ed.Removed {
+			r.g.RemoveEdge(graph.EdgeID(ge))
 		}
 	}
-
-	r := &Router{
-		g:         g,
-		shards:    make([]*Shard, m.Shards),
-		shardMu:   make([]sync.RWMutex, m.Shards),
-		edgeShard: make([]ID, m.NumEdges),
-		objLoc:    make(map[graph.ObjectID]ID),
-		nextObj:   m.NextObj,
-		seed:      m.Seed,
-		klPasses:  -1,
-	}
-	for ge, rec := range edges {
-		r.edgeShard[ge] = rec.shard
-	}
-	for i, f := range frameworks {
-		sm := &m.PerShard[i]
-		f.EnableWaypoints() // shard sets saved before routes rode the index
-		s := &Shard{
-			ID:         i,
-			F:          f,
-			globalNode: append([]graph.NodeID(nil), sm.GlobalNode...),
-			localNode:  make(map[graph.NodeID]graph.NodeID, len(sm.GlobalNode)),
-			globalEdge: append([]graph.EdgeID(nil), sm.GlobalEdge...),
-			localEdge:  make(map[graph.EdgeID]graph.EdgeID, len(sm.GlobalEdge)),
-			localObj:   make(map[graph.ObjectID]graph.ObjectID, len(sm.Objects)),
-		}
-		for li, gn := range sm.GlobalNode {
-			s.localNode[gn] = graph.NodeID(li)
-		}
-		for li, ge := range sm.GlobalEdge {
-			s.localEdge[ge] = graph.EdgeID(li)
-		}
-		if f.Objects().Len() != len(sm.Objects) {
-			return nil, fmt.Errorf("shard %d: manifest maps %d objects, snapshot has %d", i, len(sm.Objects), f.Objects().Len())
-		}
-		for _, pair := range sm.Objects {
-			lo, gid := pair[0], pair[1]
-			if _, ok := f.Objects().Get(lo); !ok {
-				return nil, fmt.Errorf("shard %d: manifest object %d (global %d) missing from snapshot", i, lo, gid)
-			}
-			if _, dup := r.objLoc[gid]; dup {
-				return nil, fmt.Errorf("shard %d: global object %d claimed twice in manifest", i, gid)
-			}
-			s.setGlobalObj(lo, gid)
-			s.localObj[gid] = lo
-			r.objLoc[gid] = i
-			if gid >= r.nextObj {
-				r.nextObj = gid + 1
-			}
-		}
-		r.shards[i] = s
-	}
-	r.wireTopology()
+	r.deriveBorders()
 	return r, nil
+}
+
+// locateObjects records s's live objects in the router's location table
+// and bumps the object-ID watermark past them — the one place a router
+// derives the watermark from shard state. An object located in another
+// shard is an integrity failure, and leaves the table untouched.
+func (r *Router) locateObjects(s *Shard) error {
+	for gid := range s.localObj {
+		if owner, ok := r.objLoc[gid]; ok && owner != s.ID {
+			return fmt.Errorf("%w: global object %d claimed by shards %d and %d", ErrIntegrity, gid, owner, s.ID)
+		}
+	}
+	for gid := range s.localObj {
+		r.objLoc[gid] = s.ID
+		r.nextObj = max(r.nextObj, gid+1)
+	}
+	return nil
+}
+
+// shardBorders derives every shard's border set from the shards' node
+// lists (each ascending): a node is a border of each shard it appears in
+// when it appears in more than one. Node sets never change, so the
+// derivation holds across any number of journal replays.
+func shardBorders(nodes [][]graph.NodeID) [][]graph.NodeID {
+	count := make(map[graph.NodeID]int)
+	for _, gn := range slices.Concat(nodes...) {
+		count[gn]++
+	}
+	out := make([][]graph.NodeID, len(nodes))
+	for i, ns := range nodes {
+		for _, gn := range ns {
+			if count[gn] > 1 {
+				out[i] = append(out[i], gn)
+			}
+		}
+	}
+	return out
 }
 
 // --- Out-of-process deployments ---
@@ -260,84 +368,13 @@ func Reassemble(frameworks []*core.Framework, m *Manifest) (*Router, error) {
 // — needed to derive borders), its shards' snapshots, per-shard identity
 // sidecars (the growing edge/object maps, which go stale in the
 // manifest), and its shards' journals. The router, instead of loading
-// frameworks, adopts each remote shard's exported ShardState into a
-// mirror Shard: identity maps plus derived routing state, no framework.
+// frameworks, adopts each remote shard's exported ShardState (wire.go)
+// into a mirror Shard: identity maps plus derived routing state, no
+// framework.
 
-// ShardState is one shard's complete identity and derived routing state
-// as exported by its host — everything a router needs to build (or
-// re-adopt) the shard's mirror. Its distances are all finite (border
-// table arcs exist only between connected borders), so it crosses the
-// wire as plain JSON.
-type ShardState struct {
-	ID ID `json:"id"`
-	// Deployment header, copied from the host's manifest so the router
-	// can cross-check that host and router serve the same deployment.
-	Shards   int            `json:"shards"`
-	Seed     int64          `json:"seed"`
-	NumNodes int            `json:"num_nodes"` // global node count
-	NextObj  graph.ObjectID `json:"next_obj"`  // manifest floor; adoption bumps past live objects
-	Isolated []IsolatedNode `json:"isolated,omitempty"`
-
-	// Identity maps and local topology (the mirror's inputs).
-	GlobalNode []graph.NodeID      `json:"global_node"`
-	GlobalEdge []graph.EdgeID      `json:"global_edge"`
-	Coords     [][2]float64        `json:"coords"` // per local node
-	Edges      []StateEdge         `json:"edges"`  // per local edge
-	Objects    [][2]graph.ObjectID `json:"objects"`
-
-	// Derived routing state (adopted verbatim: the host maintains it).
-	Borders []graph.NodeID               `json:"borders"`
-	BTable  map[graph.NodeID][]BorderArc `json:"btable"`
-
-	// Freshness header: the shard's maintenance epoch, its journal
-	// sequence/size, the snapshot fingerprint, and the index size.
-	Epoch        uint64 `json:"epoch"`
-	Seq          uint64 `json:"seq"`
-	Fingerprint  string `json:"fingerprint,omitempty"`
-	IndexBytes   int64  `json:"index_bytes"`
-	JournalBytes int64  `json:"journal_bytes"`
-}
-
-// StateEdge is one shard-local edge in an exported ShardState.
-type StateEdge struct {
-	U       graph.NodeID `json:"u"`
-	V       graph.NodeID `json:"v"`
-	W       float64      `json:"w"`
-	Removed bool         `json:"removed,omitempty"`
-}
-
-// ExportState exports a full local shard's identity and derived state
-// for router adoption. The caller (a shard host) holds the shard's read
-// exclusion and fills the deployment and journal header fields.
-func (s *Shard) ExportState() *ShardState {
-	lg := s.F.Graph()
-	st := &ShardState{
-		ID:         s.ID,
-		GlobalNode: append([]graph.NodeID(nil), s.globalNode...),
-		GlobalEdge: append([]graph.EdgeID(nil), s.globalEdge...),
-		Borders:    append([]graph.NodeID(nil), s.borders...),
-		BTable:     make(map[graph.NodeID][]BorderArc, len(s.btable)),
-		Epoch:      s.F.Epoch(),
-		IndexBytes: s.F.IndexSizeBytes(),
-	}
-	st.Coords = make([][2]float64, lg.NumNodes())
-	for i := range st.Coords {
-		p := lg.Coord(graph.NodeID(i))
-		st.Coords[i] = [2]float64{p.X, p.Y}
-	}
-	st.Edges = make([]StateEdge, lg.NumEdges())
-	for i := range st.Edges {
-		ed := lg.Edge(graph.EdgeID(i))
-		st.Edges[i] = StateEdge{U: ed.U, V: ed.V, W: ed.Weight, Removed: ed.Removed}
-	}
-	for gid, lo := range s.localObj {
-		st.Objects = append(st.Objects, [2]graph.ObjectID{lo, gid})
-	}
-	sort.Slice(st.Objects, func(i, j int) bool { return st.Objects[i][0] < st.Objects[j][0] })
-	for b, arcs := range s.btable {
-		st.BTable[b] = append([]BorderArc(nil), arcs...)
-	}
-	return st
+// identity is the state's identity record, sharing the state's slices.
+func (st *ShardState) identity() *ShardManifest {
+	return &ShardManifest{GlobalNode: st.GlobalNode, GlobalEdge: st.GlobalEdge, Objects: st.Objects}
 }
 
 // IdentityManifest exports the shard's live identity maps in the
@@ -357,21 +394,6 @@ func (s *Shard) IdentityManifest() *ShardManifest {
 	return sm
 }
 
-// manifestBorders derives every shard's border set from the manifest's
-// static per-shard node lists: a node is a border of each shard it
-// appears in when it appears in more than one. Node sets never change,
-// so the manifest stays authoritative for borders across any number of
-// journal replays.
-func manifestBorders(m *Manifest) map[graph.NodeID]int {
-	count := make(map[graph.NodeID]int)
-	for i := range m.PerShard {
-		for _, gn := range m.PerShard[i].GlobalNode {
-			count[gn]++
-		}
-	}
-	return count
-}
-
 // AssembleHostShards reconstructs full local Shards for the subset of a
 // deployment a host owns: frameworks loaded from their snapshots keyed
 // by shard ID, identity maps from the per-shard sidecars (which, unlike
@@ -381,13 +403,14 @@ func manifestBorders(m *Manifest) map[graph.NodeID]int {
 // Derived routing state is NOT built here — the host replays journals
 // first (ReplayApply) and then calls RefreshDerived per shard.
 func AssembleHostShards(m *Manifest, frameworks map[ID]*core.Framework, idents map[ID]*ShardManifest) (map[ID]*Shard, error) {
-	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("shard: manifest version %d not supported (this build reads %d)", m.Version, ManifestVersion)
+	if err := m.check(); err != nil {
+		return nil, err
 	}
-	if len(m.PerShard) != m.Shards {
-		return nil, fmt.Errorf("shard: manifest names %d shards but lists %d", m.Shards, len(m.PerShard))
+	nodes := make([][]graph.NodeID, m.Shards)
+	for i := range m.PerShard {
+		nodes[i] = m.PerShard[i].GlobalNode
 	}
-	count := manifestBorders(m)
+	borders := shardBorders(nodes)
 	out := make(map[ID]*Shard, len(frameworks))
 	for id, f := range frameworks {
 		if id < 0 || id >= m.Shards {
@@ -397,51 +420,17 @@ func AssembleHostShards(m *Manifest, frameworks map[ID]*core.Framework, idents m
 		if sm == nil {
 			sm = &m.PerShard[id]
 		}
-		lg := f.Graph()
-		if len(sm.GlobalNode) != lg.NumNodes() {
-			return nil, fmt.Errorf("shard %d: identity maps %d nodes, snapshot has %d", id, len(sm.GlobalNode), lg.NumNodes())
-		}
-		if len(sm.GlobalEdge) != lg.NumEdges() {
-			return nil, fmt.Errorf("shard %d: identity maps %d edges, snapshot has %d", id, len(sm.GlobalEdge), lg.NumEdges())
-		}
 		// The node set is static: the sidecar and manifest must agree on it.
-		for li, gn := range m.PerShard[id].GlobalNode {
-			if sm.GlobalNode[li] != gn {
-				return nil, fmt.Errorf("shard %d: identity node map diverges from manifest at local %d (%d vs %d)", id, li, sm.GlobalNode[li], gn)
-			}
+		if !slices.Equal(sm.GlobalNode, nodes[id]) {
+			return nil, fmt.Errorf("shard %d: identity node map diverges from manifest", id)
 		}
-		f.EnableWaypoints() // shard sets saved before routes rode the index
-		s := &Shard{
-			ID:         id,
-			F:          f,
-			globalNode: append([]graph.NodeID(nil), sm.GlobalNode...),
-			localNode:  make(map[graph.NodeID]graph.NodeID, len(sm.GlobalNode)),
-			globalEdge: append([]graph.EdgeID(nil), sm.GlobalEdge...),
-			localEdge:  make(map[graph.EdgeID]graph.EdgeID, len(sm.GlobalEdge)),
-			localObj:   make(map[graph.ObjectID]graph.ObjectID, len(sm.Objects)),
+		s, err := newLocalShard(id, sm, f)
+		if err != nil {
+			return nil, err
 		}
-		for li, gn := range sm.GlobalNode {
-			s.localNode[gn] = graph.NodeID(li)
-			if count[gn] > 1 {
-				s.borders = append(s.borders, gn) // ascending: globalNode is sorted
-			}
-		}
+		s.borders = borders[id]
 		s.indexBorders()
 		f.PinBorders(s.localBorders) // before replay: a pre-pin set is upgraded here
-		for li, ge := range sm.GlobalEdge {
-			s.localEdge[ge] = graph.EdgeID(li)
-		}
-		if f.Objects().Len() != len(sm.Objects) {
-			return nil, fmt.Errorf("shard %d: identity maps %d objects, snapshot has %d", id, len(sm.Objects), f.Objects().Len())
-		}
-		for _, pair := range sm.Objects {
-			lo, gid := pair[0], pair[1]
-			if _, ok := f.Objects().Get(lo); !ok {
-				return nil, fmt.Errorf("shard %d: identity object %d (global %d) missing from snapshot", id, lo, gid)
-			}
-			s.setGlobalObj(lo, gid)
-			s.localObj[gid] = lo
-		}
 		out[id] = s
 	}
 	return out, nil
@@ -450,12 +439,12 @@ func AssembleHostShards(m *Manifest, frameworks map[ID]*core.Framework, idents m
 // AssembleRemote builds a Router whose shards are all mirrors of
 // out-of-process shards: states are the hosts' exported ShardStates
 // (indexed by shard ID) and remotes the matching RemoteShard handles.
-// The global graph mirror is rebuilt from the states' local topology the
-// same way Reassemble rebuilds it from snapshots, and each mirror adopts
-// its state's identity maps and derived routing state verbatim.
+// The router is assembled from the states' identity records and local
+// topology the same way Reassemble assembles it from snapshots, and each
+// mirror adopts its state's derived routing state verbatim.
 func AssembleRemote(states []*ShardState, remotes []RemoteShard) (*Router, error) {
-	if len(states) == 0 {
-		return nil, fmt.Errorf("shard: no shard states to assemble")
+	if len(states) == 0 || slices.Contains(states, nil) {
+		return nil, fmt.Errorf("shard: missing shard states (%d given)", len(states))
 	}
 	if len(remotes) != len(states) {
 		return nil, fmt.Errorf("shard: %d states but %d remote handles", len(states), len(remotes))
@@ -464,7 +453,9 @@ func AssembleRemote(states []*ShardState, remotes []RemoteShard) (*Router, error
 	if head.Shards != len(states) {
 		return nil, fmt.Errorf("shard: deployment names %d shards, got %d states", head.Shards, len(states))
 	}
-	numEdges := 0
+	hdr := &Manifest{Shards: head.Shards, Seed: head.Seed, NumNodes: head.NumNodes, NextObj: head.NextObj, Isolated: head.Isolated}
+	shards := make([]*Shard, len(states))
+	topos := make([]localTopo, len(states))
 	for i, st := range states {
 		if st.ID != i {
 			return nil, fmt.Errorf("shard: state %d carries ID %d", i, st.ID)
@@ -473,178 +464,40 @@ func AssembleRemote(states []*ShardState, remotes []RemoteShard) (*Router, error
 			return nil, fmt.Errorf("%w: shard %d disagrees on the deployment header (shards/seed/nodes %d/%d/%d vs %d/%d/%d)",
 				ErrIntegrity, i, st.Shards, st.Seed, st.NumNodes, head.Shards, head.Seed, head.NumNodes)
 		}
-		if len(st.GlobalNode) != len(st.Coords) {
-			return nil, fmt.Errorf("shard %d: %d nodes but %d coordinates", i, len(st.GlobalNode), len(st.Coords))
-		}
-		if len(st.GlobalEdge) != len(st.Edges) {
-			return nil, fmt.Errorf("shard %d: %d edge IDs but %d edges", i, len(st.GlobalEdge), len(st.Edges))
-		}
-		numEdges += len(st.GlobalEdge)
-	}
-
-	// Rebuild the global mirror (same validation pattern as Reassemble).
-	coords := make([]geom.Point, head.NumNodes)
-	seen := make([]bool, head.NumNodes)
-	for i, st := range states {
-		for li, gn := range st.GlobalNode {
-			if int(gn) < 0 || int(gn) >= head.NumNodes {
-				return nil, fmt.Errorf("shard %d: global node %d out of range", i, gn)
-			}
-			coords[gn] = geom.Point{X: st.Coords[li][0], Y: st.Coords[li][1]}
-			seen[gn] = true
-		}
-	}
-	for _, iso := range head.Isolated {
-		if int(iso.ID) < 0 || int(iso.ID) >= head.NumNodes {
-			return nil, fmt.Errorf("shard: isolated node %d out of range", iso.ID)
-		}
-		coords[iso.ID] = geom.Point{X: iso.X, Y: iso.Y}
-		seen[iso.ID] = true
-	}
-	for n, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("shard: global node %d appears in no shard and is not listed as isolated", n)
-		}
-	}
-
-	type edgeRec struct {
-		shard   ID
-		u, v    graph.NodeID // global
-		weight  float64
-		removed bool
-	}
-	edges := make([]edgeRec, numEdges)
-	seenE := make([]bool, numEdges)
-	for i, st := range states {
-		for li, ge := range st.GlobalEdge {
-			if int(ge) < 0 || int(ge) >= numEdges {
-				return nil, fmt.Errorf("shard %d: global edge %d out of range", i, ge)
-			}
-			if seenE[ge] {
-				return nil, fmt.Errorf("shard %d: global edge %d claimed twice", i, ge)
-			}
-			seenE[ge] = true
-			se := st.Edges[li]
-			edges[ge] = edgeRec{
-				shard:   i,
-				u:       st.GlobalNode[se.U],
-				v:       st.GlobalNode[se.V],
-				weight:  se.W,
-				removed: se.Removed,
-			}
-		}
-	}
-	for e, ok := range seenE {
-		if !ok {
-			return nil, fmt.Errorf("shard: global edge %d owned by no shard", e)
-		}
-	}
-
-	g := graph.New(head.NumNodes, numEdges)
-	for _, p := range coords {
-		g.AddNode(p)
-	}
-	for ge, rec := range edges {
-		id, err := g.AddEdge(rec.u, rec.v, rec.weight)
+		topos[i] = stateTopo{st}
+		s, err := newShardIdentity(i, st.identity(), topos[i])
 		if err != nil {
-			return nil, fmt.Errorf("shard: rebuilding global edge %d: %w", ge, err)
+			return nil, err
 		}
-		if int(id) != ge {
-			return nil, fmt.Errorf("shard: global edge %d rebuilt as %d", ge, id)
-		}
-		if rec.removed {
-			g.RemoveEdge(id)
-		}
+		shards[i] = s
+		hdr.NumEdges += len(st.GlobalEdge)
 	}
-
-	r := &Router{
-		g:         g,
-		shards:    make([]*Shard, len(states)),
-		shardMu:   make([]sync.RWMutex, len(states)),
-		edgeShard: make([]ID, numEdges),
-		objLoc:    make(map[graph.ObjectID]ID),
-		nextObj:   head.NextObj,
-		seed:      head.Seed,
-		klPasses:  -1,
+	r, err := assembleRouter(hdr, shards, topos)
+	if err != nil {
+		return nil, err
 	}
-	for ge, rec := range edges {
-		r.edgeShard[ge] = rec.shard
-	}
-	for i, st := range states {
-		s := &Shard{
-			ID:         i,
-			remote:     remotes[i],
-			globalNode: append([]graph.NodeID(nil), st.GlobalNode...),
-			localNode:  make(map[graph.NodeID]graph.NodeID, len(st.GlobalNode)),
-			globalEdge: append([]graph.EdgeID(nil), st.GlobalEdge...),
-			localEdge:  make(map[graph.EdgeID]graph.EdgeID, len(st.GlobalEdge)),
-			localObj:   make(map[graph.ObjectID]graph.ObjectID, len(st.Objects)),
+	for i, s := range r.shards {
+		// The hosts' border sets must match what the node lists imply: a
+		// mismatch means host and router disagree on the partition itself.
+		if !slices.Equal(states[i].Borders, s.borders) {
+			return nil, fmt.Errorf("%w: shard %d reports %d borders that diverge from the %d its node list implies",
+				ErrIntegrity, i, len(states[i].Borders), len(s.borders))
 		}
-		for li, gn := range st.GlobalNode {
-			s.localNode[gn] = graph.NodeID(li)
-		}
-		for li, ge := range st.GlobalEdge {
-			s.localEdge[ge] = graph.EdgeID(li)
-		}
-		for _, pair := range st.Objects {
-			lo, gid := pair[0], pair[1]
-			if owner, dup := r.objLoc[gid]; dup {
-				return nil, fmt.Errorf("%w: global object %d claimed by shards %d and %d", ErrIntegrity, gid, owner, i)
-			}
-			s.setGlobalObj(lo, gid)
-			s.localObj[gid] = lo
-			r.objLoc[gid] = i
-			if gid >= r.nextObj {
-				r.nextObj = gid + 1
-			}
-		}
-		s.adoptDerived(st)
-		r.shards[i] = s
-	}
-	r.computeShardsOf()
-	// The hosts' border sets must match what the node lists imply: a
-	// mismatch means host and router disagree on the partition itself.
-	for _, s := range r.shards {
-		var want []graph.NodeID
-		for _, gn := range s.globalNode {
-			if len(r.shardsOf[gn]) > 1 {
-				want = append(want, gn)
-			}
-		}
-		if len(want) != len(s.borders) {
-			return nil, fmt.Errorf("%w: shard %d reports %d borders, topology implies %d", ErrIntegrity, s.ID, len(s.borders), len(want))
-		}
-		for i := range want {
-			if want[i] != s.borders[i] {
-				return nil, fmt.Errorf("%w: shard %d border set diverges at %d (%d vs %d)", ErrIntegrity, s.ID, i, s.borders[i], want[i])
-			}
-		}
+		s.remote = remotes[i]
+		s.adoptDerived(states[i])
 	}
 	return r, nil
-}
-
-// adoptDerived installs an exported state's derived routing state and
-// freshness header into a mirror shard.
-func (s *Shard) adoptDerived(st *ShardState) {
-	s.borders = append([]graph.NodeID(nil), st.Borders...)
-	s.indexBorders()
-	s.btable = make(map[graph.NodeID][]BorderArc, len(st.BTable))
-	for b, arcs := range st.BTable {
-		s.btable[b] = append([]BorderArc(nil), arcs...)
-	}
-	s.repoch.Store(st.Epoch)
-	s.rbytes.Store(st.IndexBytes)
-	s.rseq.Store(st.Seq)
-	s.rjbytes.Store(st.JournalBytes)
 }
 
 // Readopt reconciles a mirror shard with a recovered host's exported
 // state: the host may have applied mutations whose acknowledgements the
 // router never saw (it journals before replying), so the host's state is
 // allowed to be AHEAD of the mirror — never behind, and never divergent.
-// The shard's index lives on the host, whose boot (AssembleHostShards)
-// already upgraded a snapshot saved without shortcut waypoints, so there
-// is nothing to upgrade here. Runs under Router.Exclusive.
+// The state's identity record passes the same validation as at assembly
+// before the mirror changes. The shard's index lives on the host, whose
+// boot (AssembleHostShards) already upgraded a snapshot saved without
+// shortcut waypoints, so there is nothing to upgrade here. Runs under
+// Router.Exclusive.
 func (r *Router) Readopt(id ID, st *ShardState) error {
 	s := r.shards[id]
 	if s.F != nil {
@@ -654,65 +507,52 @@ func (r *Router) Readopt(id ID, st *ShardState) error {
 		return fmt.Errorf("%w: shard %d host came back at journal seq %d, router has acked %d (stale snapshot?)",
 			ErrIntegrity, id, st.Seq, s.rseq.Load())
 	}
-	// The node set is fixed for the deployment's lifetime.
-	if len(st.GlobalNode) != len(s.globalNode) {
-		return fmt.Errorf("%w: shard %d host reports %d nodes, mirror has %d", ErrIntegrity, id, len(st.GlobalNode), len(s.globalNode))
+	// The node set (hence the border set) is fixed for the deployment's
+	// lifetime, and the mirror's edge map must be a prefix of the host's:
+	// lost-ack AddRoads can only append.
+	if !slices.Equal(st.GlobalNode, s.globalNode) {
+		return fmt.Errorf("%w: shard %d host node map diverges from the mirror's", ErrIntegrity, id)
 	}
-	for i := range st.GlobalNode {
-		if st.GlobalNode[i] != s.globalNode[i] {
-			return fmt.Errorf("%w: shard %d node map diverges at local %d", ErrIntegrity, id, i)
-		}
+	if !slices.Equal(st.Borders, s.borders) {
+		return fmt.Errorf("%w: shard %d host border set diverges from the mirror's", ErrIntegrity, id)
 	}
-	if len(st.Borders) != len(s.borders) {
-		return fmt.Errorf("%w: shard %d host reports %d borders, mirror has %d", ErrIntegrity, id, len(st.Borders), len(s.borders))
+	if len(st.GlobalEdge) < len(s.globalEdge) || !slices.Equal(st.GlobalEdge[:len(s.globalEdge)], s.globalEdge) {
+		return fmt.Errorf("%w: shard %d host edge map (%d edges) does not extend the mirror's (%d)",
+			ErrIntegrity, id, len(st.GlobalEdge), len(s.globalEdge))
 	}
-	for i := range st.Borders {
-		if st.Borders[i] != s.borders[i] {
-			return fmt.Errorf("%w: shard %d border set diverges at %d", ErrIntegrity, id, i)
-		}
+	fresh, err := newShardIdentity(id, st.identity(), stateTopo{st})
+	if err != nil {
+		return err
 	}
-	// Edges: the mirror's map must be a prefix of the host's (lost-ack
-	// AddRoads can only append). New global edges are grafted onto the
-	// global mirror; an ID the router has meanwhile handed to another
-	// shard is fatal.
-	if len(st.GlobalEdge) < len(s.globalEdge) {
-		return fmt.Errorf("%w: shard %d host reports %d edges, mirror has %d", ErrIntegrity, id, len(st.GlobalEdge), len(s.globalEdge))
-	}
-	if len(st.Edges) != len(st.GlobalEdge) {
-		return fmt.Errorf("shard %d: %d edge IDs but %d edges", id, len(st.GlobalEdge), len(st.Edges))
-	}
-	for li := range s.globalEdge {
-		if st.GlobalEdge[li] != s.globalEdge[li] {
-			return fmt.Errorf("%w: shard %d edge map diverges at local %d", ErrIntegrity, id, li)
-		}
-	}
-	var err error
 	r.mutateMeta(func() {
-		for li := len(s.globalEdge); li < len(st.GlobalEdge); li++ {
-			ge := st.GlobalEdge[li]
-			se := st.Edges[li]
-			if int(ge) != r.g.NumEdges() {
-				err = fmt.Errorf("%w: shard %d lost-ack road landed on global edge %d, router is at %d",
-					ErrIntegrity, id, ge, r.g.NumEdges())
-				return
-			}
-			got, addErr := r.g.AddEdge(s.globalNode[se.U], s.globalNode[se.V], se.W)
-			if addErr != nil {
-				err = fmt.Errorf("%w: shard %d grafting lost-ack edge %d: %v", ErrIntegrity, id, ge, addErr)
-				return
-			}
-			if got != ge {
-				err = fmt.Errorf("%w: shard %d lost-ack edge %d grafted as %d", ErrIntegrity, id, ge, got)
-				return
-			}
-			s.localEdge[ge] = graph.EdgeID(li)
-			s.globalEdge = append(s.globalEdge, ge)
-			r.edgeShard = append(r.edgeShard, id)
+		// Objects: the host's live set replaces the mirror's, adopting
+		// lost-ack inserts and dropping what the host no longer has.
+		if err = r.locateObjects(fresh); err != nil {
+			return
 		}
-		// Re-sync every edge's weight and open/closed state: ops the
-		// router acked are already reflected, lost-ack ones are not.
-		for li, ge := range s.globalEdge {
+		for gid := range s.localObj {
+			if _, ok := fresh.localObj[gid]; !ok {
+				delete(r.objLoc, gid)
+			}
+		}
+		for li, ge := range st.GlobalEdge {
 			se := st.Edges[li]
+			// A lost-ack road is grafted onto the global mirror; an ID
+			// the router has meanwhile handed to another shard is fatal.
+			if li >= len(s.globalEdge) {
+				if int(ge) != r.g.NumEdges() {
+					err = fmt.Errorf("%w: shard %d lost-ack road landed on global edge %d, router is at %d",
+						ErrIntegrity, id, ge, r.g.NumEdges())
+					return
+				}
+				if _, addErr := r.g.AddEdge(s.globalNode[se.U], s.globalNode[se.V], se.W); addErr != nil {
+					err = fmt.Errorf("%w: shard %d grafting lost-ack edge %d: %v", ErrIntegrity, id, ge, addErr)
+					return
+				}
+				r.edgeShard = append(r.edgeShard, id)
+			}
+			// Re-sync weight and open/closed state: ops the router acked
+			// are already reflected, lost-ack ones are not.
 			med := r.g.Edge(ge)
 			if med.Removed != se.Removed {
 				if se.Removed {
@@ -725,31 +565,12 @@ func (r *Router) Readopt(id ID, st *ShardState) error {
 				r.g.SetWeight(ge, se.W)
 			}
 		}
-		// Objects: rebuild the mirror's maps from the host's live set,
-		// dropping mirror entries the host no longer has and adopting
-		// lost-ack inserts (checking cross-shard uniqueness).
-		for gid := range s.localObj {
-			delete(r.objLoc, gid)
-		}
-		s.localObj = make(map[graph.ObjectID]graph.ObjectID, len(st.Objects))
-		s.globalObj = s.globalObj[:0]
-		for _, pair := range st.Objects {
-			lo, gid := pair[0], pair[1]
-			if owner, dup := r.objLoc[gid]; dup {
-				err = fmt.Errorf("%w: shard %d host holds global object %d owned by shard %d", ErrIntegrity, id, gid, owner)
-				return
-			}
-			s.setGlobalObj(lo, gid)
-			s.localObj[gid] = lo
-			r.objLoc[gid] = id
-			if gid >= r.nextObj {
-				r.nextObj = gid + 1
-			}
-		}
 	})
 	if err != nil {
 		return err
 	}
+	s.globalEdge, s.localEdge = fresh.globalEdge, fresh.localEdge
+	s.globalObj, s.localObj = fresh.globalObj, fresh.localObj
 	s.adoptDerived(st)
 	return nil
 }

@@ -95,3 +95,91 @@ func (s *Shard) applyDerivedUpdate(u *DerivedUpdate) error {
 // cached from the last ApplyReply / adopted state (mirror shards only).
 func (s *Shard) RemoteSeq() uint64         { return s.rseq.Load() }
 func (s *Shard) RemoteJournalBytes() int64 { return s.rjbytes.Load() }
+
+// ShardState is one shard's complete identity and derived routing state
+// as exported by its host — everything a router needs to build (or
+// re-adopt) the shard's mirror. Its distances are all finite (border
+// table arcs exist only between connected borders), so it crosses the
+// wire as plain JSON.
+type ShardState struct {
+	ID ID `json:"id"`
+	// Deployment header, copied from the host's manifest so the router
+	// can cross-check that host and router serve the same deployment.
+	Shards   int            `json:"shards"`
+	Seed     int64          `json:"seed"`
+	NumNodes int            `json:"num_nodes"` // global node count
+	NextObj  graph.ObjectID `json:"next_obj"`  // manifest floor; adoption bumps past live objects
+	Isolated []IsolatedNode `json:"isolated,omitempty"`
+
+	// Identity maps and local topology (the mirror's inputs).
+	GlobalNode []graph.NodeID      `json:"global_node"`
+	GlobalEdge []graph.EdgeID      `json:"global_edge"`
+	Coords     [][2]float64        `json:"coords"` // per local node
+	Edges      []StateEdge         `json:"edges"`  // per local edge
+	Objects    [][2]graph.ObjectID `json:"objects"`
+
+	// Derived routing state (adopted verbatim: the host maintains it).
+	Borders []graph.NodeID               `json:"borders"`
+	BTable  map[graph.NodeID][]BorderArc `json:"btable"`
+
+	// Freshness header: the shard's maintenance epoch, its journal
+	// sequence/size, the snapshot fingerprint, and the index size.
+	Epoch        uint64 `json:"epoch"`
+	Seq          uint64 `json:"seq"`
+	Fingerprint  string `json:"fingerprint,omitempty"`
+	IndexBytes   int64  `json:"index_bytes"`
+	JournalBytes int64  `json:"journal_bytes"`
+}
+
+// StateEdge is one shard-local edge in an exported ShardState.
+type StateEdge struct {
+	U       graph.NodeID `json:"u"`
+	V       graph.NodeID `json:"v"`
+	W       float64      `json:"w"`
+	Removed bool         `json:"removed,omitempty"`
+}
+
+// ExportState exports a full local shard's identity and derived state
+// for router adoption. The caller (a shard host) holds the shard's read
+// exclusion and fills the deployment and journal header fields.
+func (s *Shard) ExportState() *ShardState {
+	lg := s.F.Graph()
+	sm := s.IdentityManifest()
+	st := &ShardState{
+		ID:         s.ID,
+		GlobalNode: sm.GlobalNode,
+		GlobalEdge: sm.GlobalEdge,
+		Objects:    sm.Objects,
+		Borders:    append([]graph.NodeID(nil), s.borders...),
+		BTable:     make(map[graph.NodeID][]BorderArc, len(s.btable)),
+		Epoch:      s.F.Epoch(),
+		IndexBytes: s.F.IndexSizeBytes(),
+	}
+	st.Coords = make([][2]float64, lg.NumNodes())
+	for i := range st.Coords {
+		p := lg.Coord(graph.NodeID(i))
+		st.Coords[i] = [2]float64{p.X, p.Y}
+	}
+	st.Edges = make([]StateEdge, lg.NumEdges())
+	for i := range st.Edges {
+		ed := lg.Edge(graph.EdgeID(i))
+		st.Edges[i] = StateEdge{U: ed.U, V: ed.V, W: ed.Weight, Removed: ed.Removed}
+	}
+	for b, arcs := range s.btable {
+		st.BTable[b] = append([]BorderArc(nil), arcs...)
+	}
+	return st
+}
+
+// adoptDerived installs an exported state's border table and freshness
+// header into a mirror shard whose border set the state matches.
+func (s *Shard) adoptDerived(st *ShardState) {
+	s.btable = make(map[graph.NodeID][]BorderArc, len(st.BTable))
+	for b, arcs := range st.BTable {
+		s.btable[b] = append([]BorderArc(nil), arcs...)
+	}
+	s.repoch.Store(st.Epoch)
+	s.rbytes.Store(st.IndexBytes)
+	s.rseq.Store(st.Seq)
+	s.rjbytes.Store(st.JournalBytes)
+}
