@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -278,6 +279,17 @@ func TestNewRequestIDUnique(t *testing.T) {
 		seen[id] = true
 		if len(id) < 10 || !strings.Contains(id, "-") {
 			t.Fatalf("malformed request ID %q", id)
+		}
+	}
+}
+
+// TestNewRequestIDFormat pins the ID layout: prefix, dash, and the
+// counter in lower-case hex padded to six digits (wider once it grows).
+func TestNewRequestIDFormat(t *testing.T) {
+	for _, next := range []uint64{1, 0x42, 0xfffff, 0xffffff, 0x1000000, 1 << 40} {
+		ridSeq.Store(next - 1) // ends at 1<<40, past every ID issued before
+		if got, want := NewRequestID(), fmt.Sprintf("%s-%06x", ridPrefix, next); got != want {
+			t.Errorf("request ID %d = %q, want %q", next, got, want)
 		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -188,7 +188,16 @@ var (
 	ridSeq atomic.Uint64
 )
 
-// NewRequestID returns a fleet-unique request ID like "3fa9c1d2-000042".
+// NewRequestID returns a fleet-unique request ID like "3fa9c1d2-000042":
+// the prefix, a dash and the counter in hex, zero-padded to six digits.
 func NewRequestID() string {
-	return fmt.Sprintf("%s-%06x", ridPrefix, ridSeq.Add(1))
+	var digits [16]byte
+	seq := strconv.AppendUint(digits[:0], ridSeq.Add(1), 16)
+	var b [32]byte
+	id := append(b[:0], ridPrefix...)
+	id = append(id, '-')
+	for i := len(seq); i < 6; i++ {
+		id = append(id, '0')
+	}
+	return string(append(id, seq...))
 }

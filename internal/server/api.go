@@ -9,9 +9,14 @@
 // lock; a road.Synchronized store (road.ShardedDB, road.RemoteDB) locks
 // internally per shard, so a mutation stalls only readers of the shard it
 // touches.
-// Query answers are memoized in an LRU cache that the maintenance epoch
-// invalidates wholesale, and /stats surfaces aggregate traversal
-// statistics, cache and session-pool behaviour.
+// Query answers are memoized, already encoded, in an LRU cache that the
+// maintenance epoch invalidates wholesale: a hit copies the cached
+// `"results":[…],"stats":{…}` bytes into its response instead of
+// re-encoding the answer. The hot responses (/knn, /within, /path,
+// /maintenance/*) are written by append encoders (encode.go) whose bytes
+// equal encoding/json's; the cold endpoints use encoding/json. /stats
+// surfaces aggregate traversal statistics, cache and session-pool
+// behaviour.
 package server
 
 import (
@@ -185,15 +190,19 @@ type StatsResponse struct {
 func resultsJSON(res []road.Result) []ResultJSON {
 	out := make([]ResultJSON, len(res))
 	for i, r := range res {
-		out[i] = ResultJSON{
-			Object: r.Object.ID,
-			Edge:   r.Object.Edge,
-			Attr:   r.Object.Attr,
-			Offset: r.Object.DU,
-			Dist:   r.Dist,
-		}
+		out[i] = resultJSON(r)
 	}
 	return out
+}
+
+func resultJSON(r road.Result) ResultJSON {
+	return ResultJSON{
+		Object: r.Object.ID,
+		Edge:   r.Object.Edge,
+		Attr:   r.Object.Attr,
+		Offset: r.Object.DU,
+		Dist:   r.Dist,
+	}
 }
 
 func statsJSON(st road.Stats) StatsJSON {

@@ -28,11 +28,14 @@ func WithinKey(node road.NodeID, radius float64, attr int32) CacheKey {
 	return CacheKey{Kind: 'w', Node: node, RadiusBits: math.Float64bits(radius), Attr: attr}
 }
 
-// CachedAnswer is a memoized query result. Results are shared read-only
-// slices: handlers must not mutate them.
+// CachedAnswer is a memoized query answer, held encoded: body is the
+// `"results":[…],"stats":{…}` fragment of the QueryResponse (appendAnswer),
+// which a hit copies between its own per-request fields, and results is
+// the answer's length, for the query log. body is shared read-only:
+// handlers must not mutate it.
 type CachedAnswer struct {
-	Results []road.Result
-	Stats   road.Stats
+	body    []byte
+	results int
 }
 
 // ResultCache is an LRU memo of query answers, valid for exactly one

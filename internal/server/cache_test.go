@@ -6,6 +6,18 @@ import (
 	"road"
 )
 
+// cachedDist is the cache entry of a one-result answer at distance d,
+// encoded the way serveQuery encodes a miss.
+func cachedDist(t *testing.T, d float64) CachedAnswer {
+	t.Helper()
+	res := []road.Result{{Dist: d}}
+	body, err := appendAnswer(nil, res, road.Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return CachedAnswer{body: body, results: len(res)}
+}
+
 func TestResultCacheLRUEviction(t *testing.T) {
 	c := NewResultCache(2)
 	k1 := KNNKey(1, 1, 0)
@@ -32,7 +44,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 func TestResultCacheEpochInvalidation(t *testing.T) {
 	c := NewResultCache(8)
 	key := WithinKey(5, 1.25, 2)
-	c.Put(key, 1, CachedAnswer{Results: []road.Result{{Dist: 1}}})
+	c.Put(key, 1, cachedDist(t, 1))
 	if _, ok := c.Get(key, 1); !ok {
 		t.Fatal("entry missing at its own epoch")
 	}
@@ -43,7 +55,7 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("invalidations = %d, want 1", st.Invalidations)
 	}
 	// A straggler writing a stale answer after the bump must be ignored.
-	c.Put(key, 1, CachedAnswer{Results: []road.Result{{Dist: 99}}})
+	c.Put(key, 1, cachedDist(t, 99))
 	if _, ok := c.Get(key, 2); ok {
 		t.Fatal("stale-epoch Put was accepted")
 	}
@@ -51,7 +63,7 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 
 func TestResultCacheDistinctKeys(t *testing.T) {
 	c := NewResultCache(16)
-	c.Put(KNNKey(1, 1, 0), 0, CachedAnswer{Results: []road.Result{{Dist: 1}}})
+	c.Put(KNNKey(1, 1, 0), 0, cachedDist(t, 1))
 	if _, ok := c.Get(KNNKey(1, 2, 0), 0); ok {
 		t.Fatal("k=2 hit a k=1 entry")
 	}

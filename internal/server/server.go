@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"strconv"
 	"sync"
@@ -285,10 +287,19 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeJSON encodes v by reflection for the cold endpoints. The body is
+// encoded before the status goes out, so a value that cannot be encoded
+// (a NaN or infinite float) is answered 500 with the error envelope, not
+// with the intended status and an empty body.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		s.writeErr(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }
 
 func (s *Server) writeErr(w http.ResponseWriter, code int, format string, args ...any) {
@@ -371,7 +382,7 @@ func (s *Server) traceCtx(ctx context.Context, wantTrace bool) (context.Context,
 }
 
 // wantTrace reports whether the client asked for the per-leg trace.
-func wantTrace(r *http.Request) bool { return r.URL.Query().Get("trace") == "1" }
+func wantTrace(q url.Values) bool { return q.Get("trace") == "1" }
 
 // queryCtx derives the context one read query runs under: the client's
 // request context (canceled when the client goes away), bounded by the
@@ -384,8 +395,8 @@ func (s *Server) queryCtx(r *http.Request) (context.Context, context.CancelFunc)
 }
 
 // queryInt parses a required integer query parameter.
-func queryInt(r *http.Request, name string) (int64, error) {
-	raw := r.URL.Query().Get(name)
+func queryInt(q url.Values, name string) (int64, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing parameter %q", name)
 	}
@@ -397,8 +408,8 @@ func queryInt(r *http.Request, name string) (int64, error) {
 }
 
 // queryAttr parses the optional attr parameter (default AnyAttr).
-func queryAttr(r *http.Request) (int32, error) {
-	raw := r.URL.Query().Get("attr")
+func queryAttr(q url.Values) (int32, error) {
+	raw := q.Get("attr")
 	if raw == "" {
 		return road.AnyAttr, nil
 	}
@@ -410,8 +421,8 @@ func queryAttr(r *http.Request) (int32, error) {
 }
 
 // queryBudget parses the optional budget parameter (0 = unlimited).
-func queryBudget(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("budget")
+func queryBudget(q url.Values) (int, error) {
+	raw := q.Get("budget")
 	if raw == "" {
 		return 0, nil
 	}
@@ -423,58 +434,60 @@ func queryBudget(r *http.Request) (int, error) {
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	node, err := queryInt(r, "node")
+	q := r.URL.Query()
+	node, err := queryInt(q, "node")
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	k, err := queryInt(r, "k")
+	k, err := queryInt(q, "k")
 	if err != nil || k < 1 {
 		s.writeErr(w, http.StatusBadRequest, "parameter \"k\" must be a positive integer")
 		return
 	}
-	attr, err := queryAttr(r)
+	attr, err := queryAttr(q)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	budget, err := queryBudget(r)
+	budget, err := queryBudget(q)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.met.requests[epKNN].Inc()
 	req := road.KNNRequest{From: road.NodeID(node), K: int(k), Attr: attr, Budget: budget}
-	s.serveQuery(w, r, epKNN, KNNKey(req.From, req.K, attr), budget == 0,
+	s.serveQuery(w, r, epKNN, KNNKey(req.From, req.K, attr), budget == 0, wantTrace(q),
 		func(ctx context.Context, sess road.Querier) ([]road.Result, road.Stats, error) {
 			return sess.KNNContext(ctx, req)
 		})
 }
 
 func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
-	node, err := queryInt(r, "node")
+	q := r.URL.Query()
+	node, err := queryInt(q, "node")
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	radius, err := strconv.ParseFloat(r.URL.Query().Get("radius"), 64)
+	radius, err := strconv.ParseFloat(q.Get("radius"), 64)
 	if err != nil || !(radius > 0) || math.IsInf(radius, 1) {
 		s.writeErr(w, http.StatusBadRequest, "parameter \"radius\" must be a positive finite number")
 		return
 	}
-	attr, err := queryAttr(r)
+	attr, err := queryAttr(q)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	budget, err := queryBudget(r)
+	budget, err := queryBudget(q)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.met.requests[epWithin].Inc()
 	req := road.WithinRequest{From: road.NodeID(node), Radius: radius, Attr: attr, Budget: budget}
-	s.serveQuery(w, r, epWithin, WithinKey(req.From, radius, attr), budget == 0,
+	s.serveQuery(w, r, epWithin, WithinKey(req.From, radius, attr), budget == 0, wantTrace(q),
 		func(ctx context.Context, sess road.Querier) ([]road.Result, road.Stats, error) {
 			return sess.WithinContext(ctx, req)
 		})
@@ -489,31 +502,34 @@ func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
 // correct at the observed epoch), but it is only admitted to the cache
 // when Read reports the epoch stayed stable across the execution.
 //
+// The answer is encoded once, on the miss that computes it, into the
+// `"results":[…],"stats":{…}` fragment the cache keeps; a hit copies
+// that fragment between its own request's head and tail.
+//
 // Trace-carrying requests (&trace=1) bypass the cache entirely — both
 // probe and fill — so every leg in the returned trace reflects work this
 // request actually performed.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ep endpoint, key CacheKey, cacheable bool, run func(context.Context, road.Querier) ([]road.Result, road.Stats, error)) {
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ep endpoint, key CacheKey, cacheable, traced bool, run func(context.Context, road.Querier) ([]road.Result, road.Stats, error)) {
 	start := time.Now()
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	traced := wantTrace(r)
 	ctx, tr := s.traceCtx(ctx, traced)
 	id := obs.NewRequestID()
 	tr.SetID(id)
 	useCache := cacheable && s.cache != nil && !traced
 	cacheOutcome := "bypass"
-	var resp QueryResponse
-	var queryErr error
-	var fill *CachedAnswer
+	var epoch uint64
+	var ans CachedAnswer
+	var cached, fill bool
+	var queryErr, encErr error
 	var st road.Stats
-	stable := s.coord.Read(func(epoch uint64) {
-		resp.Epoch = epoch
+	stable := s.coord.Read(func(e uint64) {
+		epoch = e
 		if useCache {
-			if ans, ok := s.cache.Get(key, epoch); ok {
+			if hit, ok := s.cache.Get(key, e); ok {
 				cacheOutcome = "hit"
-				resp.Cached = true
-				resp.Results = resultsJSON(ans.Results)
-				resp.Stats = statsJSON(ans.Stats)
+				cached = true
+				ans = hit
 				return
 			}
 			cacheOutcome = "miss"
@@ -527,11 +543,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ep endpoint,
 			return
 		}
 		s.recordStats(st)
-		if useCache && !st.Truncated {
-			fill = &CachedAnswer{Results: res, Stats: st}
-		}
-		resp.Results = resultsJSON(res)
-		resp.Stats = statsJSON(st)
+		ans.results = len(res)
+		ans.body, encErr = appendAnswer(make([]byte, 0, 96+100*len(res)), res, st)
+		fill = useCache && !st.Truncated && encErr == nil
 	})
 	elapsed := time.Since(start)
 	s.met.latency[ep].Observe(elapsed.Seconds())
@@ -559,41 +573,44 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ep endpoint,
 		s.writeQueryErr(w, queryErr)
 		return
 	}
-	rec.Results = len(resp.Results)
+	rec.Results = ans.results
 	s.logQuery(rec)
 	s.logSlow(id, rec.Op, rec.Node, elapsed, st, tr)
-	if fill != nil && stable {
-		s.cache.Put(key, resp.Epoch, *fill)
+	if fill && stable {
+		s.cache.Put(key, epoch, ans)
 	}
-	resp.Node = key.Node
-	resp.ID = id
-	resp.ElapsedUS = elapsed.Microseconds()
+	var legs []obs.Leg
 	if traced {
-		resp.Trace = tr.Legs()
+		legs = tr.Legs()
 	}
-	if resp.Results == nil {
-		resp.Results = []ResultJSON{}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.encodeAndWrite(w, func(b []byte) ([]byte, error) {
+		if encErr != nil {
+			return b, encErr
+		}
+		b = appendQueryHead(b, key.Node, id, epoch, cached)
+		b = append(b, ans.body...)
+		return appendQueryTail(b, elapsed.Microseconds(), legs)
+	})
 }
 
 func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
-	node, err := queryInt(r, "node")
+	q := r.URL.Query()
+	node, err := queryInt(q, "node")
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	obj, err := queryInt(r, "object")
+	obj, err := queryInt(q, "object")
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	attr, err := queryAttr(r)
+	attr, err := queryAttr(q)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	budget, err := queryBudget(r)
+	budget, err := queryBudget(q)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -603,7 +620,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	traced := wantTrace(r)
+	traced := wantTrace(q)
 	ctx, tr := s.traceCtx(ctx, traced)
 	id := obs.NewRequestID()
 	tr.SetID(id)
@@ -655,7 +672,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	if traced {
 		resp.Trace = tr.Legs()
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.encodeAndWrite(w, func(b []byte) ([]byte, error) { return appendPathResponse(b, &resp) })
 }
 
 // handleBatch answers a JSON array of road.Requests on ONE pooled session
@@ -759,7 +776,7 @@ func (s *Server) maintenance(op func(*MaintenanceRequest, *MaintenanceResponse) 
 		}
 		resp.OK = true
 		resp.Epoch = epoch
-		s.writeJSON(w, http.StatusOK, resp)
+		s.encodeAndWrite(w, func(b []byte) ([]byte, error) { return appendMaintenanceResponse(b, &resp), nil })
 	}
 }
 

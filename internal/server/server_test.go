@@ -23,7 +23,7 @@ import (
 //
 // Object A sits mid-e01 (0.5 from n0), object B mid-e23 (1.5 from n0 via
 // n3). Returned alongside are A's and B's IDs and e01.
-func buildSquare(t *testing.T, opts road.Options) (*road.DB, road.ObjectID, road.ObjectID, road.EdgeID) {
+func buildSquare(t testing.TB, opts road.Options) (*road.DB, road.ObjectID, road.ObjectID, road.EdgeID) {
 	t.Helper()
 	b := road.NewNetworkBuilder()
 	n0 := b.AddNode(0, 0)
