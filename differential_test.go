@@ -152,8 +152,8 @@ func TestDifferentialCSRStorm(t *testing.T) {
 			}
 
 			// The same mutation stream through the Store interface of all
-			// three deployment shapes; sessions observe each burst after the
-			// serving-layer WarmAfterMutation fence.
+			// three deployment shapes; sessions observe each burst with no
+			// call in between: every mutator leaves the slabs current.
 			mutate := func(label string, op func(s Store) error) {
 				errs := []error{op(db), op(sdb), op(rdb)}
 				for i := 1; i < len(errs); i++ {
@@ -187,9 +187,6 @@ func TestDifferentialCSRStorm(t *testing.T) {
 						mutate("delete", func(s Store) error { return s.RemoveObject(id) })
 					}
 				}
-				db.WarmAfterMutation()
-				sdb.WarmAfterMutation()
-				rdb.WarmAfterMutation()
 				check(fmt.Sprintf("round%d", round))
 			}
 		})

@@ -50,13 +50,12 @@
 //	answers := db.Query(ctx, []road.Request{{KNN: &k}, {Within: &w}})
 //
 // Concurrent readers take one Querier each from Store.OpenSession: a
-// Session on a DB, a RouterSession on a ShardedDB or a RemoteDB. A DB
-// does no locking between queries and maintenance (the internal/server
-// subsystem, command roadd, layers an epoch-guarded coordinator on top
-// when serving traffic); the router-backed stores synchronize internally
-// — they satisfy Synchronized — with per-shard write locks, so queries
-// and mutations may overlap and a mutation stalls only readers of the one
-// shard it touches.
+// Session on a DB, a RouterSession on a ShardedDB or a RemoteDB. Every
+// store locks itself, so queries and mutations may overlap: a DB holds
+// one store-wide reader/writer lock, the router-backed stores per-shard
+// write locks, so there a mutation stalls only readers of the one shard
+// it touches. Store.Exclusive quiesces the whole store for a consistent
+// snapshot save.
 //
 // The store separates the network from the objects: road closures,
 // distance (or travel-time) changes and object churn are all incremental

@@ -113,11 +113,11 @@ func TestPathToAllocs(t *testing.T) {
 
 // The pins below hold the post-mutation fence to O(change): on the CA
 // network (21k nodes, where one whole-index rebuild allocates ≈17 MB) a
-// mutation plus its WarmTrees allocates a small constant that does not
+// mutation, fence included, allocates a small constant that does not
 // grow with the network.
 
-// caFramework builds the CA dataset with the serving configuration and
-// warms it, so the first (full) CSR build is behind us.
+// caFramework builds the CA dataset with the serving configuration; Build
+// leaves the first (full) CSR build behind us.
 func caFramework(tb testing.TB) *Framework {
 	tb.Helper()
 	g := dataset.MustGenerate(dataset.CA())
@@ -129,7 +129,6 @@ func caFramework(tb testing.TB) *Framework {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	f.WarmTrees()
 	return f
 }
 
@@ -145,29 +144,26 @@ func bytesPerRun(runs int, fn func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// objectChurn is one insert/delete pair, each followed by the fence.
+// objectChurn is one insert/delete pair.
 func objectChurn(tb testing.TB, f *Framework, e graph.EdgeID) {
 	o, err := f.InsertObject(e, f.g.Weight(e)/2, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	f.WarmTrees()
 	if err := f.DeleteObject(o.ID); err != nil {
 		tb.Fatal(err)
 	}
-	f.WarmTrees()
 }
 
 // weightChurn raises edge e's weight by a fifth and restores it — the
-// same-shape change: distances move, no slab changes size — with the fence
-// after each step.
+// same-shape change: distances move, no slab changes size — each step
+// patching before it returns.
 func weightChurn(tb testing.TB, f *Framework, e graph.EdgeID) {
 	w := f.g.Weight(e)
 	for _, next := range [2]float64{w * 1.2, w} {
 		if _, err := f.SetEdgeWeight(e, next); err != nil {
 			tb.Fatal(err)
 		}
-		f.WarmTrees()
 	}
 }
 
@@ -181,9 +177,8 @@ func TestMutationFenceAllocsAreConstant(t *testing.T) {
 	f := caFramework(t)
 	const e = graph.EdgeID(4242)
 
-	// Object churn leaves the hierarchy alone: the fence is a generation
-	// compare and allocates nothing itself; what remains is the object set
-	// and directory bookkeeping of the pair.
+	// Object churn leaves the hierarchy alone and runs no fence; what
+	// remains is the object set and directory bookkeeping of the pair.
 	if allocs := testing.AllocsPerRun(50, func() { objectChurn(t, f, e) }); allocs > 32 {
 		t.Fatalf("insert+delete object with fences allocates %v per pair; want a handful", allocs)
 	}

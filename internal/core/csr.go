@@ -27,8 +27,8 @@ import (
 // paper-faithful I/O-accounting report mode (Framework-level queries).
 //
 // The overlay builds the slabs when it is built or restored, and queries
-// only read them. Network mutations stale them, and the post-mutation
-// fence (WarmTrees) repairs them at the cost of the change:
+// only read them. Network mutations stale them, and every mutator's fence
+// (WarmTrees) repairs them before it returns, at the cost of the change:
 // rnet.Hierarchy logs the nodes a mutation touched — the edge's endpoints
 // and the borders of every Rnet whose shortcuts changed — and the drain
 // re-emits just those nodes' slabs, in place when the shape is unchanged.
@@ -309,8 +309,9 @@ func newCSRBox(h *rnet.Hierarchy) *csrBox {
 // drain brings the index up to the hierarchy's generation at the cost of
 // what changed: the nodes in the hierarchy's dirty log are re-emitted one
 // by one. It falls back to a full build when there is no index yet, when
-// the log overflowed (bulk replay), when the generation moved but the log
-// is empty (someone else drained it), and when dead cells have piled up.
+// the log overflowed (one mutation touched more than the log holds), when
+// the generation moved but the log is empty, and when dead cells have
+// piled up.
 func (b *csrBox) drain(g *graph.Graph, h *rnet.Hierarchy) *csrIndex {
 	start := time.Now()
 	nodes, all := h.DrainDirty()
@@ -333,19 +334,16 @@ func (b *csrBox) drain(g *graph.Graph, h *rnet.Hierarchy) *csrIndex {
 	return c
 }
 
-// ensureCSR returns the overlay's CSR index, current with the hierarchy.
-// Building or restoring the overlay leaves it current. Catching up after a
-// mutation writes the shared slabs, so it must not race with readers:
-// serving layers call WarmTrees (which is this) after every mutation while
-// readers are still excluded, and the call every query — and every
-// IndexSizeBytes — makes here finds nothing to do. A single-threaded
-// library caller that never warms gets the same patch lazily from its next
-// query.
-func (ro *RouteOverlay) ensureCSR() *csrIndex {
-	if c := ro.csr.idx; c != nil && c.gen == ro.h.TopoGen() {
-		return c
+// loadCSR returns the overlay's CSR index for a read. Every mutator
+// leaves the index current with the hierarchy (Framework.WarmTrees), so a
+// reader only checks the generation; a mismatch means a hierarchy write
+// bypassed its mutator's fence, and reading on would serve stale slabs.
+func (ro *RouteOverlay) loadCSR() *csrIndex {
+	c := ro.csr.idx
+	if c.gen != ro.h.TopoGen() {
+		panic(fmt.Sprintf("core: CSR index at generation %d, hierarchy at %d: a hierarchy write skipped its fence", c.gen, ro.h.TopoGen()))
 	}
-	return ro.csr.drain(ro.h.Graph(), ro.h)
+	return c
 }
 
 // CSRStats reports how the CSR index has been kept current so far.
@@ -354,7 +352,7 @@ func (f *Framework) CSRStats() CSRStats { return f.ro.csr.stats }
 // OnCSRDrain registers fn to be told how long each index drain — patch or
 // rebuild — took. The build at construction precedes any registration, so
 // fn hears of it at once. Set it before serving starts; it runs inside the
-// mutation fence.
+// mutator that drained.
 func (f *Framework) OnCSRDrain(fn func(time.Duration)) {
 	f.ro.csr.onDrain = fn
 	fn(f.ro.csr.built)
@@ -381,7 +379,7 @@ func (f *Framework) csrVerdict(ad *AssocDir, ws *queryWorkspace, r rnet.RnetID, 
 func (f *Framework) searchCSR(ad *AssocDir, seeds []Seed, attr int32, k int, radius float64, ws *queryWorkspace, watch *WatchSet, watchDist map[graph.NodeID]float64, lim Limits, dst []Result) ([]Result, QueryStats, error) {
 	stats := QueryStats{ShardsSearched: 1}
 	var stopErr error
-	c := f.ro.ensureCSR()
+	c := f.ro.loadCSR()
 	f.prepare(ws)
 	res := dst
 	base := len(dst)
@@ -508,7 +506,7 @@ type routeGoal struct {
 // arrays sized to the network. The caller then stamps the explorable Rnets
 // (stampChain) and runs route.
 func (f *Framework) beginRoute(ws *queryWorkspace) *csrIndex {
-	c := f.ro.ensureCSR()
+	c := f.ro.loadCSR()
 	f.prepare(ws)
 	ws.growLinks(f.g.NumNodes())
 	return c

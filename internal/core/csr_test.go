@@ -156,8 +156,8 @@ func TestCSRMatchesReferenceStorm(t *testing.T) {
 			checkRoutes("initial")
 			var closed []graph.EdgeID
 			for round := 0; round < 8; round++ {
-				// A burst of mutations, each followed by WarmTrees (the
-				// serving-layer contract) and the patch referee, then
+				// A burst of mutations, each followed by the patch
+				// referee (every mutator leaves the slabs current), then
 				// differential queries.
 				for m := 0; m < 5; m++ {
 					switch rng.Intn(6) {
@@ -195,7 +195,6 @@ func TestCSRMatchesReferenceStorm(t *testing.T) {
 						v := graph.NodeID(rng.Intn(g.NumNodes()))
 						_, _, _ = f.AddEdge(u, v, 1+120*rng.Float64())
 					}
-					f.WarmTrees()
 					label := fmt.Sprintf("round%d m%d", round, m)
 					assertCSRMatchesFreshBuild(t, label, f)
 					assertSlabSizesMatchPointerTrees(t, label, f)
@@ -277,7 +276,6 @@ func TestPathGroundTruthEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.WarmTrees()
 		for _, from := range far {
 			assertRouteIsShortest(t, "added road", g, csr, ref, from, o, true)
 		}
@@ -331,7 +329,6 @@ func TestPathGroundTruthEdgeCases(t *testing.T) {
 				}
 			}
 		}
-		f.WarmTrees()
 		from := far[2]
 		if from == ed.U || from == ed.V {
 			from = far[3]
@@ -393,7 +390,7 @@ func TestPathPopsFarBelowDijkstra(t *testing.T) {
 // shortcut (to,dist) and leaf (to,edge,w) lists behind their offsets.
 func assertCSRMatchesFreshBuild(t *testing.T, label string, f *Framework) {
 	t.Helper()
-	got := f.ro.ensureCSR()
+	got := f.ro.loadCSR()
 	want := buildCSR(f.g, f.h, new(rnet.FlatTree))
 	if got.gen != want.gen {
 		t.Fatalf("%s: index at generation %d, hierarchy at %d", label, got.gen, want.gen)
@@ -432,11 +429,12 @@ func assertCSRMatchesFreshBuild(t *testing.T, label string, f *Framework) {
 }
 
 // TestCSRFencePaths walks the fence's edge cases: Build leaves the index
-// built, so a mutation before the first warm is patched by it; an op
-// that touched the hierarchy and then failed higher up is still drained; a
-// rolled-back AddEdge leaves nothing to drain; frameworks sharing an
-// overlay through Rebind share the drain; and a caller that never warms
-// gets the patch lazily from its next query.
+// built; every network mutator returns with the slabs equal to a fresh
+// build — a plain one, failed ones, a rolled-back AddEdge (which leaves
+// nothing to drain) and one through a Rebind framework sharing the
+// overlay; queries after a mutator only read (CSRStats does not move); and
+// a hierarchy write that skipped its fence makes the read path panic
+// instead of repairing the slabs behind the readers' backs.
 func TestCSRFencePaths(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.Rnet.StorePaths = true
@@ -446,27 +444,31 @@ func TestCSRFencePaths(t *testing.T) {
 		t.Fatalf("after Build: %+v, want exactly one build", st)
 	}
 
-	// A mutation before the first warm: logged against Build's index.
+	// The first mutation patches Build's index before it returns.
 	if _, err := f.SetEdgeWeight(3, g.Weight(3)*2); err != nil {
 		t.Fatal(err)
 	}
-	f.WarmTrees()
 	if st := f.CSRStats(); st.Rebuilds != 1 || st.Patches != 1 {
-		t.Fatalf("first warm: %+v, want one patch of Build's index", st)
+		t.Fatalf("first mutation: %+v, want one patch of Build's index", st)
 	}
-	assertCSRMatchesFreshBuild(t, "first warm", f)
+	assertCSRMatchesFreshBuild(t, "first mutation", f)
 
-	// An op that mutated the hierarchy and was then reported as failed
-	// (as Router.Mutate's and HostApply's error branches see it): no
-	// epoch bump, but the fence they run must still repair the slabs.
-	if _, err := f.Hierarchy().DeleteEdge(5); err != nil {
+	// Failed mutators return with the slabs current too.
+	if _, err := f.DeleteEdge(5); err != nil {
 		t.Fatal(err)
 	}
-	f.WarmTrees()
-	if st := f.CSRStats(); st.Rebuilds != 1 || st.Patches != 2 {
-		t.Fatalf("failed-op fence: %+v, want one more patch", st)
+	failed := map[string]func() error{
+		"close a closed road":     func() error { _, err := f.DeleteEdge(5); return err },
+		"reopen an open road":     func() error { _, err := f.RestoreEdge(6); return err },
+		"non-positive weight":     func() error { _, err := f.SetEdgeWeight(7, -1); return err },
+		"re-weight a closed road": func() error { _, err := f.SetEdgeWeight(5, 9); return err },
 	}
-	assertCSRMatchesFreshBuild(t, "failed-op fence", f)
+	for label, op := range failed {
+		if err := op(); err == nil {
+			t.Fatalf("%s succeeded", label)
+		}
+		assertCSRMatchesFreshBuild(t, label, f)
+	}
 	checkCSRAgainstAdjacency(t, f, g)
 
 	// A rolled-back AddEdge: isolate two nodes, fail to connect them.
@@ -478,56 +480,65 @@ func TestCSRFencePaths(t *testing.T) {
 			}
 		}
 	}
-	f.WarmTrees()
 	before := f.CSRStats()
 	if _, _, err := f.AddEdge(u, v, 2); err == nil {
 		t.Fatal("AddEdge between isolated nodes succeeded")
 	}
-	f.WarmTrees()
 	if st := f.CSRStats(); st != before {
 		t.Fatalf("rolled-back AddEdge drained something: %+v -> %+v", before, st)
 	}
 	assertCSRMatchesFreshBuild(t, "rolled-back AddEdge", f)
 	checkCSRAgainstAdjacency(t, f, g)
 
-	// Rebind shares the overlay and so the index: a mutation through one
-	// framework, the fence through the other.
+	// Rebind shares the overlay and so the index: a mutation through the
+	// bound framework leaves the index current for both.
 	bound := Rebind(f, dataset.PlaceUniform(g, 20, 77, 0), AbstractBloom)
-	if _, err := f.SetEdgeWeight(9, g.Weight(9)*3); err != nil {
+	if _, err := bound.SetEdgeWeight(9, g.Weight(9)*3); err != nil {
 		t.Fatal(err)
 	}
-	bound.WarmTrees()
 	if f.ro.csr.idx.gen != f.h.TopoGen() || bound.CSRStats() != f.CSRStats() {
-		t.Fatalf("Rebind: drain through the bound framework did not reach the shared index")
+		t.Fatalf("Rebind: the mutation through the bound framework did not reach the shared index")
 	}
 	assertCSRMatchesFreshBuild(t, "rebind", f)
 
-	// No warm at all: the next query's ensureCSR patches.
+	// Queries after a mutator only read.
 	csr, ref := csrAndRefSessions(f)
 	if _, err := f.RestoreEdge(5); err != nil {
 		t.Fatal(err)
 	}
-	patches := f.CSRStats().Patches
+	st := f.CSRStats()
 	for n := 0; n < 40; n++ {
 		q := Query{Node: graph.NodeID(n * 7 % g.NumNodes())}
 		want, _ := ref.KNN(q, 5)
 		got, _ := csr.KNN(q, 5)
-		assertIdenticalResults(t, fmt.Sprintf("lazy patch n%d", q.Node), want, got)
+		assertIdenticalResults(t, fmt.Sprintf("after restore n%d", q.Node), want, got)
 	}
-	if got := f.CSRStats().Patches; got != patches+1 {
-		t.Fatalf("lazy path patched %d times, want once", got-patches)
+	if got := f.CSRStats(); got != st {
+		t.Fatalf("queries wrote the index: %+v -> %+v", st, got)
 	}
-	assertCSRMatchesFreshBuild(t, "lazy patch", f)
+	assertCSRMatchesFreshBuild(t, "after queries", f)
+
+	// Last, because it leaves the index stale: a write straight into the
+	// hierarchy bypasses the framework's fence, and the next read says so.
+	if _, err := f.Hierarchy().SetEdgeWeight(3, g.Weight(3)*2); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a query over a stale index did not panic")
+		}
+	}()
+	csr.KNN(Query{Node: 0}, 5)
 }
 
-// TestCSRBulkReplayRebuilds applies a journal-replay-sized batch with a
-// single warm at the end: the dirty log must overflow and the drain must
-// take the one full build, not hundreds of patches.
-func TestCSRBulkReplayRebuilds(t *testing.T) {
+// TestCSRCurrentAfterReplayBurst applies a journal-replay-sized burst of
+// network mutations with no call between them, as journal replay does:
+// each mutator patches before it returns, so the index ends equal to a
+// fresh build having been patched, never rebuilt wholesale.
+func TestCSRCurrentAfterReplayBurst(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.BufferPages = -1
 	f, g, _ := fixture(t, 700, 900, 160, 3, cfg)
-	f.WarmTrees()
 	before := f.CSRStats()
 	rng := rand.New(rand.NewSource(3))
 	var closed []graph.EdgeID
@@ -546,12 +557,11 @@ func TestCSRBulkReplayRebuilds(t *testing.T) {
 			_, _ = f.SetEdgeWeight(e, 1+120*rng.Float64())
 		}
 	}
-	f.WarmTrees()
 	after := f.CSRStats()
-	if after.Rebuilds != before.Rebuilds+1 || after.Patches != before.Patches {
-		t.Fatalf("bulk replay should cost one rebuild and no patch: before %+v, after %+v", before, after)
+	if after.Patches == before.Patches {
+		t.Fatalf("a 300-op burst patched nothing: before %+v, after %+v", before, after)
 	}
-	assertCSRMatchesFreshBuild(t, "bulk", f)
+	assertCSRMatchesFreshBuild(t, "burst", f)
 	checkCSRAgainstAdjacency(t, f, g)
 }
 
@@ -563,22 +573,19 @@ func TestCSRCompactionBoundsSlabs(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.BufferPages = -1
 	f, g, _ := fixture(t, 700, 900, 160, 9, cfg)
-	f.WarmTrees()
-	live := len(f.ro.ensureCSR().ents)
+	live := len(f.ro.loadCSR().ents)
 	rng := rand.New(rand.NewSource(9))
 	for pair := 0; pair < 600; pair++ {
 		e := graph.EdgeID(rng.Intn(g.NumEdges()))
 		if _, err := f.DeleteEdge(e); err != nil {
 			t.Fatal(err)
 		}
-		f.WarmTrees()
 		if _, err := f.RestoreEdge(e); err != nil {
 			t.Fatal(err)
 		}
-		f.WarmTrees()
 		// A quarter dead plus the one drain that may run past the cap
 		// before the next one compacts.
-		if n := len(f.ro.ensureCSR().ents); n > live+live/2 {
+		if n := len(f.ro.loadCSR().ents); n > live+live/2 {
 			t.Fatalf("pair %d: entry slab grew to %d cells over %d live ones", pair, n, live)
 		}
 	}
@@ -680,13 +687,12 @@ func TestCSRWatchedSeededAgree(t *testing.T) {
 // with its current weight).
 func TestCSRStructure(t *testing.T) {
 	f, g, _ := fixture(t, 400, 520, 60, 17, defaultCfg())
-	f.WarmTrees()
 	checkCSRAgainstAdjacency(t, f, g)
 }
 
 func checkCSRAgainstAdjacency(t *testing.T, f *Framework, g *graph.Graph) {
 	t.Helper()
-	c := f.ro.ensureCSR()
+	c := f.ro.loadCSR()
 	if len(c.span) != g.NumNodes() {
 		t.Fatalf("spans cover %d nodes, graph has %d", len(c.span), g.NumNodes())
 	}
@@ -808,7 +814,6 @@ func FuzzCSRBuild(f *testing.F) {
 				_, _ = fw.DeleteEdge(e)
 			}
 		}
-		fw.WarmTrees()
 		checkCSRAgainstAdjacency(t, fw, g)
 
 		// Then a mutation sequence read off the same bytes, warmed and
@@ -817,7 +822,6 @@ func FuzzCSRBuild(f *testing.F) {
 		// full isolation of an endpoint, and AddEdge — which fails and
 		// rolls back when both endpoints are isolated.
 		refereed := func(label string) {
-			fw.WarmTrees()
 			assertCSRMatchesFreshBuild(t, label, fw)
 			assertSlabSizesMatchPointerTrees(t, label, fw)
 			checkCSRAgainstAdjacency(t, fw, g)

@@ -150,8 +150,8 @@ func (f *Framework) DropCache() {
 // by every successful mutation (object churn, edge weight changes, road
 // closures). Readers that cached derived results — query answers, plans —
 // can compare epochs to detect staleness. The counter itself is safe to
-// read concurrently; coordinating queries against the mutations it counts
-// is the caller's job (see Session and road's serving layer).
+// read concurrently; excluding queries while the mutations it counts run
+// is the caller's job (see Session; road's stores lock themselves).
 func (f *Framework) Epoch() uint64 { return f.epoch.Load() }
 
 // bumpEpoch marks a completed mutation.
@@ -159,27 +159,26 @@ func (f *Framework) bumpEpoch() { f.epoch.Add(1) }
 
 // WarmTrees brings the shared read-path state — the CSR slabs holding
 // every node's flattened shortcut tree — up to date with the hierarchy.
-// Build and Restore leave the slabs current. Network maintenance stales
-// the slabs of every node whose incidence, weights or shortcuts it
-// changed; left alone, the next query would repair them lazily — a hidden
-// write that would race with concurrent session queries. A serving layer
-// that interleaves maintenance with concurrent sessions must therefore
-// call WarmTrees after each mutation, failed ones included, while still
-// excluding readers, so the read path never mutates shared state.
+// Every mutator that can touch the hierarchy (SetEdgeWeight, AddEdge,
+// DeleteEdge, RestoreEdge, EnableWaypoints, PinBorders) calls it before
+// returning, failed calls included, so the slabs are current whenever no
+// mutator is running and queries only ever read them. Calling it again is
+// one generation compare.
 //
 // The cost follows the change, not the network: the hierarchy logs the
 // nodes a mutation touched and only those are re-flattened (see
-// csrBox.drain), building no pointer trees; when nothing was logged —
-// after object churn, or a second call — it is one generation compare.
-// The call after a bulk replay that overflowed the log rebuilds
-// everything.
-func (f *Framework) WarmTrees() { f.ro.ensureCSR() }
+// csrBox.drain), building no pointer trees.
+func (f *Framework) WarmTrees() {
+	if c := f.ro.csr.idx; c.gen != f.h.TopoGen() {
+		f.ro.csr.drain(f.g, f.h)
+	}
+}
 
 // EnableWaypoints upgrades a framework built or restored without
 // StorePaths to store shortcut waypoints, recomputing every shortcut and
 // re-flattening the CSR slabs; answers do not change, routes become
-// available. It reports whether an upgrade ran. Like a mutation, it must
-// run while readers are excluded.
+// available. It reports whether an upgrade ran. Like every mutation, it
+// must run while readers are excluded.
 func (f *Framework) EnableWaypoints() bool {
 	if !f.h.EnableWaypoints() {
 		return false
@@ -192,7 +191,7 @@ func (f *Framework) EnableWaypoints() bool {
 // re-flattens the CSR slabs of every node whose view changed. Answers do
 // not change; searches that must reach a pinned node walk the shortcut
 // overlay to it instead of descending. Nodes already pinned cost nothing.
-// Like a mutation, it must run while readers are excluded.
+// Like every mutation, it must run while readers are excluded.
 func (f *Framework) PinBorders(nodes []graph.NodeID) {
 	f.h.Pin(nodes)
 	f.WarmTrees()
@@ -241,8 +240,10 @@ func (f *Framework) UpdateObjectAttr(id graph.ObjectID, attr int32) error {
 // SetEdgeWeight changes a road segment's distance and repairs shortcuts
 // incrementally (filter-and-refresh). Objects on the edge keep their
 // relative positions: offsets are rescaled proportionally and their
-// directory entries refreshed.
+// directory entries refreshed. Like every network mutator it returns with
+// the CSR slabs current (WarmTrees), on the error path too.
 func (f *Framework) SetEdgeWeight(e graph.EdgeID, w float64) (rnet.UpdateResult, error) {
+	defer f.WarmTrees()
 	onEdge := f.objects.OnEdge(e)
 	var detached []graph.Object
 	for _, id := range onEdge {
@@ -279,6 +280,7 @@ func (f *Framework) SetEdgeWeight(e graph.EdgeID, w float64) (rnet.UpdateResult,
 // AddEdge inserts a new road segment between existing nodes and repairs
 // the hierarchy (border promotion, new shortcuts).
 func (f *Framework) AddEdge(u, v graph.NodeID, w float64) (graph.EdgeID, rnet.UpdateResult, error) {
+	defer f.WarmTrees()
 	e, res, err := f.h.AddEdge(u, v, w)
 	if err == nil {
 		f.bumpEpoch()
@@ -289,6 +291,7 @@ func (f *Framework) AddEdge(u, v graph.NodeID, w float64) (graph.EdgeID, rnet.Up
 // DeleteEdge removes a road segment. Objects residing on it are deleted
 // (their road no longer exists).
 func (f *Framework) DeleteEdge(e graph.EdgeID) (rnet.UpdateResult, error) {
+	defer f.WarmTrees()
 	for _, id := range f.objects.OnEdge(e) {
 		if o, ok := f.objects.Get(id); ok {
 			f.ad.Remove(o)
@@ -304,6 +307,7 @@ func (f *Framework) DeleteEdge(e graph.EdgeID) (rnet.UpdateResult, error) {
 
 // RestoreEdge re-attaches a previously deleted edge.
 func (f *Framework) RestoreEdge(e graph.EdgeID) (rnet.UpdateResult, error) {
+	defer f.WarmTrees()
 	res, err := f.h.RestoreEdge(e)
 	if err == nil {
 		f.bumpEpoch()

@@ -84,5 +84,5 @@ func (ro *RouteOverlay) Visit(n graph.NodeID) []*rnet.TreeNode {
 // hierarchy's Rnet/shortcut data plus per-node shortcut-tree records,
 // counted off the CSR slabs.
 func (ro *RouteOverlay) SizeBytes() int64 {
-	return ro.h.SizeBytes() + ro.ensureCSR().treeBytes(ro.h.Graph().NumNodes())
+	return ro.h.SizeBytes() + ro.loadCSR().treeBytes(ro.h.Graph().NumNodes())
 }

@@ -32,7 +32,7 @@ func (s *Session) UseReferencePath(on bool) { s.ws.useRef = on }
 
 // NewSession returns an independent concurrent query context. It writes
 // nothing shared: the CSR slabs its queries read are current from Build or
-// Restore on, as long as every mutation is followed by WarmTrees.
+// Restore on, because every mutator leaves them current before it returns.
 func (f *Framework) NewSession() *Session {
 	return &Session{
 		f: f,

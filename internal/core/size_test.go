@@ -40,7 +40,7 @@ func oracleRecordSize(f *Framework, n graph.NodeID) int {
 // IndexSizeBytes against the sum those trees give.
 func assertSlabSizesMatchPointerTrees(t *testing.T, label string, f *Framework) {
 	t.Helper()
-	c := f.ro.ensureCSR()
+	c := f.ro.loadCSR()
 	want := f.h.SizeBytes() + f.ad.SizeBytes()
 	for n := 0; n < f.g.NumNodes(); n++ {
 		oracle := f.h.TreeSizeBytes(graph.NodeID(n))

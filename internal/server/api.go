@@ -3,12 +3,11 @@
 // road.RemoteDB over out-of-process shard hosts. Read queries (kNN,
 // range, path, batch) run concurrently with each other on pooled
 // sessions (road.Session, or road.RouterSession on the two router-backed
-// stores); how maintenance operations (edge weight updates, road
-// closures, object churn) exclude them depends on the store. A road.DB
-// is guarded by the Coordinator's epoch-guarded store-wide reader/writer
-// lock; a road.Synchronized store (road.ShardedDB, road.RemoteDB) locks
-// internally per shard, so a mutation stalls only readers of the shard it
-// touches.
+// stores). Every store locks itself against its maintenance operations
+// (edge weight updates, road closures, object churn) — a road.DB with
+// one store-wide reader/writer lock, road.ShardedDB and road.RemoteDB per
+// shard, so that a mutation stalls only readers of the shard it touches —
+// and the server runs the same code over all of them.
 // Query answers are memoized, already encoded, in an LRU cache that the
 // maintenance epoch invalidates wholesale: a hit copies the cached
 // `"results":[…],"stats":{…}` bytes into its response instead of

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"road"
 )
@@ -98,19 +100,35 @@ func TestSessionPoolReuse(t *testing.T) {
 	}
 }
 
-func TestCoordinatorEpochSnapshot(t *testing.T) {
+// TestStoreEpochSnapshot: a mutation bumps the store's epoch by exactly
+// one, and Exclusive holds it still — a mutation started inside fn
+// completes only after fn returns.
+func TestStoreEpochSnapshot(t *testing.T) {
 	db, _, _, e01 := buildSquare(t, road.Options{})
-	coord := NewCoordinator(db.Epoch)
-	var seen uint64
-	coord.Read(func(epoch uint64) { seen = epoch })
-	if seen != db.Epoch() {
-		t.Fatalf("read epoch %d, want %d", seen, db.Epoch())
+	seen := db.Epoch()
+	if err := db.SetRoadDistance(e01, 2); err != nil {
+		t.Fatal(err)
 	}
-	after, err := coord.Write(func() error { return db.SetRoadDistance(e01, 2) })
+	if got := db.Epoch(); got != seen+1 {
+		t.Fatalf("post-write epoch %d, want %d", got, seen+1)
+	}
+	done := make(chan error, 1)
+	err := db.Exclusive(func() error {
+		in := db.Epoch()
+		go func() { done <- db.SetRoadDistance(e01, 3) }()
+		time.Sleep(20 * time.Millisecond)
+		if now := db.Epoch(); now != in {
+			return fmt.Errorf("epoch moved inside Exclusive: %d -> %d", in, now)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after != seen+1 {
-		t.Fatalf("post-write epoch %d, want %d", after, seen+1)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Epoch(); got != seen+2 {
+		t.Fatalf("epoch after the held mutation %d, want %d", got, seen+2)
 	}
 }

@@ -59,7 +59,7 @@ type metrics struct {
 
 // newMetrics builds the registry over a constructed server. Collector
 // callbacks read s's live state; store-touching ones are safe because
-// handleMetrics scrapes under the coordinator's read view.
+// every store locks itself.
 func newMetrics(s *Server) *metrics {
 	m := &metrics{reg: obs.NewRegistry()}
 	r := m.reg
@@ -68,7 +68,7 @@ func newMetrics(s *Server) *metrics {
 	r.Gauge("road_uptime_seconds", "", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	r.Gauge("road_epoch", "", "Store maintenance epoch; every successful mutation bumps it.",
-		func() float64 { return float64(s.coord.Epoch()) })
+		func() float64 { return float64(s.b.Epoch()) })
 	r.Gauge("road_network_nodes", "", "Intersections in the served network.",
 		func() float64 { return float64(s.b.NumNodes()) })
 	r.Gauge("road_network_edges", "", "Road segments in the served network.",
@@ -174,7 +174,7 @@ func newMetrics(s *Server) *metrics {
 
 // registerCSR exports the upkeep of the CSR search indexes held in this
 // process — whether mutations patched or rebuilt them, how long each
-// post-mutation drain took, and the slab footprint: one unlabelled series
+// mutator's drain took, and the slab footprint: one unlabelled series
 // for a road.DB, one per in-process shard for a sharded store. Mirror
 // shards have no index here; their host's /metrics carries the same
 // families.
@@ -186,10 +186,12 @@ func registerCSR(r *obs.Registry, store road.Store) {
 	var read func() []labelled
 	var onDrain func(func(time.Duration))
 	switch b := store.(type) {
-	case interface{ Framework() *core.Framework }:
-		f := b.Framework()
-		read = func() []labelled { return []labelled{{st: f.CSRStats()}} }
-		onDrain = f.OnCSRDrain
+	case interface {
+		CSRStats() core.CSRStats
+		Framework() *core.Framework
+	}:
+		read = func() []labelled { return []labelled{{st: b.CSRStats()}} }
+		onDrain = b.Framework().OnCSRDrain
 	case interface {
 		shardInfoProvider
 		Router() *shard.Router
@@ -241,20 +243,17 @@ func (m *metrics) record(st road.Stats) {
 }
 
 // handleMetrics renders the registry in the Prometheus text exposition
-// format. The scrape runs under the coordinator's read view so gauges
-// that touch the store observe one consistent epoch; the rendering goes
-// to a buffer first so no lock is held while writing to the client.
+// format. Gauges that touch the store read it through its own locks; the
+// rendering goes to a buffer first so a failure is answered with the
+// error envelope, not a truncated body.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
-	var werr error
-	s.coord.Read(func(uint64) {
-		werr = s.met.reg.Write(&buf)
-		for _, aux := range s.auxMet {
-			if werr == nil {
-				werr = aux.Write(&buf)
-			}
+	werr := s.met.reg.Write(&buf)
+	for _, aux := range s.auxMet {
+		if werr == nil {
+			werr = aux.Write(&buf)
 		}
-	})
+	}
 	if werr != nil {
 		s.writeErr(w, http.StatusInternalServerError, "rendering metrics: %v", werr)
 		return

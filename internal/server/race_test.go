@@ -76,7 +76,7 @@ func buildGrid(t *testing.T, n int) (*road.DB, []road.EdgeID, []road.ObjectID) {
 
 // TestConcurrentQueriesAndMaintenance races many concurrent KNN / Within /
 // PathTo requests against SetRoadDistance and CloseRoad/ReopenRoad
-// mutations, all through the coordination layer; run with -race this
+// mutations on a road.DB, which locks itself; run with -race this
 // verifies the serving subsystem's central guarantee.
 func TestConcurrentQueriesAndMaintenance(t *testing.T) {
 	const gridSide = 6
@@ -85,8 +85,7 @@ func TestConcurrentQueriesAndMaintenance(t *testing.T) {
 }
 
 // TestConcurrentQueriesAndMaintenanceSharded is the same storm over a
-// road.ShardedDB — which the server runs WITHOUT its store-wide lock
-// (road.Synchronized): queries synchronize against mutations through the
+// road.ShardedDB: queries synchronize against mutations through the
 // router's per-shard write locks, and with -race this verifies that
 // locking end to end, incremental border-table refresh included.
 func TestConcurrentQueriesAndMaintenanceSharded(t *testing.T) {

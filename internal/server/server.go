@@ -39,9 +39,9 @@ type Options struct {
 	// disables the bound.
 	QueryTimeout time.Duration
 	// SnapshotSave, when set, enables POST /admin/snapshot and
-	// snapshot-on-shutdown: it is invoked under the coordinator's write
-	// lock — readers drained, maintenance excluded — so the image it
-	// persists is consistent at exactly one epoch, and returns the number
+	// snapshot-on-shutdown: it is invoked inside the store's Exclusive —
+	// readers drained, maintenance excluded — so the image it persists is
+	// consistent at exactly one epoch, and returns the number
 	// of bytes written (reported in the snapshot acknowledgement). roadd
 	// wires this to an atomic write of its -snapshot file(s), followed by
 	// journal rotation.
@@ -79,14 +79,12 @@ const DefaultWorkloadWindow = 4096
 // deployment shapes behind the same interface — over HTTP/JSON. Reads
 // (kNN, within, path, batch) run concurrently on pooled sessions;
 // maintenance implicitly invalidates the result cache by advancing the
-// store epoch. How reads and maintenance exclude each other depends on
-// the store: a road.DB is guarded by the Coordinator's store-wide
-// reader/writer lock, while a road.Synchronized store (road.ShardedDB,
-// road.RemoteDB) locks internally per shard, so a mutation stalls only
-// the readers of the shard it touches.
+// store epoch. Every store locks itself (road.Store), so the server runs
+// one code path for all of them: reads and mutations go straight to the
+// store, and a read's answer is cached only if the epoch did not move
+// while it ran.
 type Server struct {
 	b        road.Store
-	coord    *Coordinator
 	pool     *SessionPool
 	cache    *ResultCache          // nil when disabled
 	snapshot func() (int64, error) // nil when persistence is not configured
@@ -120,16 +118,10 @@ type fleetStatusProvider interface {
 
 // New wires a serving subsystem around any road.Store: an opened
 // single-index road.DB, a road.ShardedDB, a road.RemoteDB, or any other
-// implementation. Stores that synchronize internally (road.Synchronized)
-// are served without the store-wide reader/writer lock.
+// implementation.
 func New(store road.Store, opts Options) *Server {
-	coord := NewCoordinator(store.Epoch)
-	if synced, ok := store.(road.Synchronized); ok {
-		coord = NewSelfCoordinated(store.Epoch, synced.Exclusive)
-	}
 	s := &Server{
 		b:          store,
-		coord:      coord,
 		pool:       NewSessionPool(store, opts.MaxIdleSessions),
 		snapshot:   opts.SnapshotSave,
 		timeout:    opts.QueryTimeout,
@@ -157,9 +149,6 @@ func New(store road.Store, opts Options) *Server {
 	s.met = newMetrics(s)
 	return s
 }
-
-// Coordinator exposes the coordination layer (tests and embedders).
-func (s *Server) Coordinator() *Coordinator { return s.coord }
 
 // Handler returns the HTTP API:
 //
@@ -249,7 +238,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 }
 
 // TakeSnapshot persists the index through the configured SnapshotSave
-// callback with the whole store quiesced (Coordinator.Exclusive),
+// callback with the whole store quiesced (road.Store.Exclusive),
 // returning the epoch and journal sequence the image captured and the
 // number of snapshot bytes written. It is the engine behind
 // /admin/snapshot, roadd's snapshot-on-SIGTERM and the
@@ -258,8 +247,8 @@ func (s *Server) TakeSnapshot() (epoch, seq uint64, bytes int64, err error) {
 	if s.snapshot == nil {
 		return 0, 0, 0, fmt.Errorf("snapshot persistence not configured (start roadd with -snapshot)")
 	}
-	epoch, err = s.coord.Exclusive(func() error {
-		seq = s.b.JournalSeq()
+	err = s.b.Exclusive(func() error {
+		epoch, seq = s.b.Epoch(), s.b.JournalSeq()
 		var serr error
 		bytes, serr = s.snapshot()
 		return serr
@@ -493,14 +482,14 @@ func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
 		})
 }
 
-// serveQuery runs one read query under the coordination layer: cache
-// probe, pooled-session execution on miss, cache fill — all at one
-// consistent epoch. cacheable excludes budget-limited answers (their
-// truncation point is caller-specific, so they must not be shared), and
-// truncated answers are never cached either. For self-coordinated stores
-// a mutation may complete mid-query; the answer is still valid (it was
-// correct at the observed epoch), but it is only admitted to the cache
-// when Read reports the epoch stayed stable across the execution.
+// serveQuery runs one read query: cache probe at the current epoch,
+// pooled-session execution on miss, cache fill. cacheable excludes
+// budget-limited answers (their truncation point is caller-specific, so
+// they must not be shared), and truncated answers are never cached
+// either. A mutation may complete mid-query; the answer is still valid
+// (the store ran it before or after the mutation), but it is admitted to
+// the cache only when the epoch read before the query is still current
+// after it.
 //
 // The answer is encoded once, on the miss that computes it, into the
 // `"results":[…],"stats":{…}` fragment the cache keeps; a hit copies
@@ -518,35 +507,29 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ep endpoint,
 	tr.SetID(id)
 	useCache := cacheable && s.cache != nil && !traced
 	cacheOutcome := "bypass"
-	var epoch uint64
+	epoch := s.b.Epoch()
 	var ans CachedAnswer
 	var cached, fill bool
 	var queryErr, encErr error
 	var st road.Stats
-	stable := s.coord.Read(func(e uint64) {
-		epoch = e
-		if useCache {
-			if hit, ok := s.cache.Get(key, e); ok {
-				cacheOutcome = "hit"
-				cached = true
-				ans = hit
-				return
-			}
-			cacheOutcome = "miss"
+	if useCache {
+		cacheOutcome = "miss"
+		if ans, cached = s.cache.Get(key, epoch); cached {
+			cacheOutcome = "hit"
 		}
+	}
+	if !cached {
 		sess := s.pool.Get()
-		res, qst, err := run(ctx, sess)
+		var res []road.Result
+		res, st, queryErr = run(ctx, sess)
 		s.pool.Put(sess)
-		st = qst
-		if err != nil {
-			queryErr = err
-			return
+		if queryErr == nil {
+			s.recordStats(st)
+			ans.results = len(res)
+			ans.body, encErr = appendAnswer(make([]byte, 0, 96+100*len(res)), res, st)
+			fill = useCache && !st.Truncated && encErr == nil
 		}
-		s.recordStats(st)
-		ans.results = len(res)
-		ans.body, encErr = appendAnswer(make([]byte, 0, 96+100*len(res)), res, st)
-		fill = useCache && !st.Truncated && encErr == nil
-	})
+	}
 	elapsed := time.Since(start)
 	s.met.latency[ep].Observe(elapsed.Seconds())
 	rec := obs.QueryRecord{
@@ -576,7 +559,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ep endpoint,
 	rec.Results = ans.results
 	s.logQuery(rec)
 	s.logSlow(id, rec.Op, rec.Node, elapsed, st, tr)
-	if fill && stable {
+	if fill && s.b.Epoch() == epoch {
 		s.cache.Put(key, epoch, ans)
 	}
 	var legs []obs.Leg
@@ -625,17 +608,11 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	id := obs.NewRequestID()
 	tr.SetID(id)
 	var resp PathResponse
-	var pathErr error
-	var st road.Stats
-	s.coord.Read(func(epoch uint64) {
-		sess := s.pool.Get()
-		p, qst, err := sess.PathToContext(ctx, req)
-		s.pool.Put(sess)
-		st = qst
-		if err != nil {
-			pathErr = err
-			return
-		}
+	epoch := s.b.Epoch()
+	sess := s.pool.Get()
+	p, st, pathErr := sess.PathToContext(ctx, req)
+	s.pool.Put(sess)
+	if pathErr == nil {
 		s.recordStats(st)
 		resp = PathResponse{
 			Node:   road.NodeID(node),
@@ -645,7 +622,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 			Path:   p.Nodes,
 			Stats:  statsJSON(st),
 		}
-	})
+	}
 	elapsed := time.Since(start)
 	s.met.latency[epPath].Observe(elapsed.Seconds())
 	rec := obs.QueryRecord{
@@ -675,8 +652,9 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	s.encodeAndWrite(w, func(b []byte) ([]byte, error) { return appendPathResponse(b, &resp) })
 }
 
-// handleBatch answers a JSON array of road.Requests on ONE pooled session
-// under ONE read-lock acquisition — the HTTP face of road.Store.Query.
+// handleBatch answers a JSON array of road.Requests on ONE pooled session,
+// stamped with the epoch read before the first entry — the HTTP face of
+// road.Store.Query.
 // Per-entry failures are reported inline (the batch itself is always 200
 // once decoded), so a mixed batch never loses its good answers.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -693,39 +671,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	var resp BatchResponse
 	var totalPops, totalShards int
-	s.coord.Read(func(epoch uint64) {
-		sess := s.pool.Get()
-		answers := road.RunBatch(ctx, sess, reqs)
-		s.pool.Put(sess)
-		resp.Epoch = epoch
-		resp.Responses = make([]BatchItemJSON, len(answers))
-		for i, a := range answers {
-			item := BatchItemJSON{
-				Stats: statsJSON(a.Stats),
-			}
-			if a.Err != nil {
-				s.met.errors.Inc()
-				_, code := queryErrStatus(a.Err)
-				s.countTimeout(code)
-				item.Error = a.Err.Error()
-				item.Code = code
-			} else if reqs[i].Path != nil {
-				item.Path = a.Path
-				item.Dist = a.Dist
-			} else {
-				item.Results = resultsJSON(a.Results)
-			}
-			if item.Results == nil {
-				item.Results = []ResultJSON{}
-			}
-			s.recordStats(a.Stats)
-			totalPops += a.Stats.NodesPopped
-			totalShards += a.Stats.ShardsSearched
-			resp.Responses[i] = item
+	resp := BatchResponse{Epoch: s.b.Epoch()}
+	sess := s.pool.Get()
+	answers := road.RunBatch(ctx, sess, reqs)
+	s.pool.Put(sess)
+	resp.Responses = make([]BatchItemJSON, len(answers))
+	for i, a := range answers {
+		item := BatchItemJSON{
+			Stats: statsJSON(a.Stats),
 		}
-	})
+		if a.Err != nil {
+			s.met.errors.Inc()
+			_, code := queryErrStatus(a.Err)
+			s.countTimeout(code)
+			item.Error = a.Err.Error()
+			item.Code = code
+		} else if reqs[i].Path != nil {
+			item.Path = a.Path
+			item.Dist = a.Dist
+		} else {
+			item.Results = resultsJSON(a.Results)
+		}
+		if item.Results == nil {
+			item.Results = []ResultJSON{}
+		}
+		s.recordStats(a.Stats)
+		totalPops += a.Stats.NodesPopped
+		totalShards += a.Stats.ShardsSearched
+		resp.Responses[i] = item
+	}
 	elapsed := time.Since(start)
 	s.met.latency[epBatch].Observe(elapsed.Seconds())
 	// One record for the whole batch: Node is the entry count (a batch has
@@ -744,9 +719,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// maintenance wraps one mutation op in body decoding, the coordinator's
-// write path (a store-wide lock for road.DB; the store's own per-shard
-// locks for a road.Synchronized store) and the acknowledgement envelope.
+// maintenance wraps one mutation op in body decoding and the
+// acknowledgement envelope; the store locks itself for the mutation and
+// validates the IDs it is given.
 func (s *Server) maintenance(op func(*MaintenanceRequest, *MaintenanceResponse) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req MaintenanceRequest
@@ -760,61 +735,30 @@ func (s *Server) maintenance(op func(*MaintenanceRequest, *MaintenanceResponse) 
 		// IDs start at 0, so "not applicable" needs an explicit -1 marker;
 		// each op overwrites the fields it concerns.
 		resp := MaintenanceResponse{Edge: road.NoEdge, Object: -1}
-		epoch, err := s.coord.Write(func() error {
-			opErr := op(&req, &resp)
-			// Re-emit the CSR slabs of the nodes the mutation touched
-			// while readers are still excluded — even on error, a partial
-			// mutation may have touched some — so concurrent sessions
-			// never trigger a lazy repair. (A no-op for internally
-			// synchronized stores, which re-warm under their own locks.)
-			s.b.WarmAfterMutation()
-			return opErr
-		})
-		if err != nil {
+		if err := op(&req, &resp); err != nil {
 			s.writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 			return
 		}
 		resp.OK = true
-		resp.Epoch = epoch
+		resp.Epoch = s.b.Epoch()
 		s.encodeAndWrite(w, func(b []byte) ([]byte, error) { return appendMaintenanceResponse(b, &resp), nil })
 	}
-}
-
-// checkEdge guards the trust boundary: edge IDs index dense arrays in
-// the graph layer, which panics on out-of-range IDs rather than erroring.
-// Runs inside the coordinator's write path, where the edge count is
-// stable (NumRoads is itself safe against concurrent mutations on
-// self-coordinated stores).
-func (s *Server) checkEdge(e road.EdgeID) error {
-	if int(e) < 0 || int(e) >= s.b.NumRoads() {
-		return fmt.Errorf("edge %d does not exist: %w", e, road.ErrNoSuchEdge)
-	}
-	return nil
 }
 
 func (s *Server) opSetDistance(req *MaintenanceRequest, resp *MaintenanceResponse) error {
 	if !(req.Dist > 0) {
 		return fmt.Errorf("dist must be positive")
 	}
-	if err := s.checkEdge(req.Edge); err != nil {
-		return err
-	}
 	resp.Edge = req.Edge
 	return s.b.SetRoadDistance(req.Edge, req.Dist)
 }
 
 func (s *Server) opClose(req *MaintenanceRequest, resp *MaintenanceResponse) error {
-	if err := s.checkEdge(req.Edge); err != nil {
-		return err
-	}
 	resp.Edge = req.Edge
 	return s.b.CloseRoad(req.Edge)
 }
 
 func (s *Server) opReopen(req *MaintenanceRequest, resp *MaintenanceResponse) error {
-	if err := s.checkEdge(req.Edge); err != nil {
-		return err
-	}
 	resp.Edge = req.Edge
 	return s.b.ReopenRoad(req.Edge)
 }
@@ -829,9 +773,6 @@ func (s *Server) opAddRoad(req *MaintenanceRequest, resp *MaintenanceResponse) e
 }
 
 func (s *Server) opInsertObject(req *MaintenanceRequest, resp *MaintenanceResponse) error {
-	if err := s.checkEdge(req.Edge); err != nil {
-		return err
-	}
 	resp.Edge = req.Edge
 	o, err := s.b.AddObject(req.Edge, req.Offset, req.Attr)
 	resp.Object = o.ID
@@ -850,16 +791,14 @@ func (s *Server) opSetAttr(req *MaintenanceRequest, resp *MaintenanceResponse) e
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var resp StatsResponse
-	s.coord.Read(func(epoch uint64) {
-		resp.Epoch = epoch
-		resp.Network.Nodes = s.b.NumNodes()
-		resp.Network.Edges = s.b.NumRoads()
-		resp.Network.Objects = s.b.NumObjects()
-		resp.Network.IndexKB = s.b.IndexSizeBytes() / 1024
-		if sp, ok := s.b.(shardInfoProvider); ok {
-			resp.Shards = sp.ShardInfos()
-		}
-	})
+	resp.Epoch = s.b.Epoch()
+	resp.Network.Nodes = s.b.NumNodes()
+	resp.Network.Edges = s.b.NumRoads()
+	resp.Network.Objects = s.b.NumObjects()
+	resp.Network.IndexKB = s.b.IndexSizeBytes() / 1024
+	if sp, ok := s.b.(shardInfoProvider); ok {
+		resp.Shards = sp.ShardInfos()
+	}
 	resp.UptimeSeconds = time.Since(s.start).Seconds()
 	resp.Requests.KNN = s.met.requests[epKNN].Value()
 	resp.Requests.Within = s.met.requests[epWithin].Value()
@@ -882,5 +821,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{"ok": true, "epoch": s.coord.Epoch()})
+	s.writeJSON(w, http.StatusOK, map[string]any{"ok": true, "epoch": s.b.Epoch()})
 }

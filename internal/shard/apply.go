@@ -150,16 +150,12 @@ func (s *Shard) applyLocal(op snapshot.Op) (applyResult, error) {
 }
 
 // HostApply applies one op to a full local shard on behalf of a shard
-// host: framework + identity maps + shortcut re-warm + incremental
-// derived-state repair, returning the repair's outcome for the router's
+// host: framework + identity maps + incremental derived-state repair, returning the repair's outcome for the router's
 // mirror. The caller holds the host-side write exclusion for this shard
 // and has already write-ahead logged op; it fills the reply's
 // Seq/JournalBytes.
 func (s *Shard) HostApply(op snapshot.Op) (ApplyReply, error) {
 	res, err := s.applyLocal(op)
-	// Re-warm first: the repair's border searches read the CSR slabs, and
-	// even a failed op can have staled them (see Router.Mutate).
-	s.F.WarmTrees()
 	if err != nil {
 		return ApplyReply{}, err
 	}
@@ -180,13 +176,9 @@ func (s *Shard) ReplayApply(op snapshot.Op) error {
 	return err
 }
 
-// RefreshDerived re-warms the shard's CSR slabs and rebuilds its derived
-// routing state on them — the bulk counterpart of per-op maintenance,
-// for after host-side journal replay.
-func (s *Shard) RefreshDerived() {
-	s.F.WarmTrees()
-	s.refreshDerived(true)
-}
+// RefreshDerived rebuilds the shard's derived routing state — the bulk
+// counterpart of per-op maintenance, for after host-side journal replay.
+func (s *Shard) RefreshDerived() { s.refreshDerived(true) }
 
 // ApplyOp applies one journal-encoded mutation to shard id — in-process
 // or, for a mirror shard, on its host — and updates the router's global
@@ -299,16 +291,13 @@ func (r *Router) ApplyOp(id ID, op snapshot.Op, refresh bool) error {
 		r.mutateMeta(func() { delete(r.objLoc, op.Object) })
 	}
 
-	if refresh && s.F != nil {
-		// Re-warm first: the repair's border searches read the CSR slabs.
+	if refresh && s.F != nil && res.network {
 		// Object churn leaves the routing state intact: border tables
 		// depend only on the network, so only network mutations pay a
 		// derived-state repair — and that repair is incremental
-		// (maintain.go): it costs what the mutation changed.
-		s.F.WarmTrees()
-		if res.network {
-			s.maintainDerived(res.chg)
-		}
+		// (maintain.go): it costs what the mutation changed. Its border
+		// searches read CSR slabs the framework mutator left current.
+		s.maintainDerived(res.chg)
 	}
 	return nil
 }

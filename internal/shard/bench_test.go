@@ -90,8 +90,8 @@ func BenchmarkPathToSharded(b *testing.B) {
 }
 
 // BenchmarkShardSetDistance times one set-distance restore pair (×1.2,
-// then back) on a random road through Router.ApplyOp: framework apply,
-// CSR re-warm and the incremental derived-state repair.
+// then back) on a random road through Router.ApplyOp: framework apply
+// with its CSR patch, and the incremental derived-state repair.
 func BenchmarkShardSetDistance(b *testing.B) {
 	r, g, _, _ := caRouter(b)
 	rng := rand.New(rand.NewSource(9))

@@ -58,8 +58,8 @@ import (
 // toward refreshing.
 //
 // Everything here runs on the mutation path, under the owning shard's
-// write lock (see router.go), after the shard's CSR slabs were re-warmed
-// for the mutation: readers of this shard are excluded, readers of other
+// write lock (see router.go), after the framework mutator left the
+// shard's CSR slabs current: readers of this shard are excluded, readers of other
 // shards are not — which is the point. Each repair records the rows it
 // changed (repairScratch.rows), so a shard host ships exactly that
 // outcome to its router's mirror.
@@ -104,8 +104,9 @@ type repairScratch struct {
 
 // maintainDerived repairs the shard's derived routing state after one
 // network mutation: the filter-and-refresh counterpart of a full
-// refreshDerived. The caller has re-warmed the shard's CSR slabs (the
-// border searches read them) and excludes this shard's readers. What
+// refreshDerived. The framework mutator left the shard's CSR slabs
+// current (the border searches read them), and the caller excludes this
+// shard's readers. What
 // changed is left in s.repair for derivedUpdate.
 func (s *Shard) maintainDerived(chg netChange) {
 	s.repair.rows = s.repair.rows[:0]

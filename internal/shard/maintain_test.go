@@ -160,7 +160,7 @@ func TestFilterRefreshExact(t *testing.T) {
 }
 
 // repairOp applies one op to a full local shard the way Router.ApplyOp
-// does for its shard-side half — framework and identity maps, re-warm,
+// does for its shard-side half — framework and identity maps, then the
 // incremental repair — and reports whether the btable skip applied.
 func repairOp(t *testing.T, s *Shard, op snapshot.Op) (skipped bool) {
 	t.Helper()
@@ -168,7 +168,6 @@ func repairOp(t *testing.T, s *Shard, op snapshot.Op) (skipped bool) {
 	if err != nil {
 		t.Fatalf("shard %d: %v: %v", s.ID, op, err)
 	}
-	s.F.WarmTrees()
 	skipped = res.chg.overlayKept
 	s.maintainDerived(res.chg)
 	return skipped
@@ -249,7 +248,6 @@ func TestRepairAllocs(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					s.F.WarmTrees()
 					runtime.ReadMemStats(&before)
 					s.maintainDerived(res.chg)
 					runtime.ReadMemStats(&after)

@@ -291,10 +291,6 @@ func (r *Router) Mutate(encode func() (ID, snapshot.Op, error), apply func(ID, s
 	r.shardMu[sid].Lock()
 	defer r.shardMu[sid].Unlock()
 	if err := apply(sid, op); err != nil {
-		// Even a failed op can have staled CSR slabs (a road addition
-		// whose global mirror rejected it, say); re-warm before this
-		// shard's readers resume.
-		r.shards[sid].warmTrees()
 		return op, err
 	}
 	r.shards[sid].mutations.Add(1)
@@ -344,19 +340,10 @@ func (r *Router) IndexSizeBytes() int64 {
 	return sum
 }
 
-// WarmTrees brings every shard's CSR search slabs up to date with its
-// hierarchy (core.Framework.WarmTrees). Single-threaded
-// bulk use only (after build or journal replay, before serving): the live
-// mutation path re-warms the mutated shard itself, under its write lock.
-func (r *Router) WarmTrees() {
-	for _, s := range r.shards {
-		s.warmTrees()
-	}
-}
-
 // OnCSRDrain registers fn with every in-process shard's framework
-// (core.Framework.OnCSRDrain). Call before serving; fn runs under the
-// drained shard's write lock and may run for several shards at once.
+// (core.Framework.OnCSRDrain). Call before serving; fn runs inside a
+// shard's mutator, under that shard's write lock, and may run for several
+// shards at once.
 func (r *Router) OnCSRDrain(fn func(time.Duration)) {
 	for _, s := range r.shards {
 		if s.F != nil {
@@ -571,8 +558,8 @@ func (r *Router) objectInShard(sid ID, gid graph.ObjectID) (graph.Object, bool, 
 }
 
 // RefreshAll rebuilds every shard's derived routing state (watch sets and
-// border tables) and re-warms CSR slabs — the bulk counterpart of
-// per-op refresh, for after journal replay. Mirror shards are skipped:
+// border tables) — the bulk counterpart of per-op refresh, for after
+// journal replay. Mirror shards are skipped:
 // their derived state arrives from the host (adoption and ApplyReply).
 func (r *Router) RefreshAll() {
 	for _, s := range r.shards {

@@ -116,8 +116,8 @@ type LegResp struct {
 // folded behind the seam. Shard hosts use it too — their HTTP handlers
 // drive the exact same code the in-process router runs. The session
 // rides internal/core's CSR hot path (flat slabs, zero-alloc inner
-// loops); the sharding layer needs no awareness of it beyond the
-// post-mutation WarmTrees fence that keeps the slabs current.
+// loops); the sharding layer needs no awareness of it: every framework
+// mutator leaves the slabs current before it returns.
 type localSearcher struct {
 	sh      *Shard
 	sess    *core.Session

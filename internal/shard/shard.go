@@ -153,12 +153,6 @@ func (s *Shard) indexSizeBytes() int64 {
 	return s.rbytes.Load()
 }
 
-func (s *Shard) warmTrees() {
-	if s.F != nil {
-		s.F.WarmTrees()
-	}
-}
-
 func (s *Shard) numNodes() int { return len(s.globalNode) }
 func (s *Shard) numEdges() int { return len(s.globalEdge) }
 

@@ -94,9 +94,9 @@ const journalHeaderSize = 8 + 4 + 8 + 8
 // the highest sequence it includes, and replay skips entries at or below
 // that watermark.
 //
-// Append is safe for one writer at a time (roadd serializes mutations
-// under the coordinator's write lock); the internal mutex additionally
-// guards against misuse.
+// Append is safe for one writer at a time (the stores append under their
+// own write locks); the internal mutex additionally guards against
+// misuse.
 type Journal struct {
 	// SyncEachAppend fsyncs after every append, making the journal
 	// durable against machine crashes, not just process crashes, at a

@@ -60,7 +60,7 @@ var crcTable = crc32.IEEETable
 // Save serializes the framework and the journal watermark it includes
 // (the last applied journal sequence number, 0 when no journal is in use)
 // to w. The caller must exclude concurrent mutations — roadd snapshots
-// under the coordinator's write lock so the image is epoch-consistent.
+// inside the store's Exclusive so the image is epoch-consistent.
 func Save(f *core.Framework, lastSeq uint64, w io.Writer) error {
 	sections := make([][]byte, len(sectionOrder))
 	sections[0] = encodeMeta(f, lastSeq)

@@ -237,7 +237,6 @@ func TestRoundTripSecondGeneration(t *testing.T) {
 // mutation after it, journal-style replay included, is patched.
 func TestRestoredFrameworkBuildsCSR(t *testing.T) {
 	f := buildFixture(t, 51)
-	f.WarmTrees()
 	loaded, _ := loadFromBytes(t, saveToBytes(t, f, 0))
 	if st := loaded.CSRStats(); st.Rebuilds != 1 || st.Patches != 0 {
 		t.Fatalf("after restore: %+v, want exactly one build", st)
@@ -253,16 +252,9 @@ func TestRestoredFrameworkBuildsCSR(t *testing.T) {
 	for e := graph.EdgeID(0); e < 4; e++ {
 		reweigh(f, e, 2)
 		reweigh(loaded, e, 2)
-	}
-	loaded.WarmTrees()
-	if st := loaded.CSRStats(); st.Rebuilds != 1 || st.Patches != 1 {
-		t.Fatalf("first warm after restore: %+v, want one patch", st)
-	}
-	reweigh(f, 0, 0.25)
-	reweigh(loaded, 0, 0.25)
-	loaded.WarmTrees()
-	if st := loaded.CSRStats(); st.Rebuilds != 1 || st.Patches != 2 {
-		t.Fatalf("warm after a post-restore mutation: %+v, want another patch", st)
+		if st := loaded.CSRStats(); st.Rebuilds != 1 || st.Patches != uint64(e)+1 {
+			t.Fatalf("mutation %d after restore: %+v, want one patch per mutation", e, st)
+		}
 	}
 	assertSameAnswers(t, f, loaded, 700)
 }

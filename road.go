@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"road/internal/core"
 	"road/internal/geom"
@@ -99,8 +101,17 @@ type Options struct {
 
 // DB is an opened ROAD database: one road network with its Rnet hierarchy,
 // Route Overlay, and a primary object directory.
+//
+// A DB locks itself: any number of sessions may query while mutators,
+// journal replay and Exclusive run, each of which excludes every reader
+// for its duration. Save and CompactJournal do not lock; run them inside
+// Exclusive when other goroutines use the DB.
 type DB struct {
-	f *core.Framework
+	// mu is held for writing by the mutators, ReplayJournal,
+	// AttachJournal and Exclusive, and for reading by every query and
+	// by the introspection methods that read the index.
+	mu sync.RWMutex
+	f  *core.Framework
 
 	// sess is the cached session Query batches run on (single-threaded,
 	// like every DB-level query method); allocated on first use.
@@ -108,9 +119,11 @@ type DB struct {
 
 	// journal, when attached, receives every maintenance op BEFORE it is
 	// applied (write-ahead); baseSeq is the journal sequence number the
-	// DB's base state (build or loaded snapshot) already includes.
-	journal *snapshot.Journal
-	baseSeq uint64
+	// DB's base state (build or loaded snapshot) already includes. Both
+	// change under mu's write lock but are atomics, so JournalSeq and
+	// JournalSizeBytes read them without it — from inside Exclusive too.
+	journal atomic.Pointer[snapshot.Journal]
+	baseSeq atomic.Uint64
 
 	// lastSnapSeq is the journal watermark of the most recent snapshot
 	// known to exist on disk (saved by this process, or the one this DB
@@ -176,10 +189,11 @@ func (db *DB) Framework() *core.Framework { return db.f }
 // applied — the write-ahead ordering crash recovery depends on. With no
 // journal attached it is a no-op.
 func (db *DB) logOp(op snapshot.Op) error {
-	if db.journal == nil {
+	j := db.journal.Load()
+	if j == nil {
 		return nil
 	}
-	if _, err := db.journal.Append(op); err != nil {
+	if _, err := j.Append(op); err != nil {
 		return fmt.Errorf("road: journaling %s: %w", op.Kind, err)
 	}
 	return nil
@@ -188,6 +202,11 @@ func (db *DB) logOp(op snapshot.Op) error {
 // AddObject places an object on road e at distance offset from the road's
 // U endpoint, with an attribute category (use 0 for "untyped").
 func (db *DB) AddObject(e EdgeID, offset float64, attr int32) (Object, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.checkEdge(e); err != nil {
+		return Object{}, err
+	}
 	if err := db.logOp(snapshot.Op{Kind: snapshot.OpInsertObject, Edge: e, Value: offset, Attr: attr}); err != nil {
 		return Object{}, err
 	}
@@ -196,6 +215,8 @@ func (db *DB) AddObject(e EdgeID, offset float64, attr int32) (Object, error) {
 
 // RemoveObject deletes an object.
 func (db *DB) RemoveObject(id ObjectID) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if err := db.logOp(snapshot.Op{Kind: snapshot.OpDeleteObject, Object: id}); err != nil {
 		return err
 	}
@@ -204,6 +225,8 @@ func (db *DB) RemoveObject(id ObjectID) error {
 
 // SetObjectAttr changes an object's attribute category.
 func (db *DB) SetObjectAttr(id ObjectID, attr int32) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if err := db.logOp(snapshot.Op{Kind: snapshot.OpSetObjectAttr, Object: id, Attr: attr}); err != nil {
 		return err
 	}
@@ -213,6 +236,11 @@ func (db *DB) SetObjectAttr(id ObjectID, attr int32) error {
 // SetRoadDistance changes a road's distance metric (e.g. travel time under
 // new traffic conditions); the index repairs itself incrementally.
 func (db *DB) SetRoadDistance(e EdgeID, dist float64) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.checkEdge(e); err != nil {
+		return err
+	}
 	if err := db.logOp(snapshot.Op{Kind: snapshot.OpSetDistance, Edge: e, Value: dist}); err != nil {
 		return err
 	}
@@ -222,6 +250,8 @@ func (db *DB) SetRoadDistance(e EdgeID, dist float64) error {
 
 // AddRoad inserts a new road segment between existing intersections.
 func (db *DB) AddRoad(u, v NodeID, dist float64) (EdgeID, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if err := db.logOp(snapshot.Op{Kind: snapshot.OpAddRoad, U: u, V: v, Value: dist}); err != nil {
 		return NoEdge, err
 	}
@@ -231,6 +261,11 @@ func (db *DB) AddRoad(u, v NodeID, dist float64) (EdgeID, error) {
 
 // CloseRoad removes a road segment (objects on it are dropped).
 func (db *DB) CloseRoad(e EdgeID) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.checkEdge(e); err != nil {
+		return err
+	}
 	if err := db.logOp(snapshot.Op{Kind: snapshot.OpClose, Edge: e}); err != nil {
 		return err
 	}
@@ -240,6 +275,11 @@ func (db *DB) CloseRoad(e EdgeID) error {
 
 // ReopenRoad restores a previously closed road segment.
 func (db *DB) ReopenRoad(e EdgeID) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.checkEdge(e); err != nil {
+		return err
+	}
 	if err := db.logOp(snapshot.Op{Kind: snapshot.OpReopen, Edge: e}); err != nil {
 		return err
 	}
@@ -247,8 +287,38 @@ func (db *DB) ReopenRoad(e EdgeID) error {
 	return err
 }
 
+// checkEdge rejects an edge ID outside the network before it is journaled:
+// the graph layer indexes dense arrays with it and would panic.
+func (db *DB) checkEdge(e EdgeID) error {
+	if e < 0 || int(e) >= db.f.Graph().NumEdges() {
+		return fmt.Errorf("road: edge %d: %w", e, ErrNoSuchEdge)
+	}
+	return nil
+}
+
+// Exclusive runs fn with the DB's write lock held: no query or mutation
+// overlaps it, so fn sees (and may persist) one consistent state — the
+// contract Save and CompactJournal need when other goroutines use the DB.
+func (db *DB) Exclusive(fn func() error) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return fn()
+}
+
 // IndexSizeBytes estimates total index storage.
-func (db *DB) IndexSizeBytes() int64 { return db.f.IndexSizeBytes() }
+func (db *DB) IndexSizeBytes() int64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.f.IndexSizeBytes()
+}
+
+// CSRStats reports how the CSR search index has been kept current (see
+// core.Framework.CSRStats); safe to call while the DB serves.
+func (db *DB) CSRStats() core.CSRStats {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.f.CSRStats()
+}
 
 // Epoch returns the database's maintenance epoch: a counter incremented by
 // every successful mutating call (AddObject, SetRoadDistance, CloseRoad,
@@ -272,9 +342,8 @@ func OpenJournal(path string) (*Journal, error) { return snapshot.OpenJournal(pa
 // shortcuts, objects and Association Directory — to w in the versioned,
 // checksummed snapshot format. If a journal is attached, the snapshot
 // records the last journal sequence it includes, so a later
-// ReplayJournal applies only post-snapshot entries. The caller must
-// exclude concurrent mutations (roadd snapshots under its coordinator's
-// write lock).
+// ReplayJournal applies only post-snapshot entries. It does not lock: run
+// it inside Exclusive when other goroutines use the DB.
 func (db *DB) SaveSnapshot(w io.Writer) error {
 	seq := db.snapshotSeq()
 	if err := snapshot.Save(db.f, seq, w); err != nil {
@@ -297,22 +366,23 @@ func (db *DB) SaveSnapshotFile(path string) error {
 
 // CompactJournal rotates the attached journal, dropping every entry the
 // most recent snapshot already includes. Call it right after a snapshot
-// save, under the same exclusion of mutations (roadd does both inside one
-// coordinator write lock); without a snapshot it is a no-op, since every
-// journal entry is still needed for recovery. The journal file shrinks to
-// its header plus any entries appended since the snapshot.
+// save, inside the same Exclusive (roadd does both in one); without a
+// snapshot it is a no-op, since every journal entry is still needed for
+// recovery. The journal file shrinks to its header plus any entries
+// appended since the snapshot.
 func (db *DB) CompactJournal() error {
-	if db.journal == nil || db.lastSnapSeq == 0 {
+	j := db.journal.Load()
+	if j == nil || db.lastSnapSeq == 0 {
 		return nil
 	}
-	return db.journal.Rotate(db.f, db.lastSnapSeq)
+	return j.Rotate(db.f, db.lastSnapSeq)
 }
 
 func (db *DB) snapshotSeq() uint64 {
-	if db.journal != nil {
-		return db.journal.LastSeq()
+	if j := db.journal.Load(); j != nil {
+		return j.LastSeq()
 	}
-	return db.baseSeq
+	return db.baseSeq.Load()
 }
 
 // OpenSnapshot reopens a previously saved DB without rebuilding the
@@ -324,7 +394,7 @@ func OpenSnapshot(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{f: f, baseSeq: lastSeq, lastSnapSeq: lastSeq}, nil
+	return openedSnapshot(f, lastSeq), nil
 }
 
 // OpenSnapshotFile reopens a DB from a snapshot file.
@@ -333,7 +403,13 @@ func OpenSnapshotFile(path string) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{f: f, baseSeq: lastSeq, lastSnapSeq: lastSeq}, nil
+	return openedSnapshot(f, lastSeq), nil
+}
+
+func openedSnapshot(f *core.Framework, lastSeq uint64) *DB {
+	db := &DB{f: f, lastSnapSeq: lastSeq}
+	db.baseSeq.Store(lastSeq)
+	return db
 }
 
 // ReplayJournal applies every journal entry the DB's state does not
@@ -346,12 +422,14 @@ func OpenSnapshotFile(path string) (*DB, error) {
 // DB must not be treated as recovered: its watermark is left where it
 // was so the problem cannot be papered over by a later snapshot.
 func (db *DB) ReplayJournal(j *Journal) (int, error) {
-	applied, err := j.Replay(db.f, db.baseSeq)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	applied, err := j.Replay(db.f, db.baseSeq.Load())
 	var opErr *snapshot.OpError
-	if (err == nil || errors.As(err, &opErr)) && j.LastSeq() > db.baseSeq {
+	if (err == nil || errors.As(err, &opErr)) && j.LastSeq() > db.baseSeq.Load() {
 		// Never regress the watermark: a rotated (shorter) journal does not
 		// mean the state includes less than the snapshot it came from.
-		db.baseSeq = j.LastSeq()
+		db.baseSeq.Store(j.LastSeq())
 	}
 	return applied, err
 }
@@ -374,39 +452,39 @@ func IsReplayOpError(err error) bool {
 // base state's fingerprint so replaying it against a different build is
 // caught. A nil journal detaches.
 func (db *DB) AttachJournal(j *Journal) error {
-	db.journal = j
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.journal.Store(j)
 	if j == nil {
 		return nil
 	}
-	j.EnsureSeq(db.baseSeq)
-	if j.LastSeq() > db.baseSeq {
-		db.baseSeq = j.LastSeq()
+	j.EnsureSeq(db.baseSeq.Load())
+	if j.LastSeq() > db.baseSeq.Load() {
+		db.baseSeq.Store(j.LastSeq())
 	}
-	return j.BindBase(db.f, db.baseSeq)
+	return j.BindBase(db.f, db.baseSeq.Load())
 }
 
 // JournalSeq returns the last journal sequence number incorporated in the
-// DB's state (0 when no journal has ever been involved).
+// DB's state (0 when no journal has ever been involved). It takes no lock,
+// so it may be called inside Exclusive.
 func (db *DB) JournalSeq() uint64 { return db.snapshotSeq() }
 
 // JournalSizeBytes returns the attached journal's file size (0 with no
 // journal) — the quantity roadd's -journal-max-bytes auto-snapshot
-// trigger watches.
+// trigger watches. Like JournalSeq it takes no lock.
 func (db *DB) JournalSizeBytes() int64 {
-	if db.journal == nil {
+	j := db.journal.Load()
+	if j == nil {
 		return 0
 	}
-	return db.journal.Size()
+	return j.Size()
 }
 
 // Session is an independent read-only query context; any number of
-// Sessions may query concurrently (I/O simulation is skipped in sessions).
-// Sessions must not overlap with maintenance calls on the same DB: the
-// library itself does no locking between queries and updates. The
-// internal/server subsystem (command roadd) wraps both in an
-// epoch-guarded reader/writer coordination layer that enforces this —
-// embed it, or apply the same discipline, when serving concurrent
-// traffic.
+// Sessions may query concurrently (I/O simulation is skipped in sessions),
+// and maintenance calls on the same DB may overlap them: each query holds
+// the DB's read lock, so it runs entirely before or after any mutation.
 type Session struct {
 	s  *core.Session
 	db *DB

@@ -68,9 +68,9 @@ func (db *routerStore) NumObjects() int { return db.r.NumObjects() }
 // --- Queries ---
 
 // RouterSession is an independent cross-shard read-only query context of
-// a ShardedDB or a RemoteDB; any number may query concurrently. Because
-// those stores synchronize internally (see Exclusive), a session may
-// overlap maintenance calls: a mutation stalls only readers of its shard.
+// a ShardedDB or a RemoteDB; any number may query concurrently, and a
+// session may overlap maintenance calls: a mutation stalls only readers
+// of its shard.
 type RouterSession struct {
 	s  *shard.Session
 	db *routerStore
@@ -178,9 +178,8 @@ func (db *routerStore) checkPathAttr(req PathRequest) error {
 // allocated) under the router's mutation lock, write-ahead logged inside
 // the owning shard's write lock — to that shard's attached journal, or by
 // its host before the apply RPC returns — then applied through the same
-// router code path journal replay re-runs on recovery. Because
-// synchronization is internal (see Exclusive), mutations MAY overlap
-// queries: a mutation stalls only readers of its own shard.
+// router code path journal replay re-runs on recovery. Mutations may
+// overlap queries: a mutation stalls only readers of its own shard.
 
 // journalAndApply write-ahead logs op to its shard's journal (when
 // attached) and applies it through the router — the exact code path
@@ -285,16 +284,14 @@ func (db *routerStore) ReopenRoad(e EdgeID) error {
 	return err
 }
 
-// WarmAfterMutation is a no-op for a router-backed store: mutations
-// synchronize internally and re-warm the owning shard's CSR slabs
-// before releasing its write lock (on the host, for an out-of-process
-// shard, before the apply RPC returns), so by the time any caller could
-// run this, the work is already done — and doing it here, outside the
-// locks, would race with concurrent readers.
+// WarmAfterMutation does nothing: the owning shard's framework mutator
+// leaves its CSR slabs current before the shard's write lock is released
+// (on the host, for an out-of-process shard, before the apply RPC
+// returns). See Store.WarmAfterMutation.
 func (db *routerStore) WarmAfterMutation() {}
 
 // Exclusive runs fn with every internal lock held: no query or mutation
-// overlaps it. It satisfies road.Synchronized; serving layers use it for
-// whole-store operations that need one consistent multi-shard view, such
-// as Save followed by CompactJournal.
+// overlaps it. Serving layers use it for whole-store operations that need
+// one consistent multi-shard view, such as Save followed by
+// CompactJournal.
 func (db *routerStore) Exclusive(fn func() error) error { return db.r.Exclusive(fn) }

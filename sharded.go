@@ -114,8 +114,8 @@ func ShardJournalPath(prefix string, i int) string { return shard.JournalPath(pr
 // prefix: one ordinary snapshot per shard (prefix.0 … prefix.K-1, each in
 // shard-local coordinates with that shard's journal watermark) plus a
 // manifest (prefix.manifest) mapping local IDs back to the global
-// namespace. The caller must exclude concurrent mutations for the whole
-// save, so the set is consistent. The save is two-phase: every file is
+// namespace. Run it inside Exclusive when other goroutines use the
+// store, so the set is consistent. The save is two-phase: every file is
 // fully written and synced under a staging name first, then the set is
 // committed by renames — shrinking the window in which a crash could
 // leave mixed-generation files (which Reassemble detects and refuses)
@@ -249,11 +249,20 @@ func (db *ShardedDB) OpenShardJournals(prefix string, syncEach bool) ([]*Journal
 // applied. Like DB.ReplayJournal, a returned *snapshot.OpError is an
 // expected per-op failure (the op failed identically live; replay
 // completed); any other non-nil error is fatal and the database must not
-// be treated as recovered.
-func (db *ShardedDB) ReplayJournals(journals []*Journal) (int, error) {
+// be treated as recovered. It runs under Exclusive, like DB.ReplayJournal
+// under the DB's write lock.
+func (db *ShardedDB) ReplayJournals(journals []*Journal) (applied int, err error) {
 	if len(journals) != db.r.NumShards() {
 		return 0, fmt.Errorf("road: %d journals for %d shards: %w", len(journals), db.r.NumShards(), ErrInvalidRequest)
 	}
+	err = db.r.Exclusive(func() (err error) {
+		applied, err = db.replayJournals(journals)
+		return err
+	})
+	return applied, err
+}
+
+func (db *ShardedDB) replayJournals(journals []*Journal) (int, error) {
 	applied := 0
 	var lastOpErr error
 	dirty := false
@@ -293,25 +302,27 @@ func (db *ShardedDB) ReplayJournals(journals []*Journal) (int, error) {
 // shard's journal before it is applied (write-ahead logging). Sequence
 // counters are fast-forwarded to each shard's watermark and fresh
 // journals are stamped with their shard's fingerprint, mirroring
-// DB.AttachJournal per shard.
+// DB.AttachJournal per shard. It runs under Exclusive.
 func (db *ShardedDB) AttachJournals(journals []*Journal) error {
 	if len(journals) != db.r.NumShards() {
 		return fmt.Errorf("road: %d journals for %d shards: %w", len(journals), db.r.NumShards(), ErrInvalidRequest)
 	}
-	for i, j := range journals {
-		if j == nil {
-			continue
+	return db.r.Exclusive(func() error {
+		for i, j := range journals {
+			if j == nil {
+				continue
+			}
+			j.EnsureSeq(db.baseSeqs[i])
+			if last := j.LastSeq(); last > db.baseSeqs[i] {
+				db.baseSeqs[i] = last
+			}
+			if err := j.BindBase(db.r.Shard(i).F, db.baseSeqs[i]); err != nil {
+				return fmt.Errorf("road: shard %d: %w", i, err)
+			}
 		}
-		j.EnsureSeq(db.baseSeqs[i])
-		if last := j.LastSeq(); last > db.baseSeqs[i] {
-			db.baseSeqs[i] = last
-		}
-		if err := j.BindBase(db.r.Shard(i).F, db.baseSeqs[i]); err != nil {
-			return fmt.Errorf("road: shard %d: %w", i, err)
-		}
-	}
-	db.journals = append([]*snapshot.Journal(nil), journals...)
-	return nil
+		db.journals = append([]*snapshot.Journal(nil), journals...)
+		return nil
+	})
 }
 
 // CompactJournals rotates every attached shard journal, dropping entries

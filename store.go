@@ -26,28 +26,29 @@ import (
 // The Store's own query methods are single-threaded conveniences, like
 // the methods on the concrete types; concurrent callers take one Querier
 // per goroutine from OpenSession (a *Session from a DB, a *RouterSession
-// from a ShardedDB or a RemoteDB). Unless the Store also satisfies
-// Synchronized, mutations must not overlap queries — the internal/server
-// coordinator enforces exactly that when serving. A Synchronized store
-// (ShardedDB, RemoteDB) synchronizes internally instead, with per-shard
-// write locks, so serving layers let queries and mutations overlap freely.
+// from a ShardedDB or a RemoteDB). Every Store locks itself, so sessions,
+// mutations and introspection may overlap freely: a DB with one
+// store-wide reader/writer lock, a ShardedDB or RemoteDB with per-shard
+// write locks, so that a mutation stalls only the readers of the shard it
+// touches. Every mutation returns with the store's read-path state
+// current; nothing is left for a caller or a later query to repair.
 type Store interface {
 	Querier
 
 	// Query answers a batch on one session, amortizing session and epoch
 	// acquisition: every Response carries the same Epoch, observed once
 	// at the start of the batch. Per-entry failures land in
-	// Response.Err; the batch itself never fails. On a Synchronized
-	// store a mutation may complete between entries — each answer is
-	// individually consistent, but late entries can observe an epoch
-	// newer than the stamped one; callers that need the whole batch at
-	// one epoch must serve it through an external exclusion (as the
-	// internal/server coordinator does for road.DB).
+	// Response.Err; the batch itself never fails. A mutation may
+	// complete between entries — each answer is individually consistent,
+	// but late entries can observe an epoch newer than the stamped one;
+	// callers that need the whole batch at one epoch must compare the
+	// epoch before and after it.
 	Query(ctx context.Context, reqs []Request) []Response
 
 	// OpenSession returns an independent concurrent read context. Any
-	// number of sessions may query in parallel; none may overlap with
-	// mutations on this Store.
+	// number of sessions may query in parallel, and mutations may overlap
+	// them: each query sees the store before or after a mutation, never
+	// halfway through it.
 	OpenSession() Querier
 
 	// Mutations (write-ahead journaled when a journal is attached).
@@ -59,11 +60,15 @@ type Store interface {
 	CloseRoad(e EdgeID) error
 	ReopenRoad(e EdgeID) error
 
-	// WarmAfterMutation repairs the read-path state a mutation staled
-	// (the CSR slabs of the nodes it touched) while readers are still
-	// excluded; serving layers call it after every mutation, even a
-	// failed one — partial mutations stale it too.
+	// WarmAfterMutation does nothing on any of the three stores: every
+	// mutator leaves the read-path state current before it returns. It is
+	// kept only so existing callers build; it will be removed.
 	WarmAfterMutation()
+
+	// Exclusive runs fn with every internal lock held: no query or
+	// mutation overlaps fn, which therefore sees (and may persist) one
+	// consistent view of the whole store.
+	Exclusive(fn func() error) error
 
 	// Introspection.
 	NumNodes() int
@@ -78,27 +83,10 @@ type Store interface {
 	// ShardedDB, each host's own files whatever the path for a RemoteDB —
 	// and CompactJournal rotates the attached journal(s), dropping entries
 	// the latest snapshot already covers (a no-op on a RemoteDB, whose
-	// hosts rotate as they snapshot). Both must run with mutations and
-	// readers excluded.
+	// hosts rotate as they snapshot). Both must run inside Exclusive when
+	// other goroutines use the store.
 	Save(path string) error
 	CompactJournal() error
-}
-
-// Synchronized marks a Store whose queries and mutations synchronize
-// internally, so a serving layer needs no global reader/writer exclusion
-// around them. ShardedDB and RemoteDB are the package's Synchronized
-// implementations (one embedded base over one shard.Router, so Exclusive
-// and every mutator are the same code for both): each mutation takes
-// only its owning shard's write lock, stalling that shard's readers
-// instead of the whole store. The one operation that still needs total
-// exclusion — a consistent whole-store snapshot — runs through Exclusive.
-type Synchronized interface {
-	Store
-
-	// Exclusive runs fn with every internal lock held: no query or
-	// mutation overlaps fn, which therefore sees (and may persist) one
-	// consistent view of the whole store.
-	Exclusive(fn func() error) error
 }
 
 // Querier is one read context of a Store: the context-aware query surface
@@ -130,13 +118,11 @@ type Path struct {
 // Compile-time interface assertions: the v1 acceptance contract, for all
 // three stores and both session types.
 var (
-	_ Store        = (*DB)(nil)
-	_ Store        = (*ShardedDB)(nil)
-	_ Store        = (*RemoteDB)(nil)
-	_ Synchronized = (*ShardedDB)(nil)
-	_ Synchronized = (*RemoteDB)(nil)
-	_ Querier      = (*Session)(nil)
-	_ Querier      = (*RouterSession)(nil)
+	_ Store   = (*DB)(nil)
+	_ Store   = (*ShardedDB)(nil)
+	_ Store   = (*RemoteDB)(nil)
+	_ Querier = (*Session)(nil)
+	_ Querier = (*RouterSession)(nil)
 )
 
 // searchLimits folds a request context and budget into core.Limits. A
@@ -163,14 +149,23 @@ func traceSearch(ctx context.Context) func(pops int) {
 
 // --- DB: single-index Store implementation ---
 
-// NumNodes returns the number of intersections in the network.
+// NumNodes returns the number of intersections in the network (fixed at
+// Open, so it takes no lock).
 func (db *DB) NumNodes() int { return db.f.Graph().NumNodes() }
 
 // NumRoads returns the number of road segments (including closed ones).
-func (db *DB) NumRoads() int { return db.f.Graph().NumEdges() }
+func (db *DB) NumRoads() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.f.Graph().NumEdges()
+}
 
 // NumObjects returns the number of live objects.
-func (db *DB) NumObjects() int { return db.f.Objects().Len() }
+func (db *DB) NumObjects() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.f.Objects().Len()
+}
 
 // KNNContext answers a kNN request on the DB's own (single-threaded)
 // read context, with full I/O simulation like DB.KNN.
@@ -178,6 +173,8 @@ func (db *DB) KNNContext(ctx context.Context, req KNNRequest) ([]Result, Stats, 
 	if err := validateKNN(req, db.NumNodes()); err != nil {
 		return nil, Stats{}, err
 	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	done := traceSearch(ctx)
 	res, stats, err := db.f.KNNLimited(core.Query{Node: req.From, Attr: req.Attr}, req.K, req.MaxRadius, searchLimits(ctx, req.Budget))
 	done(stats.NodesPopped)
@@ -189,6 +186,8 @@ func (db *DB) WithinContext(ctx context.Context, req WithinRequest) ([]Result, S
 	if err := validateWithin(req, db.NumNodes()); err != nil {
 		return nil, Stats{}, err
 	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	done := traceSearch(ctx)
 	res, stats, err := db.f.RangeLimited(core.Query{Node: req.From, Attr: req.Attr}, req.Radius, searchLimits(ctx, req.Budget))
 	done(stats.NodesPopped)
@@ -201,6 +200,8 @@ func (db *DB) PathToContext(ctx context.Context, req PathRequest) (Path, Stats, 
 	if err := validatePath(req, db.NumNodes()); err != nil {
 		return Path{}, Stats{}, err
 	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	done := traceSearch(ctx)
 	nodes, dist, stats, err := db.f.PathToLimited(core.Query{Node: req.From, Attr: req.Attr}, req.Object, searchLimits(ctx, req.Budget))
 	done(stats.NodesPopped)
@@ -222,9 +223,9 @@ func (db *DB) Query(ctx context.Context, reqs []Request) []Response {
 // interface form of NewSession).
 func (db *DB) OpenSession() Querier { return db.NewSession() }
 
-// WarmAfterMutation re-emits the CSR slabs of the nodes the last
-// mutations touched; see Store.WarmAfterMutation.
-func (db *DB) WarmAfterMutation() { db.f.WarmTrees() }
+// WarmAfterMutation does nothing: every DB mutator leaves the CSR slabs
+// current before it returns (see Store.WarmAfterMutation).
+func (db *DB) WarmAfterMutation() {}
 
 // Save atomically snapshots the DB to path (Store.Save; the file form of
 // SaveSnapshot).
@@ -233,11 +234,13 @@ func (db *DB) Save(path string) error { return db.SaveSnapshotFile(path) }
 // --- Session: single-index Querier implementation ---
 
 // KNNContext is the session variant of DB.KNNContext (no I/O simulation,
-// safe for any number of concurrent sessions).
+// safe for any number of concurrent sessions and mutators).
 func (s *Session) KNNContext(ctx context.Context, req KNNRequest) ([]Result, Stats, error) {
 	if err := validateKNN(req, s.db.NumNodes()); err != nil {
 		return nil, Stats{}, err
 	}
+	s.db.mu.RLock()
+	defer s.db.mu.RUnlock()
 	done := traceSearch(ctx)
 	res, stats, err := s.s.KNNLimited(core.Query{Node: req.From, Attr: req.Attr}, req.K, req.MaxRadius, searchLimits(ctx, req.Budget))
 	done(stats.NodesPopped)
@@ -249,6 +252,8 @@ func (s *Session) WithinContext(ctx context.Context, req WithinRequest) ([]Resul
 	if err := validateWithin(req, s.db.NumNodes()); err != nil {
 		return nil, Stats{}, err
 	}
+	s.db.mu.RLock()
+	defer s.db.mu.RUnlock()
 	done := traceSearch(ctx)
 	res, stats, err := s.s.RangeLimited(core.Query{Node: req.From, Attr: req.Attr}, req.Radius, searchLimits(ctx, req.Budget))
 	done(stats.NodesPopped)
@@ -260,6 +265,8 @@ func (s *Session) PathToContext(ctx context.Context, req PathRequest) (Path, Sta
 	if err := validatePath(req, s.db.NumNodes()); err != nil {
 		return Path{}, Stats{}, err
 	}
+	s.db.mu.RLock()
+	defer s.db.mu.RUnlock()
 	done := traceSearch(ctx)
 	nodes, dist, stats, err := s.s.PathToLimited(core.Query{Node: req.From, Attr: req.Attr}, req.Object, searchLimits(ctx, req.Budget))
 	done(stats.NodesPopped)
