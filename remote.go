@@ -17,7 +17,8 @@ import (
 // reads and hedged duplicates for straggling cross-shard expansions.
 //
 // The query and maintenance surface is ShardedDB's: a RemoteDB satisfies
-// Store, so the serving layer runs unmodified over either deployment. Differences worth knowing:
+// Store, so the serving layer runs unmodified over either deployment.
+// Differences worth knowing:
 //
 //   - Persistence lives on the hosts. Save ignores its path argument and
 //     instead asks every host to snapshot its shards and rotate its
