@@ -120,7 +120,6 @@ type config struct {
 	levels          int
 	seed            int64
 	cacheSize       int
-	storePaths      bool
 	shards          int
 	shardHosts      string
 	queryTimeout    time.Duration
@@ -161,7 +160,6 @@ func main() {
 	flag.IntVar(&cfg.levels, "levels", 0, "Rnet hierarchy depth (0 = default)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "placement seed")
 	flag.IntVar(&cfg.cacheSize, "cache", 0, "result cache entries (0 = default, negative disables)")
-	flag.BoolVar(&cfg.storePaths, "paths", true, "retain shortcut waypoints so /path works (costs memory; sharded serving always retains them)")
 	flag.IntVar(&cfg.shards, "shards", 1, "serve K region shards behind a query router (power of two ≥ 2; 1 = single index)")
 	flag.StringVar(&cfg.shardHosts, "shard-hosts", "", "serve as a router over out-of-process roadshard hosts (comma-separated addresses); every shard of the deployment must be served by exactly one host")
 	flag.DurationVar(&cfg.queryTimeout, "query-timeout", 0, "per-request deadline for read queries; an expired query aborts mid-search and answers HTTP 503 with code \"deadline_exceeded\" (0 disables)")
@@ -553,9 +551,8 @@ func openDB(cfg config, snapExists bool) (*road.DB, error) {
 		g.NumNodes(), g.NumEdges(), set.Len())
 	start := time.Now()
 	db, err := road.OpenWithObjects(road.FromGraph(g), set, road.Options{
-		Levels:     cfg.levels,
-		StorePaths: cfg.storePaths,
-		Seed:       cfg.seed,
+		Levels: cfg.levels,
+		Seed:   cfg.seed,
 	})
 	if err != nil {
 		return nil, err

@@ -181,8 +181,8 @@ func report(res []road.Result, st road.Stats, elapsed time.Duration, q graph.Nod
 		json.NewEncoder(os.Stdout).Encode(out)
 		return
 	}
-	fmt.Printf("query node %d -> %d results in %v (%d nodes settled, %d Rnets bypassed, %d page reads)\n",
-		q, len(res), elapsed.Round(time.Microsecond), st.NodesPopped, st.RnetsBypassed, st.IO.Reads)
+	fmt.Printf("query node %d -> %d results in %v (%d nodes settled, %d Rnets bypassed)\n",
+		q, len(res), elapsed.Round(time.Microsecond), st.NodesPopped, st.RnetsBypassed)
 	for i, r := range res {
 		fmt.Printf("  %2d. object %d on edge %d (attr %d) at network distance %.4f\n",
 			i+1, r.Object.ID, r.Object.Edge, r.Object.Attr, r.Dist)

@@ -49,7 +49,7 @@ func assertSameTypedError(t *testing.T, label string, want, got error) {
 	}
 	for _, typed := range []error{
 		ErrCanceled, ErrBudgetExhausted, ErrInvalidRequest, ErrNoSuchNode,
-		ErrNoSuchObject, ErrAttrMismatch, ErrUnreachable, ErrPathsNotStored,
+		ErrNoSuchObject, ErrAttrMismatch, ErrUnreachable,
 	} {
 		if errors.Is(want, typed) != errors.Is(got, typed) {
 			t.Fatalf("%s: typed mismatch for %v: %v vs %v", label, typed, want, got)

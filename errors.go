@@ -31,8 +31,6 @@ var (
 	ErrAttrMismatch = apierr.ErrAttrMismatch
 	// ErrUnreachable marks a path query whose target cannot be reached.
 	ErrUnreachable = apierr.ErrUnreachable
-	// ErrPathsNotStored marks DB.PathTo without Options.StorePaths.
-	ErrPathsNotStored = apierr.ErrPathsNotStored
 	// ErrCrossShardRoad marks an AddRoad whose endpoints share no shard.
 	ErrCrossShardRoad = apierr.ErrCrossShardRoad
 	// ErrShardUnavailable marks a call that needed an out-of-process

@@ -47,7 +47,7 @@ func main() {
 	place(25, busStation)
 	place(40, hotel)
 
-	db, err := road.OpenWithObjects(road.FromGraph(g), objects, road.Options{StorePaths: true})
+	db, err := road.OpenWithObjects(road.FromGraph(g), objects, road.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

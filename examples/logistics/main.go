@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// Attach the depot directory to the same overlay.
-	depotDir := db.Framework().AttachObjects(depots, road.AbstractSet)
+	depotDir := db.Framework().AttachObjects(depots, core.AbstractSet)
 
 	budget := g.EstimateDiameter() * 0.15
 	fmt.Printf("drive-distance budget per depot: %.2f\n\n", budget)

@@ -67,8 +67,7 @@ func main() {
 	for _, hit := range hits {
 		fmt.Printf("  object %d at network distance %.2f\n", hit.Object.ID, hit.Dist)
 	}
-	fmt.Printf("  (settled %d intersections, %d simulated page reads)\n",
-		stats.NodesPopped, stats.IO.Reads)
+	fmt.Printf("  (settled %d intersections)\n", stats.NodesPopped)
 
 	fmt.Println("everything within 3 blocks of home:")
 	within, _, err := db.WithinContext(ctx, road.NewWithin(home, 3))

@@ -57,11 +57,6 @@ var (
 	// from the query node on the live network.
 	ErrUnreachable = errors.New("object unreachable")
 
-	// ErrPathsNotStored marks a detailed-route query against a DB opened
-	// without Options.StorePaths (sharded stores always store shortcut
-	// waypoints and never return this).
-	ErrPathsNotStored = errors.New("paths not stored (open with Options.StorePaths)")
-
 	// ErrCrossShardRoad marks an AddRoad whose endpoints share no shard:
 	// shard boundaries are fixed at build time, so such roads are
 	// rejected by sharded stores.

@@ -45,22 +45,17 @@ var ApproachNames = []string{"NetExp", "Euclidean", "DistIdx", "ROAD"}
 // BuildApproach constructs one named approach over private clones of g and
 // objects, so per-approach mutation experiments cannot interfere.
 func BuildApproach(name string, g *graph.Graph, objects *graph.ObjectSet, levels int) (Approach, error) {
-	cg := g.Clone()
-	cobj := objects.Clone(cg)
-	store := storage.NewStore(0)
-	switch name {
-	case "ROAD":
-		cfg := core.Config{Rnet: rnet.Config{
-			Fanout:          4,
-			Levels:          levels,
-			KLPasses:        -1,
-			PruneMaxBorders: 32,
-		}}
-		f, err := core.Build(cg, cobj, cfg)
+	if name == "ROAD" {
+		f, err := buildROAD(g, objects, roadConfig(levels), core.AbstractSet)
 		if err != nil {
 			return nil, err
 		}
 		return &roadApproach{f: f}, nil
+	}
+	cg := g.Clone()
+	cobj := objects.Clone(cg)
+	store := storage.NewStore(0)
+	switch name {
 	case "NetExp":
 		return &netexpApproach{ix: netexpand.New(cg, cobj, store)}, nil
 	case "Euclidean":
@@ -72,6 +67,27 @@ func BuildApproach(name string, g *graph.Graph, objects *graph.ObjectSet, levels
 }
 
 // --- ROAD adapter ---
+
+// roadConfig is the hierarchy every ROAD figure builds unless it sweeps a
+// parameter: fanout 4, the given depth, default KL refinement and Lemma-4
+// pruning in Rnets of up to 32 borders.
+func roadConfig(levels int) rnet.Config {
+	return rnet.Config{Fanout: 4, Levels: levels, KLPasses: -1, PruneMaxBorders: 32}
+}
+
+// buildROAD is the one place this package builds a ROAD framework: over
+// private clones of g and objects, with the given hierarchy and abstract
+// kind, and over the evaluation's simulated disk — a 50-page LRU buffer
+// (storage.DefaultBufferPages) that report-mode queries charge their page
+// I/O to. A framework built without the store would report no I/O.
+func buildROAD(g *graph.Graph, objects *graph.ObjectSet, rcfg rnet.Config, kind core.AbstractKind) (*core.Framework, error) {
+	cg := g.Clone()
+	return core.Build(cg, objects.Clone(cg), core.Config{
+		Rnet:        rcfg,
+		Abstract:    kind,
+		BufferPages: storage.DefaultBufferPages,
+	})
+}
 
 // roadApproach deliberately queries through the FRAMEWORK surface, not
 // a session: framework queries run the page-charging reference

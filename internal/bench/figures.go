@@ -8,7 +8,6 @@ import (
 	"road/internal/dataset"
 	"road/internal/graph"
 	"road/internal/partition"
-	"road/internal/rnet"
 )
 
 // Fig11 reproduces the 3NN illustration of Figure 11: a single 3NN query
@@ -378,6 +377,17 @@ func Fig18c(opt Options) (*Table, error) {
 	return t, nil
 }
 
+// fig19Levels is the depth sweep Figure 19 runs on one network case.
+func fig19Levels(name string, full bool) []int {
+	switch {
+	case name == "CA":
+		return []int{2, 3, 4, 5, 6}
+	case full:
+		return []int{6, 7, 8, 9, 10}
+	}
+	return []int{4, 5, 6, 7, 8}
+}
+
 // Fig19 reproduces Figure 19: the effect of the Rnet hierarchy depth l on
 // ROAD's index construction time and kNN time (p=4, |O|=100, k=5).
 func Fig19(opt Options) (*Table, error) {
@@ -389,18 +399,8 @@ func Fig19(opt Options) (*Table, error) {
 		g := dataset.MustGenerate(cs.Spec)
 		objects := dataset.PlaceUniform(g, 100, 19)
 		queries := dataset.RandomNodes(g, opt.Queries, 191)
-		var levels []int
-		if cs.Name == "CA" {
-			levels = []int{2, 3, 4, 5, 6}
-		} else if opt.Full {
-			levels = []int{6, 7, 8, 9, 10}
-		} else {
-			levels = []int{4, 5, 6, 7, 8}
-		}
-		for _, l := range levels {
-			f, err := core.Build(g.Clone(), objects.Clone(g), core.Config{Rnet: rnet.Config{
-				Fanout: 4, Levels: l, KLPasses: -1, PruneMaxBorders: 32,
-			}})
+		for _, l := range fig19Levels(cs.Name, opt.Full) {
+			f, err := buildROAD(g, objects, roadConfig(l), core.AbstractSet)
 			if err != nil {
 				return nil, err
 			}
@@ -428,9 +428,9 @@ func AblationPruning(opt Options) (*Table, error) {
 		label string
 		max   int
 	}{{"off", 0}, {"≤32 borders", 32}, {"all Rnets", 1 << 30}} {
-		f, err := core.Build(g.Clone(), objects.Clone(g), core.Config{Rnet: rnet.Config{
-			Fanout: 4, Levels: cs.Levels, KLPasses: -1, PruneMaxBorders: pr.max,
-		}})
+		rcfg := roadConfig(cs.Levels)
+		rcfg.PruneMaxBorders = pr.max
+		f, err := buildROAD(g, objects, rcfg, core.AbstractSet)
 		if err != nil {
 			return nil, err
 		}
@@ -454,10 +454,7 @@ func AblationAbstract(opt Options) (*Table, error) {
 		Columns: []string{"abstract", "directory size", "knn time/query", "rnets descended/query"},
 	}
 	for _, kind := range []core.AbstractKind{core.AbstractSet, core.AbstractCount, core.AbstractBloom} {
-		f, err := core.Build(g.Clone(), objects.Clone(g), core.Config{
-			Rnet:     rnet.Config{Fanout: 4, Levels: cs.Levels, KLPasses: -1, PruneMaxBorders: 32},
-			Abstract: kind,
-		})
+		f, err := buildROAD(g, objects, roadConfig(cs.Levels), kind)
 		if err != nil {
 			return nil, err
 		}
@@ -492,9 +489,9 @@ func AblationPartitioner(opt Options) (*Table, error) {
 		label  string
 		passes int
 	}{{"geometric only", 0}, {"geometric+KL", partition.DefaultKLPasses}} {
-		f, err := core.Build(g.Clone(), objects.Clone(g), core.Config{Rnet: rnet.Config{
-			Fanout: 4, Levels: cs.Levels, KLPasses: pc.passes, PruneMaxBorders: 32,
-		}})
+		rcfg := roadConfig(cs.Levels)
+		rcfg.KLPasses = pc.passes
+		f, err := buildROAD(g, objects, rcfg, core.AbstractSet)
 		if err != nil {
 			return nil, err
 		}

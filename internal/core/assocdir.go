@@ -38,8 +38,8 @@ type objAssoc struct {
 // and Rnets without objects have an empty entry — absence implies
 // emptiness. The entries themselves live in dense arrays indexed by node
 // and Rnet ID, so the per-settled-node probes on the query hot path are
-// array loads; the simulated B+-tree and page layout exist only for the
-// paper-faithful I/O-accounting report mode.
+// array loads; the simulated B+-tree and page layout exist only over a
+// page store, for the paper-faithful I/O-accounting report mode.
 type AssocDir struct {
 	h    *rnet.Hierarchy
 	kind AbstractKind
@@ -52,9 +52,9 @@ type AssocDir struct {
 	abstracts []*abstractRec
 
 	// index simulates the paged B+-tree; layout holds the entry records.
+	// Both are nil without a page store.
 	index  *btree.Tree[int32]
 	layout *storage.Layout
-	store  *storage.Store
 }
 
 // NewAssocDir builds the directory for all objects currently in set,
@@ -65,10 +65,9 @@ func NewAssocDir(h *rnet.Hierarchy, set *graph.ObjectSet, kind AbstractKind, sto
 		kind:      kind,
 		byNode:    make([][]objAssoc, h.Graph().NumNodes()),
 		abstracts: make([]*abstractRec, h.NumRnets()),
-		index:     btree.New[int32](btree.DefaultOrder),
-		store:     store,
 	}
 	if store != nil {
+		ad.index = btree.New[int32](btree.DefaultOrder)
 		ad.layout = storage.NewLayout(store)
 		// B+-tree nodes occupy their own page namespace (negative IDs) so
 		// they share the buffer with record pages without aliasing them.
@@ -138,7 +137,7 @@ func (ad *AssocDir) Remove(o graph.Object) {
 			a.remove(o.Attr)
 			if a.total == 0 {
 				ad.abstracts[r] = nil
-				ad.index.Delete(rnetKey(r))
+				ad.indexDelete(rnetKey(r))
 			} else {
 				ad.touchRecord(rnetKey(r))
 			}
@@ -177,7 +176,7 @@ func (ad *AssocDir) dropNodeAssoc(n graph.NodeID, id graph.ObjectID) {
 	}
 	if len(list) == 0 {
 		ad.byNode[n] = nil
-		ad.index.Delete(nodeKey(n))
+		ad.indexDelete(nodeKey(n))
 	} else {
 		ad.byNode[n] = list
 		ad.touchRecord(nodeKey(n))
@@ -186,9 +185,9 @@ func (ad *AssocDir) dropNodeAssoc(n graph.NodeID, id graph.ObjectID) {
 
 // ObjectsAt returns the associations at node n whose attribute matches
 // attr (0 = any), charging the B+-tree probe and — when an entry exists —
-// the record read.
+// the record read when the directory sits on a page store.
 func (ad *AssocDir) ObjectsAt(n graph.NodeID, attr int32) []objAssoc {
-	return ad.objectsAt(n, attr, true)
+	return ad.objectsAt(n, attr, ad.index != nil)
 }
 
 func (ad *AssocDir) objectsAt(n graph.NodeID, attr int32, chargeIO bool) []objAssoc {
@@ -200,7 +199,7 @@ func (ad *AssocDir) objectsAt(n graph.NodeID, attr int32, chargeIO bool) []objAs
 		return nil
 	}
 	if chargeIO {
-		ad.readRecord(nodeKey(n))
+		ad.layout.Read(nodeKey(n))
 	}
 	if attr == 0 {
 		return list
@@ -216,9 +215,10 @@ func (ad *AssocDir) objectsAt(n graph.NodeID, attr int32, chargeIO bool) []objAs
 
 // RnetMayContain reports whether Rnet r may contain an object matching
 // attr — the SearchObject(AD, R) probe of Algorithm ChoosePath. Absent
-// entries mean definitely empty.
+// entries mean definitely empty. Like ObjectsAt it charges I/O only on a
+// page store.
 func (ad *AssocDir) RnetMayContain(r rnet.RnetID, attr int32) bool {
-	return ad.rnetMayContain(r, attr, true)
+	return ad.rnetMayContain(r, attr, ad.index != nil)
 }
 
 // assocsAt returns node n's raw association list without I/O accounting or
@@ -242,7 +242,7 @@ func (ad *AssocDir) rnetMayContain(r rnet.RnetID, attr int32, chargeIO bool) boo
 		return false
 	}
 	if chargeIO {
-		ad.readRecord(rnetKey(r))
+		ad.layout.Read(rnetKey(r))
 	}
 	return a.mayContain(ad.kind, attr)
 }
@@ -275,10 +275,21 @@ func (ad *AssocDir) SizeBytes() int64 {
 
 // indexPut registers a key in the simulated B+-tree and places its record.
 func (ad *AssocDir) indexPut(key int64) {
+	if ad.index == nil {
+		return
+	}
 	ad.index.Put(key, 0)
-	if ad.layout != nil && !ad.layout.Has(key) {
+	if !ad.layout.Has(key) {
 		ad.layout.Place(key, ad.recordSize(key))
 		ad.layout.Write(key)
+	}
+}
+
+// indexDelete drops a key from the simulated B+-tree; its record keeps
+// its pages, as a deleted record does on disk.
+func (ad *AssocDir) indexDelete(key int64) {
+	if ad.index != nil {
+		ad.index.Delete(key)
 	}
 }
 
@@ -293,13 +304,7 @@ func (ad *AssocDir) recordSize(key int64) int {
 }
 
 func (ad *AssocDir) touchRecord(key int64) {
-	if ad.layout != nil && ad.layout.Has(key) {
-		ad.layout.Write(key)
-	}
-}
-
-func (ad *AssocDir) readRecord(key int64) {
 	if ad.layout != nil {
-		ad.layout.Read(key)
+		ad.layout.Write(key)
 	}
 }

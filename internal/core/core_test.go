@@ -9,6 +9,7 @@ import (
 	"road/internal/dataset"
 	"road/internal/graph"
 	"road/internal/rnet"
+	"road/internal/storage"
 )
 
 // bruteKNN computes ground-truth kNN by full Dijkstra from the query node:
@@ -249,7 +250,9 @@ func TestSearchPruningBeatsPlainExpansionOnVisits(t *testing.T) {
 }
 
 func TestQueryStatsIO(t *testing.T) {
-	f, g, _ := fixture(t, 400, 460, 20, 16, defaultCfg())
+	cfg := defaultCfg()
+	cfg.BufferPages = storage.DefaultBufferPages // the paper rig's opt-in
+	f, g, _ := fixture(t, 400, 460, 20, 16, cfg)
 	f.DropCache()
 	_, st := f.KNN(Query{Node: dataset.RandomNodes(g, 1, 17)[0]}, 5)
 	if st.IO.Reads == 0 {
@@ -260,10 +263,10 @@ func TestQueryStatsIO(t *testing.T) {
 	}
 }
 
+// TestIOSimulationDisabled: the zero Config — the serving configuration —
+// builds no page store, and report-mode queries over it charge nothing.
 func TestIOSimulationDisabled(t *testing.T) {
-	cfg := defaultCfg()
-	cfg.BufferPages = -1
-	f, g, objects := fixture(t, 300, 350, 15, 18, cfg)
+	f, g, objects := fixture(t, 300, 350, 15, 18, defaultCfg())
 	q := Query{Node: dataset.RandomNodes(g, 1, 19)[0]}
 	got, st := f.KNN(q, 3)
 	want := bruteKNN(g, objects, q, 3)

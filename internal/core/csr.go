@@ -23,8 +23,8 @@ import (
 // typed heap. The pointer trees (rnet.TreeNode) are built only by the
 // reference traversal, lazily; the index-size metric and the simulated
 // page record sizes are read off the slabs. storage.Store is never
-// consulted here: it remains only for snapshot persistence and the
-// paper-faithful I/O-accounting report mode (Framework-level queries).
+// consulted here: it remains only for the paper-faithful I/O-accounting
+// report mode (Framework-level queries over a framework built with one).
 //
 // The overlay builds the slabs when it is built or restored, and queries
 // only read them. Network mutations stale them, and every mutator's fence
@@ -664,9 +664,6 @@ func (f *Framework) appendRoute(dst []graph.NodeID, end graph.NodeID, ws *queryW
 // distance includes the offset along the edge. attr, when non-zero, must
 // match the object's attribute; it plays no part in the search.
 func (f *Framework) routeToObject(dst []graph.NodeID, seeds []Seed, target graph.ObjectID, attr int32, ws *queryWorkspace, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
-	if !f.h.Config().StorePaths {
-		return dst, 0, QueryStats{ShardsSearched: 1}, fmt.Errorf("core: framework built without StorePaths: %w", apierr.ErrPathsNotStored)
-	}
 	o, ok := f.objects.Get(target)
 	if !ok {
 		return dst, 0, QueryStats{ShardsSearched: 1}, fmt.Errorf("core: object %d: %w", target, apierr.ErrNoSuchObject)
@@ -686,9 +683,6 @@ func (f *Framework) routeToObject(dst []graph.NodeID, seeds []Seed, target graph
 // watch set over t descends (NewWatchSet's rule). An Rnet t borders is
 // bypassed: its shortcuts end at t.
 func (f *Framework) routeToNode(dst []graph.NodeID, seeds []Seed, t graph.NodeID, ws *queryWorkspace, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
-	if !f.h.Config().StorePaths {
-		return dst, 0, QueryStats{ShardsSearched: 1}, fmt.Errorf("core: framework built without StorePaths: %w", apierr.ErrPathsNotStored)
-	}
 	if int(t) < 0 || int(t) >= f.g.NumNodes() {
 		return dst, 0, QueryStats{ShardsSearched: 1}, fmt.Errorf("core: node %d: %w", t, apierr.ErrNoSuchNode)
 	}

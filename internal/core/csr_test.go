@@ -51,7 +51,7 @@ func assertSameError(t *testing.T, label string, ref, got error) {
 	}
 	for _, typed := range []error{
 		apierr.ErrCanceled, apierr.ErrBudgetExhausted, apierr.ErrNoSuchObject,
-		apierr.ErrAttrMismatch, apierr.ErrUnreachable, apierr.ErrPathsNotStored,
+		apierr.ErrAttrMismatch, apierr.ErrUnreachable,
 	} {
 		if errors.Is(ref, typed) != errors.Is(got, typed) {
 			t.Fatalf("%s: typed error mismatch for %v: reference %v vs CSR %v", label, typed, ref, got)

@@ -18,8 +18,12 @@ type Config struct {
 	Rnet rnet.Config
 	// Abstract selects the object-abstract representation.
 	Abstract AbstractKind
-	// BufferPages sizes the simulated LRU buffer
-	// (storage.DefaultBufferPages when 0); negative disables simulation.
+	// BufferPages, when positive, builds the simulated page store of the
+	// paper's evaluation with an LRU buffer of that many pages
+	// (storage.DefaultBufferPages is the paper's 50), and report-mode
+	// framework queries charge their page I/O to it. The zero value — the
+	// serving configuration — builds no store, no paged B+-trees and no
+	// page layouts.
 	BufferPages int
 	// ObjectAwarePartitioning biases Rnet partitioning by the objects
 	// present at build time: edges carrying objects weigh more, so
@@ -77,7 +81,7 @@ func BuildPinned(g *graph.Graph, objects *graph.ObjectSet, cfg Config, pinned []
 		return nil, fmt.Errorf("core: building hierarchy: %w", err)
 	}
 	var store *storage.Store
-	if cfg.BufferPages >= 0 {
+	if cfg.BufferPages > 0 {
 		store = storage.NewStore(cfg.BufferPages)
 	}
 	f := &Framework{
@@ -107,11 +111,13 @@ func (f *Framework) Directory() *AssocDir { return f.ad }
 // Overlay returns the Route Overlay.
 func (f *Framework) Overlay() *RouteOverlay { return f.ro }
 
-// Store returns the simulated page store (nil when disabled).
+// Store returns the simulated page store, or nil when the framework was
+// built without one (Config.BufferPages ≤ 0, and every restored
+// framework).
 func (f *Framework) Store() *storage.Store { return f.store }
 
 // Rebind returns a framework sharing f's network, hierarchy, overlay and
-// page store, but serving a different object set through a fresh
+// page store (if any), but serving a different object set through a fresh
 // Association Directory — the network/object separation at work.
 func Rebind(f *Framework, objects *graph.ObjectSet, kind AbstractKind) *Framework {
 	return &Framework{
@@ -175,7 +181,7 @@ func (f *Framework) WarmTrees() {
 }
 
 // EnableWaypoints upgrades a framework built or restored without
-// StorePaths to store shortcut waypoints, recomputing every shortcut and
+// Rnet.StorePaths to store shortcut waypoints, recomputing every shortcut and
 // re-flattening the CSR slabs; answers do not change, routes become
 // available. It reports whether an upgrade ran. Like every mutation, it
 // must run while readers are excluded.

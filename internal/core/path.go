@@ -20,25 +20,15 @@ type parentLink struct {
 	dist float64
 }
 
-// PathTo computes the detailed shortest path from q.Node to the given
-// object using the ROAD search with parent tracking: the returned node
-// sequence walks physical intersections all the way (shortcut hops are
-// expanded recursively through the hierarchy per Lemma 2's representation),
-// ending at the endpoint of the object's edge through which the object is
+// pathTo is the reference path computation — the oracle Session.PathTo's
+// CSR route search is differentially tested against, reached through a
+// session pinned with UseReferencePath: Algorithm ChoosePath with the
+// target as the only object of interest. The returned node sequence walks
+// physical intersections all the way (shortcut hops are expanded
+// recursively through the hierarchy per Lemma 2's representation), ending
+// at the endpoint of the object's edge through which the object is
 // reached; the returned distance includes the final offset along that
-// edge. The framework must have been built with Rnet.StorePaths.
-func (f *Framework) PathTo(q Query, target graph.ObjectID) ([]graph.NodeID, float64, error) {
-	path, dist, _, err := f.pathTo(q, target, true, Limits{})
-	return path, dist, err
-}
-
-// PathToLimited is PathTo under Limits, reporting traversal statistics.
-func (f *Framework) PathToLimited(q Query, target graph.ObjectID, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
-	return f.pathTo(q, target, true, lim)
-}
-
-// pathTo is the reference path computation: Algorithm ChoosePath with the
-// target as the only object of interest. An Rnet is explorable iff it
+// edge. An Rnet is explorable iff it
 // contains the target's edge — it lies on the ancestor chain of that edge's
 // leaf — and every other Rnet is bypassed through the settled node's
 // shortcuts whenever the node is one of its borders; q.Attr validates the
@@ -47,14 +37,10 @@ func (f *Framework) PathToLimited(q Query, target graph.ObjectID, lim Limits) ([
 // border is always descended, so physical edges are relaxed in just two
 // places — the source's own region, until the search reaches its borders,
 // and the target's chain — which are the only places a shortest route
-// leaves the shortcut overlay. chargeIO routes shortcut-tree visits through
-// the simulated page store; Sessions pass false so concurrent path queries
-// never touch shared buffer state.
-func (f *Framework) pathTo(q Query, target graph.ObjectID, chargeIO bool, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
+// leaves the shortcut overlay. Expanding a shortcut hop needs the
+// hierarchy's waypoints (rnet.Config.StorePaths).
+func (f *Framework) pathTo(q Query, target graph.ObjectID, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
 	stats := QueryStats{ShardsSearched: 1}
-	if !f.h.Config().StorePaths {
-		return nil, 0, stats, fmt.Errorf("core: framework built without StorePaths: %w", apierr.ErrPathsNotStored)
-	}
 	o, ok := f.objects.Get(target)
 	if !ok {
 		return nil, 0, stats, fmt.Errorf("core: object %d: %w", target, apierr.ErrNoSuchObject)
@@ -111,12 +97,8 @@ func (f *Framework) pathTo(q Query, target graph.ObjectID, chargeIO bool, lim Li
 			bestEnd = n
 		}
 
-		tree := f.h.Tree(n)
-		if chargeIO {
-			tree = f.ro.Visit(n)
-		}
 		// The stack-order descent of choosePath.
-		stack = append(stack[:0], tree...)
+		stack = append(stack[:0], f.h.Tree(n)...)
 		for len(stack) > 0 {
 			s := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]

@@ -59,13 +59,22 @@ func verifyPath(t *testing.T, g *graph.Graph, o graph.Object, from graph.NodeID,
 	}
 }
 
+// refSession returns a session pinned to the reference traversal, the
+// oracle the CSR route search is tested against.
+func refSession(f *Framework) *Session {
+	s := f.NewSession()
+	s.UseReferencePath(true)
+	return s
+}
+
 func TestPathToMatchesKNNDistance(t *testing.T) {
 	f, g, _ := pathFixture(t, 1)
+	ref := refSession(f)
 	for _, qn := range dataset.RandomNodes(g, 25, 2) {
 		q := Query{Node: qn}
 		res, _ := f.KNN(q, 3)
 		for _, r := range res {
-			path, dist, err := f.PathTo(q, r.Object.ID)
+			path, dist, err := ref.PathTo(q, r.Object.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,13 +98,14 @@ func TestPathToFarObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := graph.NewSearch(g)
+	ref := refSession(f)
 	for _, qn := range dataset.RandomNodes(g, 10, 5) {
 		q := Query{Node: qn}
 		res, _ := f.KNN(q, 1)
 		if len(res) == 0 {
 			continue
 		}
-		path, dist, err := f.PathTo(q, res[0].Object.ID)
+		path, dist, err := ref.PathTo(q, res[0].Object.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,22 +128,38 @@ func offsetAt(g *graph.Graph, o graph.Object, n graph.NodeID) float64 {
 
 func TestPathToErrors(t *testing.T) {
 	f, _, objects := pathFixture(t, 6)
-	if _, _, err := f.PathTo(Query{Node: 0}, 9999); err == nil {
-		t.Fatal("missing object accepted")
+	for _, s := range []*Session{f.NewSession(), refSession(f)} {
+		if _, _, err := s.PathTo(Query{Node: 0}, 9999); err == nil {
+			t.Fatal("missing object accepted")
+		}
+		o := objects.All()[0]
+		if _, _, err := s.PathTo(Query{Node: 0, Attr: 42}, o.ID); err == nil && o.Attr != 42 {
+			t.Fatal("attribute mismatch accepted")
+		}
 	}
-	o := objects.All()[0]
-	if _, _, err := f.PathTo(Query{Node: 0, Attr: 42}, o.ID); err == nil && o.Attr != 42 {
-		t.Fatal("attribute mismatch accepted")
-	}
-	// Without StorePaths the call must fail cleanly.
+	// Without waypoints, a route that must expand a shortcut fails
+	// cleanly, and every route that comes back is a real shortest walk.
 	g2 := dataset.MustGenerate(dataset.Spec{Name: "p", Nodes: 100, Edges: 120, Seed: 7})
 	obj2 := dataset.PlaceUniform(g2, 3, 8)
 	f2, err := Build(g2, obj2, Config{Rnet: rnet.Config{Fanout: 2, Levels: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f2.PathTo(Query{Node: 0}, obj2.All()[0].ID); err == nil {
-		t.Fatal("PathTo without StorePaths accepted")
+	failed := 0
+	for _, s := range []*Session{f2.NewSession(), refSession(f2)} {
+		for n := graph.NodeID(0); int(n) < g2.NumNodes(); n++ {
+			for _, o := range obj2.All() {
+				path, dist, err := s.PathTo(Query{Node: n}, o.ID)
+				if err != nil {
+					failed++
+					continue
+				}
+				verifyPath(t, g2, o, n, path, dist)
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no route without waypoints failed: none crossed a shortcut")
 	}
 }
 

@@ -12,45 +12,34 @@ import (
 // representation of the Rnet hierarchy that lets a traversal switch
 // between physical edges and shortcuts without ever leaving one structure.
 // The shortcut data live in the Hierarchy; the trees are held only as the
-// CSR slabs (csr.go), which the overlay builds with itself. RouteOverlay
-// adds the paged-index simulation so report-mode queries are charged
-// realistic I/O.
+// CSR slabs (csr.go), which the overlay builds with itself. The paged
+// B+-tree and the record layout exist only over a simulated page store,
+// so that report-mode queries are charged realistic I/O; without a store
+// the overlay is the slabs alone.
 type RouteOverlay struct {
 	h      *rnet.Hierarchy
 	csr    *csrBox
 	index  *btree.Tree[int32]
 	layout *storage.Layout
-	store  *storage.Store
-	// order is the Hilbert/CCAM record clustering order node entries were
-	// laid out in. Cached so snapshots export it without re-ranking every
-	// coordinate under the serving layer's write lock.
-	order []graph.NodeID
 }
 
 // NewRouteOverlay wraps hierarchy h and flattens every node's shortcut
-// tree into the CSR slabs; store may be nil to skip I/O simulation. Node
-// records are laid out in Hilbert order (CCAM-style clustering [18]) sized
-// by shortcut-tree and shortcut payload.
+// tree into the CSR slabs. With a store (nil skips I/O simulation), node
+// records are also laid out in Hilbert order (CCAM-style clustering [18])
+// sized by shortcut-tree and shortcut payload, behind a paged B+-tree.
 func NewRouteOverlay(h *rnet.Hierarchy, store *storage.Store) *RouteOverlay {
-	ro := &RouteOverlay{
-		h:     h,
-		csr:   newCSRBox(h),
-		index: btree.New[int32](btree.DefaultOrder),
-		store: store,
+	ro := &RouteOverlay{h: h, csr: newCSRBox(h)}
+	if store == nil {
+		return ro
 	}
+	ro.index = btree.New[int32](btree.DefaultOrder)
+	ro.layout = storage.NewLayout(store)
+	ro.index.OnAccess = func(id int64) { store.Read(roIndexPageBase - storage.PageID(id)) }
 	c := ro.csr.idx
-	if store != nil {
-		ro.layout = storage.NewLayout(store)
-		ro.index.OnAccess = func(id int64) { store.Read(roIndexPageBase - storage.PageID(id)) }
-	}
-	g := h.Graph()
-	ro.order = storage.ClusterNodes(g)
-	for _, n := range ro.order {
+	for _, n := range storage.ClusterNodes(h.Graph()) {
 		ro.index.Put(int64(n), 0)
-		if ro.layout != nil {
-			ro.layout.Place(int64(n), ro.nodeRecordSize(c, n))
-			ro.layout.Write(int64(n))
-		}
+		ro.layout.Place(int64(n), ro.nodeRecordSize(c, n))
+		ro.layout.Write(int64(n))
 	}
 	return ro
 }
@@ -71,12 +60,11 @@ func (ro *RouteOverlay) nodeRecordSize(c *csrIndex, n graph.NodeID) int {
 }
 
 // Visit charges the I/O of loading node n's entry (B+-tree descent plus
-// the shortcut-tree record) and returns the node's shortcut tree.
+// the shortcut-tree record) and returns the node's shortcut tree. Only
+// charged searches call it, and they run only over a store.
 func (ro *RouteOverlay) Visit(n graph.NodeID) []*rnet.TreeNode {
 	ro.index.Get(int64(n))
-	if ro.layout != nil {
-		ro.layout.Read(int64(n))
-	}
+	ro.layout.Read(int64(n))
 	return ro.h.Tree(n)
 }
 

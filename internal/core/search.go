@@ -45,7 +45,9 @@ type QueryStats struct {
 	// context cancellation or budget exhaustion. What was returned is a
 	// valid prefix of the full answer (Dijkstra settling order).
 	Truncated bool
-	// IO holds the simulated page I/O incurred (zero when simulation off).
+	// IO holds the simulated page I/O incurred: only report-mode
+	// framework queries over a page store (the paper rig) fill it; every
+	// session query, and so every query through road, leaves it zero.
 	IO storage.Stats
 }
 
@@ -277,23 +279,10 @@ func (f *Framework) KNN(q Query, k int) ([]Result, QueryStats) {
 	return f.KNNOn(f.ad, q, k)
 }
 
-// KNNLimited is KNN under Limits: cooperative cancellation and a
-// traversal budget. The result is a valid prefix when err is non-nil. An
-// optional positive maxRadius additionally stops the expansion at that
-// distance.
-func (f *Framework) KNNLimited(q Query, k int, maxRadius float64, lim Limits) ([]Result, QueryStats, error) {
-	return f.searchSeeded(f.ad, []Seed{{Node: q.Node}}, q.Attr, k, maxRadius, f.workspace(), true, nil, nil, lim, nil)
-}
-
 // Range returns all objects matching q.Attr within network distance radius
 // of q.Node, closest first (Algorithm RangeSearch).
 func (f *Framework) Range(q Query, radius float64) ([]Result, QueryStats) {
 	return f.RangeOn(f.ad, q, radius)
-}
-
-// RangeLimited is Range under Limits.
-func (f *Framework) RangeLimited(q Query, radius float64, lim Limits) ([]Result, QueryStats, error) {
-	return f.searchSeeded(f.ad, []Seed{{Node: q.Node}}, q.Attr, 0, radius, f.workspace(), true, nil, nil, lim, nil)
 }
 
 // KNNOn runs a kNN query against a specific Association Directory
@@ -308,7 +297,8 @@ func (f *Framework) RangeOn(ad *AssocDir, q Query, radius float64) ([]Result, Qu
 }
 
 // search is the shared expansion entry point for the Framework's own
-// single-threaded methods, with full I/O simulation.
+// single-threaded methods, with full I/O simulation when the framework
+// has a page store.
 func (f *Framework) search(ad *AssocDir, q Query, k int, radius float64) ([]Result, QueryStats) {
 	res, stats, _ := f.searchWith(ad, q, k, radius, f.workspace(), true, Limits{}, nil)
 	return res, stats
@@ -340,12 +330,15 @@ func (f *Framework) searchWith(ad *AssocDir, q Query, k int, radius float64, ws 
 // shard entered near the bound is not searched beyond what could still
 // improve the merged answer.
 //
-// Two implementations serve it: report-mode queries (chargeIO, or a
-// workspace pinned to the reference path) run searchRef, the retained
-// page-store traversal; everything else — every Session, and therefore
-// every serving-layer query on all Store shapes — runs searchCSR over the
-// flat slabs. Both append results to dst (nil for a fresh slice).
+// Two implementations serve it: report-mode queries (chargeIO over a
+// framework with a page store, or a workspace pinned to the reference
+// path) run searchRef, the retained page-store traversal; everything else
+// — every Session, and therefore every serving-layer query on all Store
+// shapes — runs searchCSR over the flat slabs. Whether I/O is charged is
+// decided here, once: a framework without a store charges nothing. Both
+// append results to dst (nil for a fresh slice).
 func (f *Framework) searchSeeded(ad *AssocDir, seeds []Seed, attr int32, k int, radius float64, ws *queryWorkspace, chargeIO bool, watch *WatchSet, watchDist map[graph.NodeID]float64, lim Limits, dst []Result) ([]Result, QueryStats, error) {
+	chargeIO = chargeIO && f.store != nil
 	if chargeIO || ws.useRef {
 		return f.searchRef(ad, seeds, attr, k, radius, ws, chargeIO, watch, watchDist, lim, dst)
 	}
@@ -360,7 +353,7 @@ func (f *Framework) searchRef(ad *AssocDir, seeds []Seed, attr int32, k int, rad
 	stats := QueryStats{ShardsSearched: 1}
 	var stopErr error
 	var ioMark storage.Stats
-	if f.store != nil && chargeIO {
+	if chargeIO {
 		ioMark = f.store.Stats()
 	}
 
@@ -419,7 +412,7 @@ func (f *Framework) searchRef(ad *AssocDir, seeds []Seed, attr int32, k int, rad
 		f.choosePath(ad, ws, n, d, attr, chargeIO, watch, &stats)
 	}
 
-	if f.store != nil && chargeIO {
+	if chargeIO {
 		stats.IO = f.store.Stats().Sub(ioMark)
 	}
 	return res, stats, stopErr

@@ -6,8 +6,9 @@ import (
 )
 
 // Session is a read-only query context over a built Framework. Unlike the
-// Framework's own KNN/Range methods — which share one workspace and one
-// simulated page buffer and are therefore single-threaded — any number of
+// Framework's own KNN/Range methods — which share one workspace (and, on
+// a framework built with one, the simulated page buffer) and are
+// therefore single-threaded — any number of
 // Sessions may run queries concurrently. Sessions run on the CSR hot path:
 // flat slab traversal, typed heap, zero steady-state allocation, and no
 // simulated I/O (QueryStats.IO stays zero); traversal statistics are still
@@ -100,11 +101,13 @@ func (s *Session) SearchSeededLimited(seeds []Seed, attr int32, k int, radius fl
 	return s.f.searchSeeded(s.f.ad, seeds, attr, k, radius, s.ws, false, watch, watchDist, lim, nil)
 }
 
-// PathTo computes the detailed shortest route from q.Node to an object
-// (see Framework.PathTo). Unlike the Framework variant it runs on the CSR
-// hot path and bypasses the simulated page store, so any number of
-// sessions may compute paths concurrently. Requires the framework to have
-// been built with StorePaths.
+// PathTo computes the detailed shortest route from q.Node to an object:
+// the physical intersections walked, ending at the endpoint of the
+// object's edge through which it is reached, and the distance including
+// the final offset along that edge. It runs on the CSR slabs, so any
+// number of sessions may compute paths concurrently. Expanding shortcut
+// hops needs the hierarchy's waypoints (rnet.Config.StorePaths; every
+// store road opens has them).
 func (s *Session) PathTo(q Query, target graph.ObjectID) ([]graph.NodeID, float64, error) {
 	path, dist, _, err := s.path(q, target, Limits{})
 	return path, dist, err
@@ -120,7 +123,7 @@ func (s *Session) PathToLimited(q Query, target graph.ObjectID, lim Limits) ([]g
 // the session is pinned to the reference path, the retained one.
 func (s *Session) path(q Query, target graph.ObjectID, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
 	if s.ws.useRef {
-		return s.f.pathTo(q, target, false, lim)
+		return s.f.pathTo(q, target, lim)
 	}
 	return s.f.pathCSR(q, target, s.ws, lim)
 }
@@ -130,7 +133,7 @@ func (s *Session) path(q Query, target graph.ObjectID, lim Limits) ([]graph.Node
 // target, appended to dst starting with the seed it leaves from. The
 // distance includes the seed's and the final along-edge offset. When no
 // seed reaches the object, dst comes back unchanged with +Inf. Like PathTo
-// it runs on the CSR slabs and needs StorePaths; the sharding router runs
+// it runs on the CSR slabs and needs waypoints; the sharding router runs
 // its direct and tail legs on it.
 func (s *Session) RouteToObject(dst []graph.NodeID, seeds []Seed, target graph.ObjectID, lim Limits) ([]graph.NodeID, float64, QueryStats, error) {
 	return s.f.routeToObject(dst, seeds, target, 0, s.ws, lim)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"road/internal/graph"
@@ -54,23 +53,29 @@ func assertSlabSizesMatchPointerTrees(t *testing.T, label string, f *Framework) 
 	}
 }
 
-// TestOverlayRecordSizesMatchPointerTrees: the page layout Build lays out
-// from the slabs is the one the pointer-tree record sizes give, record
-// for record, and so is the index size.
+// TestOverlayRecordSizesMatchPointerTrees: the overlay records Build lays
+// out on the page store are sized off the slabs as the pointer trees size
+// them, record for record, and so is the index size.
 func TestOverlayRecordSizesMatchPointerTrees(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		cfg := defaultCfg()
 		cfg.Rnet.StorePaths = true
+		cfg.BufferPages = storage.DefaultBufferPages
 		f, _, _ := fixture(t, 900, 1200, 150, seed, cfg)
 		label := fmt.Sprintf("seed%d", seed)
 		assertSlabSizesMatchPointerTrees(t, label, f)
 
-		want := storage.NewLayout(storage.NewStore(storage.DefaultBufferPages))
-		for _, n := range f.ro.order {
-			want.Place(int64(n), oracleRecordSize(f, n))
+		c := f.ro.loadCSR()
+		var total int64
+		for n := graph.NodeID(0); int(n) < f.g.NumNodes(); n++ {
+			got, want := f.ro.nodeRecordSize(c, n), oracleRecordSize(f, n)
+			if got != want {
+				t.Fatalf("%s: node %d record %d bytes off the slab, %d over its pointer tree", label, n, got, want)
+			}
+			total += int64(max(want, 1))
 		}
-		if got, exp := f.ro.layout.ExportState(), want.ExportState(); !reflect.DeepEqual(got, exp) {
-			t.Fatalf("%s: overlay page layout differs from the pointer-tree record sizes", label)
+		if got := f.ro.layout.Bytes(); got != total {
+			t.Fatalf("%s: overlay layout holds %d record bytes, the pointer trees give %d", label, got, total)
 		}
 	}
 }

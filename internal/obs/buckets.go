@@ -3,9 +3,9 @@ package obs
 // Shared histogram bucket layouts, so the router's /metrics and the
 // shard hosts' /metrics bin identical quantities identically and the
 // two expositions can be compared or aggregated series-for-series.
-// Latencies are in seconds (the Prometheus convention); pops and page
-// reads are raw per-query counts in roughly-doubling buckets so the
-// paper's cost metrics are readable off /metrics.
+// Latencies are in seconds (the Prometheus convention); pops are raw
+// per-query counts in roughly-doubling buckets so the paper's CPU cost
+// metric is readable off /metrics.
 var (
 	// LatencyBuckets bins request/RPC wall times from 100µs to 2.5s.
 	LatencyBuckets = []float64{
@@ -20,6 +20,4 @@ var (
 	}
 	// PopsBuckets bins heap pops (settled nodes) per query.
 	PopsBuckets = []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 65536}
-	// ReadsBuckets bins simulated page reads per query.
-	ReadsBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}
 )

@@ -241,14 +241,14 @@ func TestTraceSubLegsAndID(t *testing.T) {
 		Name: "rpc", Shard: 1, DurationUS: 100, WireUS: 40,
 		Sub: []Leg{
 			{Name: "host_queue", Shard: 1, DurationUS: 5},
-			{Name: "host_search", Shard: 1, DurationUS: 55, Pops: 9, Reads: 3},
+			{Name: "host_search", Shard: 1, DurationUS: 55, Pops: 9},
 		},
 	})
 	legs := tr.Legs()
 	if len(legs) != 1 || len(legs[0].Sub) != 2 {
 		t.Fatalf("legs = %+v, want one rpc leg with two sub legs", legs)
 	}
-	// Sub legs and Reads must survive a JSON round trip (the wire path).
+	// Sub legs must survive a JSON round trip (the wire path).
 	data, err := json.Marshal(legs)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestTraceSubLegsAndID(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back[0].Sub[1].Name != "host_search" || back[0].Sub[1].Reads != 3 {
+	if back[0].Sub[1].Name != "host_search" || back[0].Sub[1].Pops != 9 {
 		t.Errorf("round-tripped sub leg = %+v", back[0].Sub[1])
 	}
 

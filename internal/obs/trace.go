@@ -72,9 +72,6 @@ type Leg struct {
 	// the host — serialization, network and queueing — so cross-process
 	// latency is attributable separately from shard compute time.
 	WireUS int64 `json:"wire_us,omitempty"`
-	// Reads is the number of simulated page reads the leg cost, when the
-	// recording layer tracks them (host-side search legs do).
-	Reads int64 `json:"reads,omitempty"`
 	// Sub holds legs recorded inside this one on another process: a
 	// shard host returns its own timing legs with each traced RPC and
 	// the client nests them here, under the rpc hop that carried them.

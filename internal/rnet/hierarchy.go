@@ -92,6 +92,34 @@ func DefaultConfig(numNodes int) Config {
 	return Config{Fanout: 4, Levels: l, KLPasses: -1, PruneMaxBorders: 32}
 }
 
+// maxLeafRnets is the leaf count a hierarchy may always reach, whatever
+// the network's size: 4^10, the deepest of the paper's sweeps.
+const maxLeafRnets = 1 << 20
+
+// Validate checks that c describes a hierarchy that can be built over a
+// network of the given number of edges: a power-of-two fanout ≥ 2 and a
+// depth of at least 1 whose Fanout^Levels leaf Rnets do not exceed
+// max(2^20, edges). Partitioning splits every Rnet down to the leaf level
+// even when it holds no edge, so a deeper hierarchy only multiplies empty
+// Rnets until memory runs out. The error names the deepest usable depth.
+func (c Config) Validate(edges int) error {
+	if c.Fanout < 2 || c.Fanout&(c.Fanout-1) != 0 {
+		return fmt.Errorf("rnet: fanout must be a power of two ≥ 2, got %d", c.Fanout)
+	}
+	if c.Levels < 1 {
+		return fmt.Errorf("rnet: levels must be ≥ 1, got %d", c.Levels)
+	}
+	limit := max(maxLeafRnets, edges)
+	deepest := 0 // the largest l with Fanout^l ≤ limit
+	for leaves := 1; leaves <= limit/c.Fanout; leaves *= c.Fanout {
+		deepest++
+	}
+	if c.Levels > deepest {
+		return fmt.Errorf("rnet: %d levels of fanout %d make more than max(2^20, %d edges) leaf Rnets; at most %d levels are usable", c.Levels, c.Fanout, edges, deepest)
+	}
+	return nil
+}
+
 // Hierarchy is the built Rnet hierarchy over one graph.
 type Hierarchy struct {
 	g   *graph.Graph
@@ -219,11 +247,8 @@ func Build(g *graph.Graph, cfg Config) (*Hierarchy, error) {
 // final border sets. Partitioning ignores the pins: the result equals
 // Build followed by Pin.
 func BuildPinned(g *graph.Graph, cfg Config, pinned []graph.NodeID) (*Hierarchy, error) {
-	if cfg.Fanout < 2 || cfg.Fanout&(cfg.Fanout-1) != 0 {
-		return nil, fmt.Errorf("rnet: fanout must be a power of two ≥ 2, got %d", cfg.Fanout)
-	}
-	if cfg.Levels < 1 {
-		return nil, fmt.Errorf("rnet: levels must be ≥ 1, got %d", cfg.Levels)
+	if err := cfg.Validate(g.NumEdges()); err != nil {
+		return nil, err
 	}
 	h := &Hierarchy{g: g, cfg: cfg}
 	if err := h.partition(); err != nil {

@@ -432,3 +432,14 @@ func TestStorePathsViaWaypoints(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultConfigValidates: the default shape passes the depth check on
+// networks of every size, below and above the 50k-node switch to 8
+// levels.
+func TestDefaultConfigValidates(t *testing.T) {
+	for _, n := range []int{0, 2, 100, 21048, 49999, 50000, 175813, 1 << 22} {
+		if err := DefaultConfig(n).Validate(n); err != nil {
+			t.Errorf("DefaultConfig(%d): %v", n, err)
+		}
+	}
+}

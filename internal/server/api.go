@@ -38,14 +38,11 @@ type ResultJSON struct {
 
 // StatsJSON is the per-query cost report on the wire.
 type StatsJSON struct {
-	NodesPopped    int   `json:"nodes_popped"`
-	RnetsBypassed  int   `json:"rnets_bypassed"`
-	RnetsDescended int   `json:"rnets_descended"`
-	ShardsSearched int   `json:"shards_searched,omitempty"`
-	Truncated      bool  `json:"truncated,omitempty"`
-	IOReads        int64 `json:"io_reads,omitempty"`
-	IOFaults       int64 `json:"io_faults,omitempty"`
-	IOWrites       int64 `json:"io_writes,omitempty"`
+	NodesPopped    int  `json:"nodes_popped"`
+	RnetsBypassed  int  `json:"rnets_bypassed"`
+	RnetsDescended int  `json:"rnets_descended"`
+	ShardsSearched int  `json:"shards_searched,omitempty"`
+	Truncated      bool `json:"truncated,omitempty"`
 }
 
 // QueryResponse answers /knn and /within. ID is the server-assigned
@@ -174,8 +171,6 @@ type StatsResponse struct {
 		RnetsBypassed  int64 `json:"rnets_bypassed"` // shortcut hops taken
 		RnetsDescended int64 `json:"rnets_descended"`
 		ShardsSearched int64 `json:"shards_searched"`
-		IOReads        int64 `json:"io_reads"`
-		IOFaults       int64 `json:"io_faults"`
 	} `json:"traversal"`
 
 	Cache CacheStats `json:"cache"`
@@ -211,9 +206,6 @@ func statsJSON(st road.Stats) StatsJSON {
 		RnetsDescended: st.RnetsDescended,
 		ShardsSearched: st.ShardsSearched,
 		Truncated:      st.Truncated,
-		IOReads:        st.IO.Reads,
-		IOFaults:       st.IO.Faults,
-		IOWrites:       st.IO.Writes,
 	}
 }
 

@@ -155,18 +155,6 @@ func appendStats(dst []byte, st StatsJSON) []byte {
 	if st.Truncated {
 		dst = append(dst, `,"truncated":true`...)
 	}
-	if st.IOReads != 0 {
-		dst = append(dst, `,"io_reads":`...)
-		dst = strconv.AppendInt(dst, st.IOReads, 10)
-	}
-	if st.IOFaults != 0 {
-		dst = append(dst, `,"io_faults":`...)
-		dst = strconv.AppendInt(dst, st.IOFaults, 10)
-	}
-	if st.IOWrites != 0 {
-		dst = append(dst, `,"io_writes":`...)
-		dst = strconv.AppendInt(dst, st.IOWrites, 10)
-	}
 	return append(dst, '}')
 }
 

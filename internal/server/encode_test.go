@@ -15,7 +15,6 @@ import (
 
 	"road"
 	"road/internal/obs"
-	"road/internal/storage"
 )
 
 // The referee for encode.go: every append encoder must write exactly the
@@ -46,7 +45,6 @@ func encodeQuery(r *QueryResponse) ([]byte, error) {
 		RnetsDescended: r.Stats.RnetsDescended,
 		ShardsSearched: r.Stats.ShardsSearched,
 		Truncated:      r.Stats.Truncated,
-		IO:             storage.Stats{Reads: r.Stats.IOReads, Faults: r.Stats.IOFaults, Writes: r.Stats.IOWrites},
 	}
 	answer, err := appendAnswer(nil, res, st)
 	if err != nil {
@@ -105,7 +103,7 @@ func refereeTrace(host string) []obs.Leg {
 	return []obs.Leg{
 		{Name: obs.LegSearch, Shard: -1, DurationUS: 12, Pops: 40},
 		{Name: obs.LegRPC, Shard: 1, DurationUS: 90, Host: host, WireUS: 30,
-			Sub: []obs.Leg{{Name: obs.LegHostSearch, Shard: 1, DurationUS: 50, Pops: 7, Reads: 3}}},
+			Sub: []obs.Leg{{Name: obs.LegHostSearch, Shard: 1, DurationUS: 50, Pops: 7}}},
 	}
 }
 
@@ -132,22 +130,13 @@ func TestResponseEncodingMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 	// Every StatsJSON omitempty combination.
-	for mask := 0; mask < 1<<5; mask++ {
+	for mask := 0; mask < 1<<2; mask++ {
 		st := StatsJSON{NodesPopped: 10, RnetsBypassed: -2, RnetsDescended: 3}
 		if mask&1 != 0 {
 			st.ShardsSearched = 4
 		}
 		if mask&2 != 0 {
 			st.Truncated = true
-		}
-		if mask&4 != 0 {
-			st.IOReads = 5
-		}
-		if mask&8 != 0 {
-			st.IOFaults = -6
-		}
-		if mask&16 != 0 {
-			st.IOWrites = math.MaxInt64
 		}
 		checkEncoders(t, QueryResponse{Stats: st}, PathResponse{Stats: st}, MaintenanceResponse{})
 	}
@@ -184,7 +173,6 @@ func randomResponses(rng *rand.Rand) (QueryResponse, PathResponse, MaintenanceRe
 	st := StatsJSON{
 		NodesPopped: rng.Intn(1000), RnetsBypassed: rng.Intn(50), RnetsDescended: rng.Intn(50),
 		ShardsSearched: rng.Intn(3), Truncated: rng.Intn(2) == 0,
-		IOReads: int64(rng.Intn(3)), IOFaults: int64(rng.Intn(3)), IOWrites: int64(rng.Intn(3)),
 	}
 	q := QueryResponse{
 		Node: rng.Int31() - rng.Int31(), ID: refereeIDs[rng.Intn(len(refereeIDs))],
@@ -219,7 +207,7 @@ func FuzzResponseEncoding(f *testing.F) {
 	f.Add(int32(3), "3fa9c1d2-000042", uint64(7), uint8(0), int64(120), int32(-1), 0.5, 1e-7, uint8(2))
 	f.Fuzz(func(t *testing.T, node int32, id string, epoch uint64, flags uint8, count int64, attr int32, x, y float64, n uint8) {
 		st := StatsJSON{NodesPopped: int(count), RnetsBypassed: int(count >> 8), RnetsDescended: int(count >> 16),
-			ShardsSearched: int(flags & 3), Truncated: flags&4 != 0, IOReads: count & 1, IOFaults: count & 2, IOWrites: count & 4}
+			ShardsSearched: int(flags & 3), Truncated: flags&4 != 0}
 		q := QueryResponse{Node: node, ID: id, Epoch: epoch, Cached: flags&8 != 0, Stats: st, ElapsedUS: count}
 		p := PathResponse{Node: node, ID: id, Object: attr, Epoch: epoch, Dist: x, Stats: st, ElapsedUS: count}
 		if flags&16 == 0 {

@@ -50,11 +50,8 @@ type metrics struct {
 	rnetsBypassed  *obs.Counter
 	rnetsDescended *obs.Counter
 	shardsSearched *obs.Counter
-	ioReads        *obs.Counter
-	ioFaults       *obs.Counter
 
-	queryPops  *obs.Histogram
-	queryReads *obs.Histogram
+	queryPops *obs.Histogram
 }
 
 // newMetrics builds the registry over a constructed server. Collector
@@ -92,15 +89,11 @@ func newMetrics(s *Server) *metrics {
 
 	m.queryPops = r.Histogram("road_query_node_pops", "",
 		"Heap pops (settled nodes) per uncached query — the paper's CPU cost metric.", obs.PopsBuckets)
-	m.queryReads = r.Histogram("road_query_page_reads", "",
-		"Simulated page reads per uncached query — the paper's I/O cost metric.", obs.ReadsBuckets)
 
 	m.nodesPopped = r.Counter("road_traversal_nodes_popped_total", "", "Total heap pops across all queries.")
 	m.rnetsBypassed = r.Counter("road_traversal_rnets_bypassed_total", "", "Total Rnet shortcut hops taken.")
 	m.rnetsDescended = r.Counter("road_traversal_rnets_descended_total", "", "Total Rnet descents.")
 	m.shardsSearched = r.Counter("road_traversal_shards_searched_total", "", "Total shard graphs searched.")
-	m.ioReads = r.Counter("road_traversal_io_reads_total", "", "Total simulated page reads.")
-	m.ioFaults = r.Counter("road_traversal_io_faults_total", "", "Total simulated page faults.")
 
 	cacheSample := func(get func(CacheStats) float64) func() []obs.Sample {
 		return func() []obs.Sample {
@@ -236,10 +229,7 @@ func (m *metrics) record(st road.Stats) {
 	m.rnetsBypassed.Add(uint64(st.RnetsBypassed))
 	m.rnetsDescended.Add(uint64(st.RnetsDescended))
 	m.shardsSearched.Add(uint64(st.ShardsSearched))
-	m.ioReads.Add(uint64(st.IO.Reads))
-	m.ioFaults.Add(uint64(st.IO.Faults))
 	m.queryPops.Observe(float64(st.NodesPopped))
-	m.queryReads.Observe(float64(st.IO.Reads))
 }
 
 // handleMetrics renders the registry in the Prometheus text exposition

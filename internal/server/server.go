@@ -811,8 +811,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Traversal.RnetsBypassed = int64(s.met.rnetsBypassed.Value())
 	resp.Traversal.RnetsDescended = int64(s.met.rnetsDescended.Value())
 	resp.Traversal.ShardsSearched = int64(s.met.shardsSearched.Value())
-	resp.Traversal.IOReads = int64(s.met.ioReads.Value())
-	resp.Traversal.IOFaults = int64(s.met.ioFaults.Value())
 	if s.cache != nil {
 		resp.Cache = s.cache.Stats()
 	}

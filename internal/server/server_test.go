@@ -227,10 +227,19 @@ func TestPathEndpoint(t *testing.T) {
 }
 
 func TestPathWithoutStorePaths(t *testing.T) {
-	db, _, bID, _ := buildSquare(t, road.Options{})
-	ts := httptest.NewServer(New(db, Options{}).Handler())
-	defer ts.Close()
-	getJSON[ErrorResponse](t, ts, fmt.Sprintf("/path?node=0&object=%d", bID), http.StatusUnprocessableEntity)
+	// StorePaths is a no-op: every DB keeps waypoints, so /path answers
+	// over a DB opened without it exactly as over one opened with it.
+	plain, _, bID, _ := buildSquare(t, road.Options{})
+	paths, _, _, _ := buildSquare(t, road.Options{StorePaths: true})
+	var got [2]PathResponse
+	for i, db := range []road.Store{plain, paths} {
+		ts := httptest.NewServer(New(db, Options{}).Handler())
+		got[i] = getJSON[PathResponse](t, ts, fmt.Sprintf("/path?node=0&object=%d", bID), http.StatusOK)
+		ts.Close()
+	}
+	if got[0].Dist != got[1].Dist || !slices.Equal(got[0].Path, got[1].Path) {
+		t.Fatalf("without StorePaths: %v/%v; with it: %v/%v", got[0].Dist, got[0].Path, got[1].Dist, got[1].Path)
+	}
 }
 
 // TestPathHonoursAttrAndBudget: /path takes the same optional attr and

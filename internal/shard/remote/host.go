@@ -448,7 +448,6 @@ func (h *Host) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if traced(r) {
 		searchLeg := hostLeg(obs.LegHostSearch, id, compute)
 		searchLeg.Pops = resp.Stats.NodesPopped
-		searchLeg.Reads = resp.Stats.IO.Reads
 		out.Legs = []obs.Leg{hostLeg(obs.LegHostQueue, id, queue), searchLeg}
 	}
 	if env.err != nil {

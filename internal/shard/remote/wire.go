@@ -87,7 +87,6 @@ var wireCodes = []struct {
 	{apierr.ErrAttrMismatch, "attr_mismatch"},
 	{apierr.ErrUnreachable, "unreachable"},
 	{apierr.ErrCrossShardRoad, "cross_shard_road"},
-	{apierr.ErrPathsNotStored, "paths_not_stored"},
 	{apierr.ErrShardUnavailable, "shard_unavailable"},
 	{shard.ErrIntegrity, "integrity"},
 	{snapshot.ErrUnknownOp, "unknown_op"},

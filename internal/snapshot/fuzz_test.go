@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -11,11 +13,18 @@ import (
 // input, Load must return an error or a framework — never panic, never
 // spin, never allocate unboundedly. The committed seed corpus
 // (testdata/fuzz/FuzzLoad) contains a valid snapshot, a bare header, and
-// assorted near-valid mutations; run with `go test -fuzz=FuzzLoad` to
-// explore further.
+// assorted near-valid mutations, and the seeds below add a snapshot of
+// the current form and one an older build wrote — no waypoints, and the
+// simulated page store's layouts in its PGLY section; run with
+// `go test -fuzz=FuzzLoad` to explore further.
 func FuzzLoad(f *testing.F) {
 	valid := fuzzFixtureBytes(f)
 	f.Add(valid)
+	old, err := os.ReadFile(filepath.Join("..", "..", "testdata", "prewaypoint", "mono.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 	f.Add(valid[:len(Magic)+8])         // magic + version + count only
 	f.Add(valid[:len(valid)/2])         // mid-file truncation
 	f.Add([]byte{})                     // empty

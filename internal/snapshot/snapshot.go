@@ -27,7 +27,6 @@ import (
 	"road/internal/geom"
 	"road/internal/graph"
 	"road/internal/rnet"
-	"road/internal/storage"
 )
 
 // Magic identifies a ROAD snapshot file.
@@ -70,7 +69,7 @@ func Save(f *core.Framework, lastSeq uint64, w io.Writer) error {
 	sections[3] = encodeHierarchy(hs)
 	sections[4] = encodeShortcuts(hs)
 	sections[5] = encodeDirectory(f.Directory().ExportState())
-	sections[6] = encodePageLayouts(f)
+	sections[6] = emptyPageLayouts
 
 	var header bytes.Buffer
 	header.Write(Magic[:])
@@ -179,22 +178,23 @@ func loadBytes(data []byte) (*core.Framework, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	order, allocated, roLayout, adLayout, err := decodePageLayouts(sections[6])
-	if err != nil {
+	if err := checkPageLayouts(sections[6]); err != nil {
 		return nil, 0, err
 	}
+	// Stores serve with AbstractSet. A file an older build wrote with
+	// another kind restores as a set too: every kind summarizes the exact
+	// per-attribute counts the section carries.
+	switch dir.Kind {
+	case core.AbstractCount, core.AbstractBloom:
+		dir.Kind = core.AbstractSet
+	}
 	f, err := core.Restore(core.RestoreSpec{
-		Graph:          g,
-		Objects:        objects,
-		Hierarchy:      h,
-		Dir:            dir,
-		BufferPages:    meta.bufferPages,
-		StoreAllocated: allocated,
-		OverlayLayout:  roLayout,
-		DirLayout:      adLayout,
-		OverlayOrder:   order,
-		Epoch:          meta.epoch,
-		BuildTime:      time.Duration(meta.buildTimeNS),
+		Graph:     g,
+		Objects:   objects,
+		Hierarchy: h,
+		Dir:       dir,
+		Epoch:     meta.epoch,
+		BuildTime: time.Duration(meta.buildTimeNS),
 	})
 	if err != nil {
 		return nil, 0, fmt.Errorf("snapshot: %w", err)
@@ -266,15 +266,18 @@ type metaState struct {
 	epoch       uint64
 	lastSeq     uint64
 	buildTimeNS int64
-	bufferPages int
 }
 
+// encodeMeta writes the epoch, the journal watermark and the build time,
+// then -1 where the simulated page store's buffer size once went: a
+// snapshot restores no page store, and -1 tells older builds to build
+// none either.
 func encodeMeta(f *core.Framework, lastSeq uint64) []byte {
 	var b bytes.Buffer
 	writeU64(&b, f.Epoch())
 	writeU64(&b, lastSeq)
 	writeU64(&b, uint64(f.BuildTime.Nanoseconds()))
-	writeI32(&b, int32(f.BufferPages()))
+	writeI32(&b, -1)
 	return b.Bytes()
 }
 
@@ -284,7 +287,7 @@ func decodeMeta(payload []byte) (metaState, error) {
 	m.epoch = d.u64()
 	m.lastSeq = d.u64()
 	m.buildTimeNS = int64(d.u64())
-	m.bufferPages = int(d.i32())
+	d.i32() // the page store's buffer size, ignored (see encodeMeta)
 	if err := d.finish(); err != nil {
 		return metaState{}, err
 	}
@@ -578,76 +581,30 @@ func decodeDirectory(payload []byte) (*core.AssocDirState, error) {
 
 // --- PGLY section ---
 
-// encodePageLayouts serializes the simulated-store bookkeeping: the
-// overlay's record clustering order (Hilbert/CCAM), the page allocation
-// watermark and the overlay/directory record layouts. Without these, a
-// load would have to re-rank every coordinate and rebuild every shortcut
-// tree just to re-derive page placement — the dominant costs of
-// reconstruction.
-func encodePageLayouts(f *core.Framework) []byte {
-	var b bytes.Buffer
-	order := f.OverlayOrder()
-	writeU32(&b, uint32(len(order)))
-	for _, n := range order {
-		writeI32(&b, n)
-	}
-	allocated, overlay, dir := f.ExportLayouts()
-	if overlay == nil {
-		b.WriteByte(0) // I/O simulation disabled
-		return b.Bytes()
-	}
-	b.WriteByte(1)
-	writeU64(&b, uint64(allocated))
-	encodeLayout(&b, overlay)
-	encodeLayout(&b, dir)
-	return b.Bytes()
-}
+// emptyPageLayouts is the PGLY payload every snapshot carries: an empty
+// node order and layout flag 0 (no page store). Older builds wrote the
+// simulated page store's bookkeeping here — the overlay's Hilbert record
+// order, the page watermark and both record layouts — and read this form
+// as "recompute the order, build no store".
+var emptyPageLayouts = []byte{0, 0, 0, 0, 0}
 
-func encodeLayout(b *bytes.Buffer, st *storage.LayoutState) {
-	writeU64(b, uint64(st.First))
-	writeU64(b, uint64(st.CurPage))
-	writeU32(b, uint32(st.CurUsed))
-	writeU64(b, uint64(st.Bytes))
-	writeU32(b, uint32(len(st.Spans)))
-	for _, sp := range st.Spans {
-		writeU64(b, uint64(sp.Key))
-		writeU64(b, uint64(sp.First))
-		writeU32(b, uint32(sp.Pages))
-	}
-}
-
-func decodePageLayouts(payload []byte) (order []graph.NodeID, allocated storage.PageID, overlay, dir *storage.LayoutState, err error) {
+// checkPageLayouts parses a PGLY payload, bounds-checking every count,
+// and discards it: the page layouts older builds saved are paper-rig
+// state no restore uses.
+func checkPageLayouts(payload []byte) error {
 	d := newDecoder("PGLY", payload)
-	order = d.i32s(d.count(4))
-	if d.u8() == 0 {
-		return order, 0, nil, nil, d.finish()
+	d.take(4 * d.count(4)) // overlay record order
+	if d.u8() != 0 {
+		d.u64()       // page allocation watermark
+		for range 2 { // overlay and directory layouts
+			d.u64()                  // first page
+			d.u64()                  // cursor page
+			d.u32()                  // cursor fill
+			d.u64()                  // record bytes
+			d.take(20 * d.count(20)) // spans: key, first page, page count
+		}
 	}
-	allocated = storage.PageID(d.u64())
-	overlay = decodeLayout(d)
-	dir = decodeLayout(d)
-	if err := d.finish(); err != nil {
-		return nil, 0, nil, nil, err
-	}
-	return order, allocated, overlay, dir, nil
-}
-
-func decodeLayout(d *decoder) *storage.LayoutState {
-	st := &storage.LayoutState{
-		First:   storage.PageID(d.u64()),
-		CurPage: storage.PageID(d.u64()),
-		CurUsed: int(d.u32()),
-		Bytes:   int64(d.u64()),
-	}
-	n := d.count(20)
-	st.Spans = make([]storage.SpanState, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		st.Spans = append(st.Spans, storage.SpanState{
-			Key:   int64(d.u64()),
-			First: storage.PageID(d.u64()),
-			Pages: int32(d.u32()),
-		})
-	}
-	return st
+	return d.finish()
 }
 
 // --- encoding primitives ---

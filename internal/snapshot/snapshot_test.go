@@ -19,14 +19,14 @@ import (
 
 // buildFixture constructs a framework over a small synthetic network with
 // objects, path storage on (so PathTo works) and pruning off (total
-// shortcut coverage makes divergence loud).
+// shortcut coverage makes divergence loud), in the serving configuration
+// snapshots restore: AbstractSet and no page store.
 func buildFixture(t testing.TB, seed int64) *core.Framework {
 	t.Helper()
 	g := dataset.MustGenerate(dataset.Spec{Name: "snap", Nodes: 260, Edges: 300, Seed: seed})
 	set := dataset.PlaceUniform(g, 60, seed+1, 0, 1, 2, 3)
 	f, err := core.Build(g, set, core.Config{
-		Rnet:     rnet.Config{Fanout: 2, Levels: 3, KLPasses: -1, StorePaths: true, Seed: seed},
-		Abstract: core.AbstractBloom,
+		Rnet: rnet.Config{Fanout: 2, Levels: 3, KLPasses: -1, StorePaths: true, Seed: seed},
 	})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -40,8 +40,7 @@ func tinyFixture(t testing.TB) *core.Framework {
 	g := dataset.MustGenerate(dataset.Spec{Name: "tiny", Nodes: 24, Edges: 30, Seed: 5})
 	set := dataset.PlaceUniform(g, 6, 6, 0, 1, 2)
 	f, err := core.Build(g, set, core.Config{
-		Rnet:     rnet.Config{Fanout: 2, Levels: 2, KLPasses: -1, StorePaths: true, Seed: 5},
-		Abstract: core.AbstractSet,
+		Rnet: rnet.Config{Fanout: 2, Levels: 2, KLPasses: -1, StorePaths: true, Seed: 5},
 	})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -121,6 +120,9 @@ func assertSameAnswers(t *testing.T, want, got *core.Framework, seed int64) {
 		t.Fatalf("epoch diverged: %d vs %d", we, ge)
 	}
 	rng := rand.New(rand.NewSource(seed))
+	wantRef, gotRef := want.NewSession(), got.NewSession()
+	wantRef.UseReferencePath(true)
+	gotRef.UseReferencePath(true)
 	n := want.Graph().NumNodes()
 	diam := want.Graph().EstimateDiameter()
 	for q := 0; q < 60; q++ {
@@ -141,8 +143,8 @@ func assertSameAnswers(t *testing.T, want, got *core.Framework, seed int64) {
 
 		if len(wres) > 0 {
 			target := wres[rng.Intn(len(wres))].Object.ID
-			wp, wd, werr := want.PathTo(core.Query{Node: node}, target)
-			gp, gd, gerr := got.PathTo(core.Query{Node: node}, target)
+			wp, wd, werr := wantRef.PathTo(core.Query{Node: node}, target)
+			gp, gd, gerr := gotRef.PathTo(core.Query{Node: node}, target)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("PathTo(%d,%d): error diverged: %v vs %v", node, target, werr, gerr)
 			}
@@ -203,6 +205,34 @@ func TestRoundTripFreshBuild(t *testing.T) {
 	assertSameAnswers(t, f, g, 100)
 	if w, g := f.IndexSizeBytes(), g.IndexSizeBytes(); w != g {
 		t.Fatalf("index size diverged: %d vs %d", w, g)
+	}
+}
+
+// TestLoadRestoresSetAbstract: a framework saved with another abstract
+// kind — a file an older build wrote for a store opened with
+// Options.Abstract — loads with AbstractSet and answers exactly as a
+// set-abstract build of the same network does.
+func TestLoadRestoresSetAbstract(t *testing.T) {
+	g := dataset.MustGenerate(dataset.Spec{Name: "snap", Nodes: 260, Edges: 300, Seed: 12})
+	set := dataset.PlaceUniform(g, 60, 13, 0, 1, 2, 3)
+	build := func(kind core.AbstractKind) *core.Framework {
+		cg := g.Clone()
+		f, err := core.Build(cg, set.Clone(cg), core.Config{
+			Rnet:     rnet.Config{Fanout: 2, Levels: 3, KLPasses: -1, StorePaths: true, Seed: 12},
+			Abstract: kind,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	want := build(core.AbstractSet)
+	for _, kind := range []core.AbstractKind{core.AbstractCount, core.AbstractBloom} {
+		loaded, _ := loadFromBytes(t, saveToBytes(t, build(kind), 0))
+		if got := loaded.Directory().Kind(); got != core.AbstractSet {
+			t.Fatalf("%v directory loaded as %v, want set", kind, got)
+		}
+		assertSameAnswers(t, want, loaded, 120)
 	}
 }
 

@@ -11,10 +11,10 @@
 //
 // The serving query path does NOT come through here: sessions traverse
 // the CSR slabs in internal/core/csr.go, which bake the same overlay
-// into flat arrays with no page indirection. Only report-mode framework
-// queries (the paper's experiments, roadbench figures) and snapshot
-// sizing still consult the simulated store — demoting it from the hot
-// path is what the CSR overhaul was for.
+// into flat arrays with no page indirection, and a framework is built
+// over a Store only when its configuration asks for one
+// (core.Config.BufferPages > 0): the paper's experiments and roadbench
+// figures do; road, roadd and snapshots never do.
 package storage
 
 import (
@@ -145,17 +145,6 @@ func NewStore(bufferPages int) *Store {
 	}
 	return &Store{buf: newLRU(bufferPages)}
 }
-
-// Capacity returns the buffer capacity in pages, so a snapshot can record
-// the store configuration and rebuild an equivalent store on load.
-func (s *Store) Capacity() int { return s.buf.capacity }
-
-// Allocated returns the page allocation watermark (equals NumPages); a
-// snapshot records it so a restored store hands out the same page IDs.
-func (s *Store) Allocated() PageID { return s.pages }
-
-// SetAllocated forces the allocation watermark during snapshot restore.
-func (s *Store) SetAllocated(p PageID) { s.pages = p }
 
 // Alloc reserves n fresh pages and returns the ID of the first.
 func (s *Store) Alloc(n int) PageID {
@@ -297,67 +286,6 @@ func (l *Layout) Pages(key int64) int {
 
 // Bytes returns the total record payload placed so far.
 func (l *Layout) Bytes() int64 { return l.bytes }
-
-// LayoutState is the explicit, serializable form of a Layout: every
-// record span plus the append cursor, so a restored layout reproduces the
-// exact simulated page placement — including where the next record will
-// land — without re-deriving record sizes (which would force expensive
-// reconstruction of the structures being sized).
-type LayoutState struct {
-	First   PageID
-	CurPage PageID
-	CurUsed int
-	Bytes   int64
-	Spans   []SpanState
-}
-
-// SpanState is one record's page span.
-type SpanState struct {
-	Key   int64
-	First PageID
-	Pages int32
-}
-
-// ExportState captures the layout for snapshotting, with spans sorted by
-// key for deterministic encoding.
-func (l *Layout) ExportState() *LayoutState {
-	st := &LayoutState{First: l.first, CurPage: l.curPage, CurUsed: l.curUsed, Bytes: l.bytes}
-	for key, sp := range l.spans {
-		st.Spans = append(st.Spans, SpanState{Key: key, First: sp.first, Pages: sp.count})
-	}
-	sort.Slice(st.Spans, func(i, j int) bool { return st.Spans[i].Key < st.Spans[j].Key })
-	return st
-}
-
-// RestoreLayout reassembles a layout on store from exported state,
-// validating spans against the store's allocation watermark.
-func RestoreLayout(store *Store, st *LayoutState) (*Layout, error) {
-	l := &Layout{
-		store:   store,
-		first:   st.First,
-		curPage: st.CurPage,
-		curUsed: st.CurUsed,
-		bytes:   st.Bytes,
-		spans:   make(map[int64]span, len(st.Spans)),
-	}
-	if st.CurUsed < 0 || st.CurUsed > PageSize {
-		return nil, fmt.Errorf("storage: layout cursor %d outside page", st.CurUsed)
-	}
-	if st.CurPage < 0 || st.CurPage >= store.Allocated() {
-		return nil, fmt.Errorf("storage: layout cursor page %d beyond allocation %d", st.CurPage, store.Allocated())
-	}
-	for _, sp := range st.Spans {
-		if sp.Pages <= 0 || sp.First < 0 || sp.First+PageID(sp.Pages) > store.Allocated() {
-			return nil, fmt.Errorf("storage: record %d span [%d,+%d) beyond allocation %d",
-				sp.Key, sp.First, sp.Pages, store.Allocated())
-		}
-		if _, dup := l.spans[sp.Key]; dup {
-			return nil, fmt.Errorf("storage: duplicate record key %d in layout state", sp.Key)
-		}
-		l.spans[sp.Key] = span{first: sp.First, count: sp.Pages}
-	}
-	return l, nil
-}
 
 // ClusterNodes returns the graph's node IDs ordered by Hilbert rank of
 // their coordinates — the storage order approximating CCAM's

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"road/internal/dataset"
 )
 
 // TestSnapshotStreamRoundTrip exercises the io.Writer/io.Reader snapshot
@@ -409,6 +411,49 @@ func TestOpenUpgradesWaypointlessShards(t *testing.T) {
 				if got.Dist != want.Dist || !slices.Equal(got.Nodes, want.Nodes) {
 					t.Fatalf("%s path %d->%d: %v (%v), fresh build %v (%v)", leg.name, n, obj, got.Nodes, got.Dist, want.Nodes, want.Dist)
 				}
+			}
+		}
+	}
+}
+
+// TestOpenUpgradesWaypointlessMono: testdata/prewaypoint/mono.snap is a
+// DB snapshot saved by a build that kept no shortcut waypoints unless
+// asked and saved the simulated page store's layouts with every snapshot
+// (a 120-node, 16-object network, opened with Options{Seed: 23}). It
+// opens with waypoints and without a page store, and answers exactly as
+// a fresh build of the same network.
+func TestOpenUpgradesWaypointlessMono(t *testing.T) {
+	const seed, nodes, objects = 23, 120, 16
+	old, err := OpenSnapshotFile(filepath.Join("testdata", "prewaypoint", "mono.snap"))
+	if err != nil {
+		t.Fatalf("OpenSnapshotFile: %v", err)
+	}
+	if old.Framework().Store() != nil {
+		t.Fatal("the old snapshot's page layouts came back as a page store")
+	}
+	if !old.Framework().Hierarchy().Config().StorePaths {
+		t.Fatal("opened without waypoints")
+	}
+	g := dataset.MustGenerate(dataset.Spec{Name: "pair", Nodes: nodes, Edges: nodes + nodes/3, Seed: seed})
+	fresh, err := OpenWithObjects(FromGraph(g), dataset.PlaceUniform(g, objects, seed, 0, 1, 2, 3), Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := old.IndexSizeBytes(), fresh.IndexSizeBytes(); got != want {
+		t.Fatalf("upgraded index holds %d bytes, a fresh build %d", got, want)
+	}
+	ctx := context.Background()
+	for n := NodeID(0); n < nodes; n += 3 {
+		want, _, _ := fresh.KNNContext(ctx, NewKNN(n, 5))
+		got, _, err := old.KNNContext(ctx, NewKNN(n, 5))
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("kNN from %d: %v (%v), fresh build %v", n, got, err, want)
+		}
+		for obj := ObjectID(0); obj < objects; obj++ {
+			want, _, wantErr := fresh.PathToContext(ctx, NewPath(n, obj))
+			got, _, err := old.PathToContext(ctx, NewPath(n, obj))
+			if (err == nil) != (wantErr == nil) || got.Dist != want.Dist || !slices.Equal(got.Nodes, want.Nodes) {
+				t.Fatalf("path %d->%d: %v (%v, %v), fresh build %v (%v, %v)", n, obj, got.Nodes, got.Dist, err, want.Nodes, want.Dist, wantErr)
 			}
 		}
 	}

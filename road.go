@@ -26,17 +26,8 @@ type (
 	Object = graph.Object
 	// Result is one query answer: an object and its network distance.
 	Result = core.Result
-	// Stats reports per-query traversal and I/O cost.
+	// Stats reports per-query traversal cost.
 	Stats = core.QueryStats
-	// AbstractKind selects the object-abstract representation.
-	AbstractKind = core.AbstractKind
-)
-
-// Abstract representation choices (see core package for trade-offs).
-const (
-	AbstractSet   = core.AbstractSet
-	AbstractCount = core.AbstractCount
-	AbstractBloom = core.AbstractBloom
 )
 
 // AnyAttr matches objects of every attribute category.
@@ -78,23 +69,21 @@ func (b *NetworkBuilder) NumNodes() int { return b.g.NumNodes() }
 // NumRoads returns the number of segments added so far.
 func (b *NetworkBuilder) NumRoads() int { return b.g.NumEdges() }
 
-// Options tunes DB construction. The zero value picks sensible defaults
-// (fanout 4 and a depth suited to the network size, per the paper).
+// Options sets the shape of the index. The zero value picks sensible
+// defaults (fanout 4 and a depth suited to the network size, per the
+// paper). Every store is built the same way otherwise: shortcut waypoints
+// are always stored, so every store answers PathTo, and no simulated page
+// store is built.
 type Options struct {
 	// Fanout is the partitioning factor p (power of two ≥ 2; default 4).
 	Fanout int
 	// Levels is the Rnet hierarchy depth l (default 4, or 8 for networks
-	// of 50k+ nodes).
+	// of 50k+ nodes). Fanout^Levels leaf Rnets must not exceed
+	// max(2^20, roads); Open rejects a deeper hierarchy.
 	Levels int
-	// Abstract selects the object-abstract representation
-	// (default AbstractSet).
-	Abstract AbstractKind
-	// StorePaths retains shortcut waypoints so result paths can be
-	// reconstructed (costs memory).
+	// StorePaths does nothing: every store keeps shortcut waypoints. It
+	// is kept so that existing callers build, and will be removed.
 	StorePaths bool
-	// DisableIOSim turns off the simulated page store (slightly faster,
-	// no Stats.IO reporting).
-	DisableIOSim bool
 	// Seed makes partitioning deterministic across runs (default 0).
 	Seed int64
 }
@@ -113,8 +102,9 @@ type DB struct {
 	mu sync.RWMutex
 	f  *core.Framework
 
-	// sess is the cached session Query batches run on (single-threaded,
-	// like every DB-level query method); allocated on first use.
+	// sess is the cached session the DB-level query methods and Query
+	// batches run on (single-threaded, like every DB-level query method);
+	// allocated on first use.
 	sess *Session
 
 	// journal, when attached, receives every maintenance op BEFORE it is
@@ -145,14 +135,10 @@ func Open(b *NetworkBuilder, opts Options) (*DB, error) {
 	if opts.Levels != 0 {
 		rcfg.Levels = opts.Levels
 	}
-	rcfg.StorePaths = opts.StorePaths
+	rcfg.StorePaths = true
 	rcfg.Seed = opts.Seed
-	cfg := core.Config{Rnet: rcfg, Abstract: opts.Abstract}
-	if opts.DisableIOSim {
-		cfg.BufferPages = -1
-	}
 	objects := graph.NewObjectSet(b.g)
-	f, err := core.Build(b.g, objects, cfg)
+	f, err := core.Build(b.g, objects, core.Config{Rnet: rcfg})
 	if err != nil {
 		return nil, err
 	}
@@ -170,15 +156,11 @@ func OpenWithObjects(b *NetworkBuilder, objects *graph.ObjectSet, opts Options) 
 		return nil, err
 	}
 	// Rebuild with the provided set: Open built an empty directory; attach
-	// the real one as primary.
-	db.f = replaceObjects(db.f, objects, opts)
+	// the real one as primary. The hierarchy and overlay are
+	// object-independent; only the directory is rebuilt — this is exactly
+	// the separation ROAD advertises.
+	db.f = core.Rebind(db.f, objects, core.AbstractSet)
 	return db, nil
-}
-
-func replaceObjects(f *core.Framework, objects *graph.ObjectSet, opts Options) *core.Framework {
-	// The hierarchy and overlay are object-independent; only the directory
-	// is rebuilt — this is exactly the separation ROAD advertises.
-	return core.Rebind(f, objects, opts.Abstract)
 }
 
 // Framework exposes the underlying core framework for advanced use
@@ -388,7 +370,8 @@ func (db *DB) snapshotSeq() uint64 {
 // OpenSnapshot reopens a previously saved DB without rebuilding the
 // index: O(load) instead of O(build). The snapshot's maintenance epoch
 // and journal watermark are restored, so caching layers and journal
-// replay continue seamlessly.
+// replay continue seamlessly. A snapshot saved without shortcut waypoints
+// (by an older build) is upgraded to store them.
 func OpenSnapshot(r io.Reader) (*DB, error) {
 	f, lastSeq, err := snapshot.Load(r)
 	if err != nil {
@@ -407,6 +390,7 @@ func OpenSnapshotFile(path string) (*DB, error) {
 }
 
 func openedSnapshot(f *core.Framework, lastSeq uint64) *DB {
+	f.EnableWaypoints()
 	db := &DB{f: f, lastSnapSeq: lastSeq}
 	db.baseSeq.Store(lastSeq)
 	return db
@@ -482,9 +466,9 @@ func (db *DB) JournalSizeBytes() int64 {
 }
 
 // Session is an independent read-only query context; any number of
-// Sessions may query concurrently (I/O simulation is skipped in sessions),
-// and maintenance calls on the same DB may overlap them: each query holds
-// the DB's read lock, so it runs entirely before or after any mutation.
+// Sessions may query concurrently, and maintenance calls on the same DB
+// may overlap them: each query holds the DB's read lock, so it runs
+// entirely before or after any mutation.
 type Session struct {
 	s  *core.Session
 	db *DB

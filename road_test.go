@@ -2,6 +2,7 @@ package road
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"road/internal/dataset"
@@ -199,14 +200,15 @@ func TestPathToFacade(t *testing.T) {
 	if len(path) == 0 || path[0] != from {
 		t.Fatalf("path = %v", path)
 	}
-	// Without StorePaths the facade reports a clean error.
+	// StorePaths is a no-op: a DB opened without it routes the same.
 	gc := g.Clone()
 	db2, err := OpenWithObjects(FromGraph(gc), objects.Clone(gc), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := testPathTo(db2, from, hits[0].Object.ID); err == nil {
-		t.Fatal("PathTo without StorePaths accepted")
+	path2, dist2, err := testPathTo(db2, from, hits[0].Object.ID)
+	if err != nil || dist2 != dist || !slices.Equal(path2, path) {
+		t.Fatalf("without StorePaths: %v (%v, %v); with it: %v (%v)", path2, dist2, err, path, dist)
 	}
 }
 
@@ -236,15 +238,24 @@ func TestSessionFacade(t *testing.T) {
 	}
 }
 
-func TestDisableIOSim(t *testing.T) {
+// TestOpenBuildsNoPageStore: Open builds the serving configuration — no
+// simulated page store, shortcut waypoints kept — and DB-level queries
+// run on the CSR slabs, charging no I/O.
+func TestOpenBuildsNoPageStore(t *testing.T) {
 	b, nodes, edges := buildChain(t)
-	db, err := Open(b, Options{Fanout: 2, Levels: 2, DisableIOSim: true})
+	db, err := Open(b, Options{Fanout: 2, Levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if db.Framework().Store() != nil {
+		t.Fatal("Open built a simulated page store")
+	}
+	if !db.Framework().Hierarchy().Config().StorePaths {
+		t.Fatal("Open built a hierarchy without waypoints")
+	}
 	db.AddObject(edges[2], 0.5, 0)
 	_, stats := testKNN(db, nodes[0], 1, AnyAttr)
-	if stats.IO.Reads != 0 {
-		t.Fatal("I/O recorded with simulation disabled")
+	if stats.IO.Reads != 0 || stats.NodesPopped == 0 {
+		t.Fatalf("DB-level kNN stats %+v: want pops and no I/O", stats)
 	}
 }

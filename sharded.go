@@ -25,12 +25,9 @@ import (
 // embedded router-backed base RemoteDB shares; what is ShardedDB's own is
 // file persistence and the per-shard journals.
 //
-// Differences from DB worth knowing: PathTo works without
-// Options.StorePaths (shards always store shortcut waypoints, because
-// cross-shard routes are assembled from route legs on each shard's
-// index), and AddRoad requires both endpoints to share a shard —
-// shard boundaries are fixed at build time, so a road bridging two shards
-// that share neither endpoint is rejected.
+// The difference from DB worth knowing: AddRoad requires both endpoints
+// to share a shard — shard boundaries are fixed at build time, so a road
+// bridging two shards that share neither endpoint is rejected.
 type ShardedDB struct {
 	routerStore
 
@@ -72,17 +69,13 @@ func openSharded(g *graph.Graph, objects *graph.ObjectSet, opts Options, shards 
 			rcfg.Levels = opts.Levels
 		}
 	}
-	// StorePaths need not be forwarded: shard.Build always stores
-	// waypoints, which the router's route legs expand.
+	// shard.Build always stores waypoints, which the router's route legs
+	// expand.
 	rcfg.Seed = opts.Seed
-	cfg := core.Config{Rnet: rcfg, Abstract: opts.Abstract}
-	if opts.DisableIOSim {
-		cfg.BufferPages = -1
-	}
 	r, err := shard.Build(g, objects, shard.Options{
 		Shards: shards,
 		Seed:   opts.Seed,
-		Core:   cfg,
+		Core:   core.Config{Rnet: rcfg},
 	})
 	if err != nil {
 		return nil, err

@@ -167,56 +167,39 @@ func (db *DB) NumObjects() int {
 	return db.f.Objects().Len()
 }
 
-// KNNContext answers a kNN request on the DB's own (single-threaded)
-// read context, with full I/O simulation like DB.KNN.
-func (db *DB) KNNContext(ctx context.Context, req KNNRequest) ([]Result, Stats, error) {
-	if err := validateKNN(req, db.NumNodes()); err != nil {
-		return nil, Stats{}, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	done := traceSearch(ctx)
-	res, stats, err := db.f.KNNLimited(core.Query{Node: req.From, Attr: req.Attr}, req.K, req.MaxRadius, searchLimits(ctx, req.Budget))
-	done(stats.NodesPopped)
-	return res, stats, err
-}
-
-// WithinContext answers a range request; see KNNContext.
-func (db *DB) WithinContext(ctx context.Context, req WithinRequest) ([]Result, Stats, error) {
-	if err := validateWithin(req, db.NumNodes()); err != nil {
-		return nil, Stats{}, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	done := traceSearch(ctx)
-	res, stats, err := db.f.RangeLimited(core.Query{Node: req.From, Attr: req.Attr}, req.Radius, searchLimits(ctx, req.Budget))
-	done(stats.NodesPopped)
-	return res, stats, err
-}
-
-// PathToContext answers a detailed-route request; see KNNContext.
-// Requires Options.StorePaths (ErrPathsNotStored otherwise).
-func (db *DB) PathToContext(ctx context.Context, req PathRequest) (Path, Stats, error) {
-	if err := validatePath(req, db.NumNodes()); err != nil {
-		return Path{}, Stats{}, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	done := traceSearch(ctx)
-	nodes, dist, stats, err := db.f.PathToLimited(core.Query{Node: req.From, Attr: req.Attr}, req.Object, searchLimits(ctx, req.Budget))
-	done(stats.NodesPopped)
-	return Path{Nodes: nodes, Dist: dist}, stats, err
-}
-
-// Query answers a batch on the DB's cached batch session (allocated on
-// first use, reused afterwards — the amortization the entry point is
-// for). Like all DB-level query methods it is single-threaded; concurrent
-// batches go through OpenSession + RunBatch.
-func (db *DB) Query(ctx context.Context, reqs []Request) []Response {
+// session returns the DB's cached session, allocated on first use. Like
+// every DB-level query method it is single-threaded.
+func (db *DB) session() *Session {
 	if db.sess == nil {
 		db.sess = db.NewSession()
 	}
-	return RunBatch(ctx, db.sess, reqs)
+	return db.sess
+}
+
+// KNNContext answers a kNN request on the DB's cached session (see
+// Session.KNNContext); like every DB-level query method it is
+// single-threaded.
+func (db *DB) KNNContext(ctx context.Context, req KNNRequest) ([]Result, Stats, error) {
+	return db.session().KNNContext(ctx, req)
+}
+
+// WithinContext answers a range request on the DB's cached session.
+func (db *DB) WithinContext(ctx context.Context, req WithinRequest) ([]Result, Stats, error) {
+	return db.session().WithinContext(ctx, req)
+}
+
+// PathToContext answers a detailed-route request on the DB's cached
+// session.
+func (db *DB) PathToContext(ctx context.Context, req PathRequest) (Path, Stats, error) {
+	return db.session().PathToContext(ctx, req)
+}
+
+// Query answers a batch on the DB's cached session (reused across calls —
+// the amortization the entry point is for). Like all DB-level query
+// methods it is single-threaded; concurrent batches go through
+// OpenSession + RunBatch.
+func (db *DB) Query(ctx context.Context, reqs []Request) []Response {
+	return RunBatch(ctx, db.session(), reqs)
 }
 
 // OpenSession returns a concurrent read context as a Querier (the
@@ -233,8 +216,10 @@ func (db *DB) Save(path string) error { return db.SaveSnapshotFile(path) }
 
 // --- Session: single-index Querier implementation ---
 
-// KNNContext is the session variant of DB.KNNContext (no I/O simulation,
-// safe for any number of concurrent sessions and mutators).
+// KNNContext answers a kNN request on the session's own read context,
+// safe beside any number of concurrent sessions and mutators. On
+// ErrCanceled / ErrBudgetExhausted the returned prefix is valid and
+// Stats.Truncated is set.
 func (s *Session) KNNContext(ctx context.Context, req KNNRequest) ([]Result, Stats, error) {
 	if err := validateKNN(req, s.db.NumNodes()); err != nil {
 		return nil, Stats{}, err
@@ -247,7 +232,7 @@ func (s *Session) KNNContext(ctx context.Context, req KNNRequest) ([]Result, Sta
 	return res, stats, err
 }
 
-// WithinContext is the session variant of DB.WithinContext.
+// WithinContext answers a range request, closest first; see KNNContext.
 func (s *Session) WithinContext(ctx context.Context, req WithinRequest) ([]Result, Stats, error) {
 	if err := validateWithin(req, s.db.NumNodes()); err != nil {
 		return nil, Stats{}, err
@@ -260,7 +245,7 @@ func (s *Session) WithinContext(ctx context.Context, req WithinRequest) ([]Resul
 	return res, stats, err
 }
 
-// PathToContext is the session variant of DB.PathToContext.
+// PathToContext answers a detailed-route request; see KNNContext.
 func (s *Session) PathToContext(ctx context.Context, req PathRequest) (Path, Stats, error) {
 	if err := validatePath(req, s.db.NumNodes()); err != nil {
 		return Path{}, Stats{}, err

@@ -51,16 +51,17 @@ func TestTypedErrors(t *testing.T) {
 	if _, _, err := db.WithinContext(ctx, NewWithin(nodes[0], -1)); !errors.Is(err, ErrInvalidRequest) {
 		t.Fatalf("Within radius<0 = %v, want ErrInvalidRequest", err)
 	}
-	// Opened without StorePaths: path queries carry a typed sentinel.
+	// Opened without StorePaths, the DB still routes: waypoints are
+	// always stored.
 	o, err := db.AddObject(edges[1], 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.PathToContext(ctx, NewPath(nodes[0], o.ID)); !errors.Is(err, ErrPathsNotStored) {
-		t.Fatalf("PathTo without StorePaths = %v, want ErrPathsNotStored", err)
+	if _, _, err := db.PathToContext(ctx, NewPath(nodes[0], o.ID)); err != nil {
+		t.Fatalf("PathTo on a DB opened without StorePaths = %v, want a route", err)
 	}
-	if _, _, err := db.PathToContext(ctx, NewPath(nodes[0], 999)); !errors.Is(err, ErrPathsNotStored) && !errors.Is(err, ErrNoSuchObject) {
-		t.Fatalf("PathTo bad object = %v, want typed", err)
+	if _, _, err := db.PathToContext(ctx, NewPath(nodes[0], 999)); !errors.Is(err, ErrNoSuchObject) {
+		t.Fatalf("PathTo bad object = %v, want ErrNoSuchObject", err)
 	}
 }
 
